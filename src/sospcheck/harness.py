@@ -36,6 +36,7 @@ from .network import (
     SquaredLoss,
     boundary_analysis,
     empirical_risk,
+    forward_batch,
     per_sample_derivatives,
 )
 
@@ -92,19 +93,11 @@ def risk_gradient(params: NetworkParams, data: Dataset, loss: LossModel):
     positive-side slope, a subgradient choice that matters only on a
     measure-zero set of parameters.
     """
-    act = params.activation
-    preact = data.inputs @ params.W1.T + params.b1
-    hidden = act.h(preact)
-    outputs = hidden @ params.W2.T + params.b2
-    if isinstance(loss, SquaredLoss):
-        grads = outputs - data.labels
-    else:
-        grads = np.stack(
-            [loss.gradient(outputs[i], data.labels[i]) for i in range(data.m)]
-        )
+    outputs, preact, hidden = forward_batch(params, data.inputs)
+    grads = loss.gradient(outputs, data.labels)
     g_w2 = grads.T @ hidden
     g_b2 = grads.sum(axis=0)
-    back = (grads @ params.W2) * act.hprime(preact)
+    back = (grads @ params.W2) * params.activation.hprime(preact)
     g_w1 = back.T @ data.inputs
     g_b1 = back.sum(axis=0)
     return g_w1, g_b1, g_w2, g_b2
@@ -566,7 +559,7 @@ def construct_boundary_fosp(
                 break
         if not ok:
             continue
-        preact = inputs @ params.W1.T + params.b1
+        outputs, preact, _ = forward_batch(params, inputs)
         mask = np.zeros((m, d_h), dtype=bool)
         for b, k in enumerate(units):
             mask[b, k] = True
@@ -628,8 +621,6 @@ def construct_boundary_fosp(
         if norm == 0.0:
             continue
         resid = resid * (residual_scale * np.sqrt(m * d_y) / norm)
-        hidden = activation.h(preact)
-        outputs = hidden @ params.W2.T + params.b2
         data = Dataset(inputs, outputs - resid)
 
         if _verify_construction(params, data, loss, pairs, s_presc, mode):
@@ -722,7 +713,7 @@ def construct_smooth_fosp(
             activation=activation,
         )
         inputs = rng.standard_normal((m, d_x))
-        preact = inputs @ params.W1.T + params.b1
+        outputs, preact, _ = forward_batch(params, inputs)
         if np.abs(preact).min() < margin:
             continue
         phi = _fosp_constraint_matrix(params, inputs, [], {}, [])
@@ -734,8 +725,7 @@ def construct_smooth_fosp(
         if norm == 0.0:
             continue
         resid = resid * (residual_scale * np.sqrt(m * d_y) / norm)
-        hidden = params.activation.h(preact)
-        data = Dataset(inputs, hidden @ params.W2.T + params.b2 - resid)
+        data = Dataset(inputs, outputs - resid)
         bundle = per_sample_derivatives(params, data, loss)
         if bundle.boundary_mask.any():
             continue

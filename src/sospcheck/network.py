@@ -158,7 +158,15 @@ class Dataset:
 
 
 class LossModel:
-    """Per-sample loss, twice differentiable and convex in the prediction."""
+    """Convex, twice-differentiable loss, evaluated on all samples at once.
+
+    Every method takes predictions ``w`` and labels ``y`` of shape (m, d_y).
+    ``value`` returns the loss summed over the samples (a float),
+    ``gradient`` the per-sample gradients in the prediction, shape (m, d_y),
+    and ``hessian`` the per-sample Hessians, shape (m, d_y, d_y). Each
+    per-sample loss must be convex in the prediction: a Hessian with a
+    negative eigenvalue is rejected by ``per_sample_derivatives``.
+    """
 
     def value(self, w: np.ndarray, y: np.ndarray) -> float:
         raise NotImplementedError
@@ -171,17 +179,18 @@ class LossModel:
 
 
 class SquaredLoss(LossModel):
-    """l(w, y) = 0.5 * ||w - y||^2, so the Hessian is the identity."""
+    """l(w, y) = 0.5 * ||w - y||^2 per sample, so every Hessian is the identity."""
 
     def value(self, w, y):
         diff = np.asarray(w, dtype=float) - np.asarray(y, dtype=float)
-        return 0.5 * float(diff @ diff)
+        return 0.5 * float(np.vdot(diff, diff))
 
     def gradient(self, w, y):
         return np.asarray(w, dtype=float) - np.asarray(y, dtype=float)
 
     def hessian(self, w, y):
-        return np.eye(len(np.asarray(w)))
+        m, d_y = np.shape(w)
+        return np.broadcast_to(np.eye(d_y), (m, d_y, d_y))
 
 
 # ---------------------------------------------------------------------------
@@ -289,38 +298,38 @@ def scaling_direction(params: NetworkParams, k: int) -> Perturbation:
 # ---------------------------------------------------------------------------
 
 
-def forward(params: NetworkParams, x: np.ndarray):
-    """Network output for one input: returns (y, preactivation, hidden output)."""
-    x = require_finite(np.atleast_1d(x), "x")
-    if x.shape != (params.dims[0],):
-        raise ShapeMismatchError(f"input shape {x.shape} does not match d_x={params.dims[0]}")
-    preact = params.W1 @ x + params.b1
-    hidden = params.activation.h(preact)
-    return params.W2 @ hidden + params.b2, preact, hidden
+def forward_batch(params: NetworkParams, inputs: np.ndarray, boundary_tol: float = 0.0):
+    """Network outputs for (m, d_x) inputs: returns (outputs, preactivation, hidden output).
 
-
-def empirical_risk(params: NetworkParams, data: Dataset, loss: LossModel) -> float:
-    """Sum of per-sample losses at the current parameters."""
-    outputs = _batch_outputs(params, data)[0]
-    total = 0.0
-    for i in range(data.m):
-        total += loss.value(outputs[i], data.labels[i])
-    if not np.isfinite(total):
-        raise NonFiniteError("empirical risk is not finite")
-    return float(total)
-
-
-def _batch_outputs(params: NetworkParams, data: Dataset, boundary_tol: float = 0.0):
-    if data.d_x != params.dims[0]:
+    Preactivations within ``boundary_tol`` of zero are snapped to exactly zero.
+    """
+    if inputs.shape[1] != params.dims[0]:
         raise ShapeMismatchError(
-            f"dataset d_x={data.d_x} does not match network d_x={params.dims[0]}"
+            f"input dimension {inputs.shape[1]} does not match network d_x={params.dims[0]}"
         )
-    preact = data.inputs @ params.W1.T + params.b1  # (m, d_h)
+    preact = inputs @ params.W1.T + params.b1  # (m, d_h)
     if boundary_tol > 0.0:
         preact = np.where(np.abs(preact) <= boundary_tol, 0.0, preact)
     hidden = params.activation.h(preact)
     outputs = hidden @ params.W2.T + params.b2
     return outputs, preact, hidden
+
+
+def forward(params: NetworkParams, x: np.ndarray):
+    """Network output for one input: returns (y, preactivation, hidden output)."""
+    x = require_finite(np.atleast_1d(x), "x")
+    if x.shape != (params.dims[0],):
+        raise ShapeMismatchError(f"input shape {x.shape} does not match d_x={params.dims[0]}")
+    y, preact, hidden = forward_batch(params, x[None, :])
+    return y[0], preact[0], hidden[0]
+
+
+def empirical_risk(params: NetworkParams, data: Dataset, loss: LossModel) -> float:
+    """Sum of per-sample losses at the current parameters."""
+    total = float(loss.value(forward_batch(params, data.inputs)[0], data.labels))
+    if not np.isfinite(total):
+        raise NonFiniteError("empirical risk is not finite")
+    return total
 
 
 @dataclass(frozen=True)
@@ -361,18 +370,16 @@ def per_sample_derivatives(
         raise ShapeMismatchError(
             f"dataset d_y={data.d_y} does not match network d_y={params.dims[2]}"
         )
-    outputs, preact, hidden = _batch_outputs(params, data, boundary_tol)
-    m = data.m
-    d_y = data.d_y
-    grads = np.empty((m, d_y))
-    hessians = np.empty((m, d_y, d_y))
-    for i in range(m):
-        grads[i] = loss.gradient(outputs[i], data.labels[i])
-        hessians[i] = loss.hessian(outputs[i], data.labels[i])
-        w = np.linalg.eigvalsh(0.5 * (hessians[i] + hessians[i].T))
-        if w[0] < -1e-10 * max(1.0, abs(w[-1])):
-            raise NonPSDHessianError(f"loss Hessian at sample {i} has eigenvalue {w[0]:.3e}")
-    require_finite(grads, "loss gradients")
+    outputs, preact, hidden = forward_batch(params, data.inputs, boundary_tol)
+    grads = require_finite(loss.gradient(outputs, data.labels), "loss gradients")
+    hessians = np.asarray(loss.hessian(outputs, data.labels), dtype=float)
+    if grads.shape != outputs.shape or hessians.shape != outputs.shape + (data.d_y,):
+        raise ShapeMismatchError(f"loss shapes {grads.shape}, {hessians.shape} for {outputs.shape}")
+    w = np.linalg.eigvalsh(0.5 * (hessians + hessians.swapaxes(1, 2)))
+    bad = np.flatnonzero(w[:, 0] < -1e-10 * np.maximum(1.0, np.abs(w[:, -1])))
+    if bad.size:
+        i = int(bad[0])
+        raise NonPSDHessianError(f"loss Hessian at sample {i} has eigenvalue {w[i, 0]:.3e}")
     return DerivativeBundle(
         preact=preact,
         hidden=hidden,
@@ -542,12 +549,15 @@ def expansion_terms(
         raise ShapeMismatchError(f"direction dims {eta.dims} do not match network {params.dims}")
     act = params.activation
     t_lin = bundle.xbar @ eta.v.T  # (m, d_h): Delta1 x_i + delta1
-    jvals = np.where(
-        bundle.boundary_mask,
-        act.hprime(t_lin),
-        act.hprime(bundle.preact),
-    )
-    jt = jvals * t_lin
+    jvals = np.where(bundle.boundary_mask, act.hprime(t_lin), act.hprime(bundle.preact))
+    return _response_terms(params, bundle, eta, jvals)
+
+
+def _response_terms(
+    params: NetworkParams, bundle: DerivativeBundle, eta: Perturbation, jvals: np.ndarray
+) -> tuple[float, float]:
+    """(first, second) along ``eta`` with the (m, d_h) hidden slopes held at ``jvals``."""
+    jt = jvals * (bundle.xbar @ eta.v.T)
     dy1 = bundle.hidden @ eta.delta2_matrix.T + eta.delta2_bias + jt @ params.W2.T
     dy2 = jt @ eta.delta2_matrix.T
     first = float(np.sum(bundle.grads * dy1))

@@ -53,6 +53,7 @@ from .network import (
     NetworkParams,
     Perturbation,
     SignPattern,
+    _response_terms,
     per_sample_derivatives,
     perturbation_layout,
 )
@@ -62,6 +63,9 @@ DEFAULT_POS_TOL = 1e-9
 DEFAULT_CP_TOL = 1e-9
 WITNESS_FEAS_TOL = 1e-8
 WITNESS_CURV_TOL = 1e-10
+# samples per block when summing the per-sample curvature terms of a cone QP;
+# bounds the working memory of the assembly at O(ASSEMBLY_BLOCK * p)
+ASSEMBLY_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -164,14 +168,7 @@ def pattern_objective(
     Used as the direct-evaluation oracle for the assembled quadratic form:
     eta^T Q eta equals exactly twice this value.
     """
-    jvals = pattern_jvals(params, bundle, pattern)
-    t_lin = bundle.xbar @ eta.v.T
-    jt = jvals * t_lin
-    dy1 = bundle.hidden @ eta.delta2_matrix.T + eta.delta2_bias + jt @ params.W2.T
-    dy2 = jt @ eta.delta2_matrix.T
-    val = float(np.sum(bundle.grads * dy2))
-    val += 0.5 * float(np.einsum("ia,iab,ib->", dy1, bundle.hessians, dy1))
-    return val
+    return _response_terms(params, bundle, eta, pattern_jvals(params, bundle, pattern))[1]
 
 
 def assemble_so_qp(
@@ -197,18 +194,28 @@ def assemble_so_qp(
         raise ValueError("sign pattern does not match the boundary analysis")
     d_x, d_h, d_y = params.dims
     p = params.n_params
-    sl_delta2, sl_u, sl_v = perturbation_layout(params.dims)
+    _, sl_u, sl_v = perturbation_layout(params.dims)
     jvals = pattern_jvals(params, bundle, pattern)
 
-    # PSD part: sum_i P_i^T H_i P_i with P_i the linear response map.
+    # PSD part: sum_i P_i^T H_i P_i with P_i the (d_y, p) linear response map
+    # of sample i, accumulated over blocks of samples as one product each.
+    eye = np.eye(d_y)
     q_mat = np.zeros((p, p))
-    for i in range(bundle.m):
-        p_i = np.zeros((d_y, p))
-        p_i[:, sl_delta2] = np.eye(d_y)
-        for k in range(d_h):
-            p_i[:, sl_u[k]] = bundle.hidden[i, k] * np.eye(d_y)
-            p_i[:, sl_v[k]] = jvals[i, k] * np.outer(params.W2[:, k], bundle.xbar[i])
-        q_mat += p_i.T @ bundle.hessians[i] @ p_i
+    for start in range(0, bundle.m, ASSEMBLY_BLOCK):
+        blk = slice(start, start + ASSEMBLY_BLOCK)
+        hidden, xbar = bundle.hidden[blk], bundle.xbar[blk]
+        n = hidden.shape[0]
+        # P_i is [1, hidden_i] (x) I on (delta2, u_1..u_dh) and j_ik W2[:, k] xbar_i^T on v_k
+        aug = np.insert(hidden, 0, 1.0, axis=1)
+        slopes = jvals[blk, None, :] * params.W2  # (n, d_y, d_h)
+        resp = np.concatenate(
+            [
+                (aug[:, None, :, None] * eye[:, None, :]).reshape(n, d_y, -1),
+                (slopes[..., None] * xbar[:, None, None, :]).reshape(n, d_y, -1),
+            ],
+            axis=2,
+        )
+        q_mat += resp.reshape(-1, p).T @ (bundle.hessians[blk] @ resp).reshape(-1, p)
 
     # Bilinear coupling between the u_k and v_k blocks.
     for k in range(d_h):

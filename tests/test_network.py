@@ -94,7 +94,7 @@ class TestEmpiricalRisk:
         data = generate_dataset(3, 2, 9, seed=2)
         loss = SquaredLoss()
         naive = sum(
-            loss.value(forward(params, data.inputs[i])[0], data.labels[i])
+            loss.value(forward(params, data.inputs[i])[0][None], data.labels[i][None])
             for i in range(data.m)
         )
         assert abs(empirical_risk(params, data, loss) - naive) <= 1e-12 * max(1.0, naive)
@@ -139,24 +139,37 @@ class TestPerSampleDerivatives:
         for a in range(2):
             e = np.zeros(2)
             e[a] = h
-            fd = (loss.value(w + e, y) - loss.value(w - e, y)) / (2 * h)
+            fd = (loss.value((w + e)[None], y[None]) - loss.value((w - e)[None], y[None])) / (2 * h)
             assert abs(fd - bundle.grads[i][a]) <= 1e-6 * max(1.0, abs(fd))
 
     def test_rejects_nonconvex_loss(self):
         class ConcaveLoss(LossModel):
             def value(self, w, y):
-                return -float((w - y) @ (w - y))
+                return -float(np.sum((w - y) ** 2))
 
             def gradient(self, w, y):
                 return -2.0 * (w - y)
 
             def hessian(self, w, y):
-                return -2.0 * np.eye(len(w))
+                m, d_y = w.shape
+                return np.broadcast_to(-2.0 * np.eye(d_y), (m, d_y, d_y))
 
         params = init_params(2, 1, 1, seed=0)
         data = generate_dataset(2, 1, 2, seed=0)
         with pytest.raises(NonPSDHessianError):
             per_sample_derivatives(params, data, ConcaveLoss())
+
+    def test_nonconvex_error_names_first_offending_sample(self):
+        class SignedLoss(SquaredLoss):
+            """Concave on the samples whose label is negative."""
+
+            def hessian(self, w, y):
+                return np.sign(y)[:, :, None] * super().hessian(w, y)
+
+        params = init_params(2, 1, 1, seed=0)
+        data = Dataset(np.ones((5, 2)), np.array([[1.0], [2.0], [-1.0], [3.0], [-2.0]]))
+        with pytest.raises(NonPSDHessianError, match="sample 2 "):
+            per_sample_derivatives(params, data, SignedLoss())
 
 
 class TestBoundaryAnalysis:
@@ -287,13 +300,14 @@ class CoshLoss(LossModel):
     """Non-quadratic convex loss: sum of cosh(w - y) - 1 per output."""
 
     def value(self, w, y):
-        return float(np.sum(np.cosh(np.asarray(w) - np.asarray(y)) - 1.0))
+        return float(np.sum(np.cosh(w - y) - 1.0))
 
     def gradient(self, w, y):
-        return np.sinh(np.asarray(w, dtype=float) - np.asarray(y, dtype=float))
+        return np.sinh(w - y)
 
     def hessian(self, w, y):
-        return np.diag(np.cosh(np.asarray(w, dtype=float) - np.asarray(y, dtype=float)))
+        d_y = w.shape[1]
+        return np.cosh(w - y)[:, :, None] * np.eye(d_y)
 
 
 class TestCustomLoss:

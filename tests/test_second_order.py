@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from sospcheck.second_order import (
     solve_ecqp_pgd,
     solve_icqp,
 )
+from test_network import CoshLoss
 
 
 def random_cone_qp(rng, p, q, r, kind="indefinite"):
@@ -104,20 +107,45 @@ class TestAssemble:
         assert q == d_h + boundary.total - 1
         assert r == 1
 
-    def test_quadratic_form_matches_direct_objective(self):
+    def _assert_form_matches_objective(self, point, loss, pattern, seed, n_directions=100):
         from sospcheck.second_order import assemble_so_qp
 
-        rng = np.random.default_rng(3)
-        point, loss, bundle, boundary = self._fixture("interior", seed=2, d_y=2)
-        pattern = SignPattern.all_zero(boundary)
+        rng = np.random.default_rng(seed)
+        bundle = per_sample_derivatives(point.params, point.data, loss)
+        boundary = boundary_analysis(point.params, point.data, loss, bundle=bundle)
+        if pattern is None:
+            pattern = SignPattern.all_zero(boundary)
         qp = assemble_so_qp(point.params, point.data, loss, boundary, pattern, bundle=bundle)
         assert np.array_equal(qp.Q, qp.Q.T)
-        dims = point.params.dims
-        for _ in range(100):
+        for _ in range(n_directions):
             vec = rng.standard_normal(point.params.n_params)
-            eta = Perturbation.unpack(vec, dims)
+            eta = Perturbation.unpack(vec, point.params.dims)
             direct = pattern_objective(point.params, bundle, pattern, eta)
             assert abs(vec @ qp.Q @ vec - 2.0 * direct) <= 1e-9 * max(1.0, abs(direct))
+
+    def test_quadratic_form_matches_direct_objective(self):
+        point = construct_boundary_fosp(3, 2, 2, seed=2, mode="interior")
+        # CoshLoss: per-sample Hessians that differ from each other and from the identity
+        for loss in (SquaredLoss(), CoshLoss()):
+            self._assert_form_matches_objective(point, loss, None, seed=3)
+
+    def test_quadratic_form_matches_direct_objective_beyond_one_block(self):
+        from sospcheck.network import Dataset
+        from sospcheck.second_order import ASSEMBLY_BLOCK
+
+        point = construct_boundary_fosp(3, 2, 2, seed=5, mode="edge")
+        n_b = len(point.boundary_samples)
+        copies = ASSEMBLY_BLOCK // (point.data.m - n_b) + 1
+        data = Dataset(
+            np.vstack([point.data.inputs[:n_b], np.tile(point.data.inputs[n_b:], (copies, 1))]),
+            np.vstack([point.data.labels[:n_b], np.tile(point.data.labels[n_b:], (copies, 1))]),
+        )
+        assert data.m > ASSEMBLY_BLOCK
+        point = replace(point, data=data)
+        pattern = {(point.unit, 0): -1}
+        self._assert_form_matches_objective(
+            point, CoshLoss(), SignPattern.from_dict(pattern), seed=6, n_directions=30
+        )
 
     def test_degenerate_unit_rejected(self):
         # an all-zero hidden unit makes its homogeneity row vanish
