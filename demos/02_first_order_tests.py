@@ -20,7 +20,6 @@ from sospcheck import (
     per_sample_derivatives,
     solve_subdiff_qp,
 )
-from sospcheck.first_order import subdiff_scale
 
 loss = SquaredLoss()
 
@@ -35,7 +34,7 @@ for mode in ("interior", "edge", "orthogonal", "ray_descent", "subdiff_descent")
     res = solve_subdiff_qp(k, params, boundary, bundle)
     print(f"  box QP: s* = {np.round(res.s_star, 6)}  objective = {res.objective:.2e} "
           f"(zero => the generalized gradient set contains zero)")
-    if not res.certifies_zero(subdiff_scale(k, params, boundary, bundle)):
+    if not res.certifies_zero(res.scale):
         print(f"  zero is NOT in the set: descent along -residual "
               f"{np.round(-res.residual_vector, 4)}")
         continue

@@ -27,7 +27,6 @@ from .first_order import (
     inner_layer_fosp_smooth,
     outer_layer_fosp,
     solve_subdiff_qp,
-    subdiff_scale,
 )
 from .network import (
     BoundaryAnalysis,
@@ -225,8 +224,7 @@ def sosp_check(
     for k in range(d_h):
         if boundary.counts[k] > 0:
             qp_res = solve_subdiff_qp(k, params, boundary, bundle, cfg.qp_tol)
-            scale = subdiff_scale(k, params, boundary, bundle)
-            certified = qp_res.certifies_zero(scale, cfg.tol_zero)
+            certified = qp_res.certifies_zero(qp_res.scale, cfg.tol_zero)
             trace.append(
                 {
                     "stage": "subdiff_qp",

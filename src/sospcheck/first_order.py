@@ -110,7 +110,9 @@ class SubdiffQPResult:
     unit, ``residual_vector`` is the minimizing element of the generalized
     gradient set (a row covector over [W1 b1] space), and ``objective`` its
     squared norm. Zero objective certifies that zero belongs to the set;
-    otherwise the negated residual is a strict descent direction.
+    otherwise the negated residual is a strict descent direction. ``scale``
+    is the problem scale that zero test is relative to (pass it to
+    :meth:`certifies_zero`).
     """
 
     s_star: np.ndarray
@@ -119,6 +121,7 @@ class SubdiffQPResult:
     iterations: int
     kkt_residual: float
     converged: bool
+    scale: float
 
     def certifies_zero(self, scale: float, tol_zero: float = DEFAULT_TOL_ZERO) -> bool:
         return float(np.linalg.norm(self.residual_vector)) <= tol_zero * scale
@@ -199,19 +202,15 @@ def solve_subdiff_qp(
         iterations=iterations,
         kkt_residual=kkt,
         converged=converged,
+        scale=_box_qp_scale(c0, cols, max(np.abs(params.activation.box))),
     )
 
 
 def subdiff_scale(
     k: int, params: NetworkParams, boundary: BoundaryAnalysis, bundle: DerivativeBundle
 ) -> float:
-    """Problem scale for the zero-objective decision of the unit-k box QP."""
-    idx = boundary.boundary_indices[k]
-    w = params.W2[:, k]
-    c0 = boundary.C[k].T @ w
-    a = bundle.grads[idx] @ w if len(idx) else np.zeros(0)
-    cols = bundle.xbar[idx].T * a if len(idx) else np.zeros((boundary.C[k].shape[1], 0))
-    return _box_qp_scale(c0, cols, max(np.abs(params.activation.box)))
+    """Problem scale of the unit-k box QP; solves it, so read ``SubdiffQPResult.scale`` instead."""
+    return solve_subdiff_qp(k, params, boundary, bundle).scale
 
 
 # ---------------------------------------------------------------------------

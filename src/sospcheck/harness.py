@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionFailedError, GeneralPositionViolationError
-from .first_order import increasing_check, solve_subdiff_qp, subdiff_scale
+from .first_order import increasing_check, solve_subdiff_qp
 from .linalg import nullspace_basis
 from .network import (
     RELU,
@@ -660,12 +660,11 @@ def _verify_construction(params, data, loss, pairs, s_presc, mode) -> bool:
         return False
     for k in got:
         res = solve_subdiff_qp(k, params, boundary, bundle)
-        scale = subdiff_scale(k, params, boundary, bundle)
         if mode == "subdiff_descent":
-            if res.certifies_zero(scale):  # must land strictly outside the box
+            if res.certifies_zero(res.scale):  # must land strictly outside the box
                 return False
             continue
-        if not res.certifies_zero(scale):
+        if not res.certifies_zero(res.scale):
             return False
         prescribed = np.array([s_presc[(int(i), k)] for i in boundary.boundary_indices[k]])
         if mode in ("interior", "edge") and np.abs(res.s_star - prescribed).max() > 1e-6:

@@ -63,7 +63,7 @@ class ActivationSpec:
 
     def hprime(self, t):
         t = np.asarray(t, dtype=float)
-        return np.where(t >= 0.0, self.s_plus, self.s_minus)
+        return np.where(t >= 0.0, float(self.s_plus), float(self.s_minus))
 
     @property
     def box(self) -> tuple[float, float]:

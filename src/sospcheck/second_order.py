@@ -24,13 +24,14 @@ O(p^3 + r^3 2^r).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (
     InternalInconsistencyError,
+    NonSymmetricError,
     RankDeficientConstraintsError,
     RankDeficientError,
     SubsetBudgetExceededError,
@@ -66,6 +67,9 @@ WITNESS_CURV_TOL = 1e-10
 # samples per block when summing the per-sample curvature terms of a cone QP;
 # bounds the working memory of the assembly at O(ASSEMBLY_BLOCK * p)
 ASSEMBLY_BLOCK = 1024
+# principal subsets per batched eigendecomposition in the Pareto spectrum;
+# bounds its working memory at O(SPECTRUM_CHUNK * r^2)
+SPECTRUM_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,7 @@ def verify_witness(qp: ConeQP, eta: np.ndarray, verdict: str) -> None:
 def pattern_jvals(params: NetworkParams, bundle: DerivativeBundle, pattern: SignPattern) -> np.ndarray:
     """Hidden-layer slope of every (sample, unit) pair under the sign pattern."""
     act = params.activation
-    jvals = act.hprime(bundle.preact).astype(float)
+    jvals = act.hprime(bundle.preact)  # a fresh array, so written in place below
     for (k, i), sigma in pattern.entries:
         if not bundle.boundary_mask[i, k]:
             raise ValueError(f"pattern entry ({k}, {i}) is not a boundary pair")
@@ -541,6 +545,70 @@ class ParetoEigenpair:
     subset: tuple
 
 
+def _require_symmetric_pairs(s_mat: np.ndarray) -> None:
+    """Reject S if any of its principal submatrices fails the symmetry check.
+
+    The check of :func:`linalg.sym_eig` on a submatrix S^J allows an
+    asymmetry of 1e-10 * max(1, max |S^J|). The asymmetry of entry (i, j) is
+    held to the tightest of these on the 2 x 2 submatrix on {i, j}, so
+    testing every pair against its own scale is the same as checking every
+    principal submatrix.
+    """
+    r = s_mat.shape[0]
+    if s_mat.ndim != 2 or s_mat.shape[1] != r:
+        raise NonSymmetricError(f"S must be square, got shape {s_mat.shape}")
+    mag = np.abs(s_mat)
+    diag = np.diag(mag)
+    pair_scale = np.maximum(np.maximum(mag, mag.T), np.maximum.outer(diag, diag))
+    bad = np.abs(s_mat - s_mat.T) > 1e-10 * np.maximum(pair_scale, 1.0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise NonSymmetricError(f"S is not symmetric at entry ({i}, {j})")
+
+
+def _pareto_chunk(
+    s_mat: np.ndarray,
+    sym: np.ndarray,
+    idx: np.ndarray,
+    pos_tol: float,
+    comp_tol: float,
+    degen_tol: float,
+    pairs: list,
+) -> bool:
+    """Append the Pareto eigenpairs of the subsets ``idx`` (n, s) to ``pairs``.
+
+    Returns whether any of the subsets has a numerically repeated eigenvalue.
+    """
+    n, size = idx.shape
+    lam, vecs = np.linalg.eigh(sym[idx[:, :, None], idx[:, None, :]])
+    # candidates: every eigenvector, then for each near-repeated eigenvalue
+    # the normalized sum and difference of its two neighbouring eigenvectors.
+    # At most one of a sum and a difference of orthonormal vectors is
+    # positive, so the eigenvector signs cannot change the result.
+    sub_d, j_d = np.nonzero(np.abs(np.diff(lam, axis=1)) <= degen_tol)
+    a, b = vecs[sub_d, :, j_d], vecs[sub_d, :, j_d + 1]
+    combos = np.stack([a + b, a - b], axis=1).reshape(-1, size)
+    combos /= np.linalg.norm(combos, axis=1)[:, None]
+    cand_sub = np.concatenate([np.repeat(np.arange(n), size), np.repeat(sub_d, 2)])
+    cand_val = np.concatenate([lam.ravel(), np.repeat(lam[sub_d, j_d], 2)])
+    cand_vec = np.concatenate([vecs.transpose(0, 2, 1).reshape(-1, size), combos])
+    top = cand_vec[np.arange(len(cand_vec)), np.abs(cand_vec).argmax(axis=1)]
+    cand_vec *= np.where(top < 0.0, -1.0, 1.0)[:, None]
+    keep = np.flatnonzero(cand_vec.min(axis=1) > pos_tol)
+    # complementarity on the rows outside each subset
+    cols = idx[cand_sub[keep]]
+    comp = np.matmul(cand_vec[keep][:, None, :], s_mat.T[cols])[:, 0, :]
+    comp[np.arange(len(keep))[:, None], cols] = np.inf
+    ok = comp.min(axis=1) >= -comp_tol
+    # order by subset, eigenvectors before sum/difference candidates
+    keep = keep[ok][np.argsort(cand_sub[keep[ok]], kind="stable")]
+    padded = np.zeros((len(keep), s_mat.shape[0]))
+    padded[np.arange(len(keep))[:, None], idx[cand_sub[keep]]] = cand_vec[keep]
+    for sub, value, vec in zip(cand_sub[keep], cand_val[keep], padded):
+        pairs.append(ParetoEigenpair(float(value), vec, tuple(idx[sub].tolist())))
+    return bool(len(sub_d))
+
+
 def pareto_spectrum(
     s_mat: np.ndarray,
     r_max: int = 20,
@@ -556,42 +624,30 @@ def pareto_spectrum(
     eigenvalues the candidate set additionally includes normalized sums and
     differences of same-eigenvalue eigenvector pairs, and a diagnostic flag
     is raised, since the eigenvectors themselves are then not well defined.
+
+    The enumeration is batched: the submatrices of one size are stacked, up
+    to ``SPECTRUM_CHUNK`` at a time, into one eigendecomposition, and the
+    positivity, sign and complementarity tests run on the whole stack. The
+    candidate set, and the order of the returned pairs (by subset size, then
+    lexicographic subset, then eigenvectors before sums and differences),
+    are those of one eigendecomposition per subset.
     """
     s_mat = require_finite(np.atleast_2d(s_mat), "S")
     r = s_mat.shape[0]
     if r > r_max:
         raise SubsetBudgetExceededError(f"r={r} exceeds the subset budget r_max={r_max}")
+    _require_symmetric_pairs(s_mat)
+    sym = 0.5 * (s_mat + s_mat.T)
     scale = max(1.0, float(np.abs(s_mat).max(initial=0.0)))
     comp_tol = comp_tol_factor * scale
     degen_tol = 1e-9 * scale
     pairs: list[ParetoEigenpair] = []
     degenerate = False
     for size in range(1, r + 1):
-        for subset in combinations(range(r), size):
-            idx = np.array(subset)
-            dec = sym_eig(s_mat[np.ix_(idx, idx)])
-            candidates = [(float(lam), dec.eigenvectors[:, j]) for j, lam in enumerate(dec.eigenvalues)]
-            for j in range(len(dec.eigenvalues) - 1):
-                if abs(dec.eigenvalues[j + 1] - dec.eigenvalues[j]) <= degen_tol:
-                    degenerate = True
-                    a = dec.eigenvectors[:, j]
-                    b = dec.eigenvectors[:, j + 1]
-                    for combo in (a + b, a - b):
-                        nrm = np.linalg.norm(combo)
-                        if nrm > 0:
-                            candidates.append((float(dec.eigenvalues[j]), combo / nrm))
-            other = np.setdiff1d(np.arange(r), idx)
-            for lam, xi in candidates:
-                flip = xi[np.abs(xi).argmax()]
-                if flip < 0:
-                    xi = -xi
-                if xi.min() <= pos_tol:
-                    continue
-                if other.size and (s_mat[np.ix_(other, idx)] @ xi).min() < -comp_tol:
-                    continue
-                vec = np.zeros(r)
-                vec[idx] = xi
-                pairs.append(ParetoEigenpair(lam, vec, subset))
+        subsets = combinations(range(r), size)
+        while chunk := list(islice(subsets, SPECTRUM_CHUNK)):
+            idx = np.array(chunk)
+            degenerate |= _pareto_chunk(s_mat, sym, idx, pos_tol, comp_tol, degen_tol, pairs)
     return pairs, {"degenerate_multiplicity": degenerate, "subsets": 2**r - 1}
 
 

@@ -220,7 +220,8 @@ class TestSubdiffQP:
             c0 = c_k.T @ w2col
             cols = xbar.T * (grads @ w2col)
             want = self._active_set_minimum(c0, cols, lo, hi)
-            scale = max(1.0, subdiff_scale(0, params, boundary, bundle) ** 2)
+            assert res.scale == subdiff_scale(0, params, boundary, bundle)
+            scale = max(1.0, res.scale**2)
             assert abs(res.objective - want) <= 1e-9 * scale
             assert res.kkt_residual <= 1e-8
 
@@ -367,7 +368,7 @@ class TestDescentSoundness:
             boundary = boundary_analysis(point.params, point.data, loss, bundle=bundle)
             k = point.unit
             qp_res = solve_subdiff_qp(k, point.params, boundary, bundle)
-            assert qp_res.certifies_zero(subdiff_scale(k, point.params, boundary, bundle))
+            assert qp_res.certifies_zero(qp_res.scale)
             inc = increasing_check(k, point.params, boundary, bundle, qp_res.s_star)
             assert inc.descent_found
             d_x, d_h, d_y = point.params.dims

@@ -1,14 +1,18 @@
+import tracemalloc
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from sospcheck import second_order
 from sospcheck.errors import (
+    NonSymmetricError,
     RankDeficientConstraintsError,
     SubsetBudgetExceededError,
 )
 from sospcheck.harness import construct_boundary_fosp
-from sospcheck.linalg import row_projector
+from sospcheck.linalg import require_finite, row_projector, sym_eig
 from sospcheck.network import (
     Perturbation,
     SignPattern,
@@ -18,6 +22,7 @@ from sospcheck.network import (
 )
 from sospcheck.second_order import (
     ConeQP,
+    ParetoEigenpair,
     classify_psd_block,
     copositivity_classify,
     icqp_reduce,
@@ -311,6 +316,61 @@ class TestPsdBlock:
         assert classify_psd_block(np.zeros((0, 0)), np.zeros((2, 0))).kind == "PD1"
 
 
+def _reference_pareto_spectrum(s_mat, r_max=20, pos_tol=1e-9, comp_tol_factor=1e-10):
+    """One eigendecomposition per principal subset: the oracle for pareto_spectrum."""
+    s_mat = require_finite(np.atleast_2d(s_mat), "S")
+    r = s_mat.shape[0]
+    if r > r_max:
+        raise SubsetBudgetExceededError(f"r={r} exceeds the subset budget r_max={r_max}")
+    scale = max(1.0, float(np.abs(s_mat).max(initial=0.0)))
+    comp_tol = comp_tol_factor * scale
+    degen_tol = 1e-9 * scale
+    pairs = []
+    degenerate = False
+    for size in range(1, r + 1):
+        for subset in combinations(range(r), size):
+            idx = np.array(subset)
+            dec = sym_eig(s_mat[np.ix_(idx, idx)])
+            candidates = [(float(lam), dec.eigenvectors[:, j]) for j, lam in enumerate(dec.eigenvalues)]
+            for j in range(len(dec.eigenvalues) - 1):
+                if abs(dec.eigenvalues[j + 1] - dec.eigenvalues[j]) <= degen_tol:
+                    degenerate = True
+                    a = dec.eigenvectors[:, j]
+                    b = dec.eigenvectors[:, j + 1]
+                    for combo in (a + b, a - b):
+                        nrm = np.linalg.norm(combo)
+                        if nrm > 0:
+                            candidates.append((float(dec.eigenvalues[j]), combo / nrm))
+            other = np.setdiff1d(np.arange(r), idx)
+            for lam, xi in candidates:
+                flip = xi[np.abs(xi).argmax()]
+                if flip < 0:
+                    xi = -xi
+                if xi.min() <= pos_tol:
+                    continue
+                if other.size and (s_mat[np.ix_(other, idx)] @ xi).min() < -comp_tol:
+                    continue
+                vec = np.zeros(r)
+                vec[idx] = xi
+                pairs.append(ParetoEigenpair(lam, vec, subset))
+    return pairs, {"degenerate_multiplicity": degenerate, "subsets": 2**r - 1}
+
+
+def _assert_matches_reference(s_mat):
+    got, got_diag = pareto_spectrum(s_mat)
+    want, want_diag = _reference_pareto_spectrum(s_mat)
+    assert got_diag == want_diag
+    assert [p.subset for p in got] == [p.subset for p in want]
+    for g, w in zip(got, want):
+        assert abs(g.value - w.value) <= 1e-12
+        assert np.abs(g.vector - w.vector).max() <= 1e-12
+
+
+def _repeated_eigenvalue_matrix():
+    q, _ = np.linalg.qr(np.random.default_rng(12).standard_normal((4, 4)))
+    return q @ np.diag([1.0, 1.0, 3.0, -2.0]) @ q.T
+
+
 class TestParetoSpectrum:
     def test_distinct_diagonal(self):
         pairs, _ = pareto_spectrum(np.diag([2.0, -1.0]))
@@ -346,6 +406,50 @@ class TestParetoSpectrum:
     def test_budget(self):
         with pytest.raises(SubsetBudgetExceededError):
             pareto_spectrum(np.eye(3), r_max=2)
+
+    def test_matches_per_subset_reference(self):
+        rng = np.random.default_rng(13)
+        for r in range(1, 10):
+            for _ in range(3):
+                g = rng.standard_normal((r, r))
+                _assert_matches_reference(g + g.T)
+
+    def test_matches_reference_on_repeated_eigenvalues(self):
+        # in the last one the sum candidate of subset (0, 1) precedes the
+        # eigenvector candidate of subset (0, 2)
+        coupled = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.5, 0.5, 2.0]])
+        for s_mat in (np.eye(3), np.diag([1.0, 1.0, 2.0]), _repeated_eigenvalue_matrix(), coupled):
+            _assert_matches_reference(s_mat)
+        assert pareto_spectrum(_repeated_eigenvalue_matrix())[1]["degenerate_multiplicity"]
+
+    def test_matches_reference_across_chunks(self, monkeypatch):
+        # C(7, 3) = 35 subsets of size 3 span seven chunks of 5
+        monkeypatch.setattr(second_order, "SPECTRUM_CHUNK", 5)
+        g = np.random.default_rng(14).standard_normal((7, 7))
+        _assert_matches_reference(g + g.T)
+        _assert_matches_reference(np.eye(7))
+
+    def test_working_memory_is_bounded(self):
+        g = np.random.default_rng(15).standard_normal((16, 16))
+        tracemalloc.start()
+        try:
+            pareto_spectrum(g + g.T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+
+    def test_asymmetric_input_rejected(self):
+        with pytest.raises(NonSymmetricError):
+            pareto_spectrum(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        # an asymmetry small against the largest entry of S but not against
+        # the 2 x 2 submatrix it sits in, which the reference also rejects
+        s_mat = np.diag([1e6, 1.0, 1.0])
+        s_mat[1, 2] = 1e-8
+        with pytest.raises(NonSymmetricError):
+            _reference_pareto_spectrum(s_mat)
+        with pytest.raises(NonSymmetricError):
+            pareto_spectrum(s_mat)
 
 
 class TestCopositivity:
