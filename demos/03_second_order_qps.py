@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Classifying cone-constrained quadratic forms.
 
-Equality-constrained case: projected gradient descent converges to zero
+Equality-constrained case: the eigenvalue signs of the form projected onto
+the constraint null space decide (the checker's ECQP decider). The paper's
+projected gradient descent cross-checks them: it converges to zero
 (strictly positive), to a nonzero fixed point (flat direction), or diverges
-exponentially along negative curvature; an eigendecomposition of the
-projected form cross-checks every verdict.
+exponentially along negative curvature.
 
 Inequality-constrained case: two changes of variables reduce the cone to a
 sign constraint, and a positive-semidefiniteness check plus a copositivity

@@ -11,14 +11,21 @@ of three mutually exclusive cases holds:
 * T3 -- some feasible direction has strictly negative value (a second-order
   descent direction).
 
-With no inequality rows the cone is a subspace and projected gradient
-descent on the form settles the question exponentially fast; an
-eigendecomposition of the projected form is kept alongside as a fallback
-and cross-check. With inequality rows, two changes of variables reduce the
-problem to ``min nu^T Rbar nu  s.t. nu_1 >= 0``, which is decided by a
-positive-semidefiniteness test on one block and a copositivity test (via
-the Pareto spectrum) on an r x r Schur complement, at cost
-O(p^3 + r^3 2^r).
+With no inequality rows the cone is a subspace, and one eigendecomposition
+of the form projected onto it decides (``projected_spectrum_oracle``, cost
+O(p^3), the polynomial bound of the paper's projected gradient argument).
+The paper's projected gradient descent is kept as ``solve_ecqp_pgd``, an
+independent cross-check for the tests; its rate is about 1 - 1/kappa in
+floating point, too slow to decide the ill-conditioned forms of real
+fixtures within a fixed budget. With inequality rows, two changes of
+variables reduce the problem to ``min nu^T Rbar nu  s.t. nu_1 >= 0``, which
+is decided by a positive-semidefiniteness test on one block and a
+copositivity test (via the Pareto spectrum) on an r x r Schur complement,
+at cost O(p^3 + r^3 2^r).
+
+The cone QPs of all sign patterns at one point share an
+:class:`AssemblyBase`: a pattern changes only the slopes of the boundary
+samples, so the terms of every other sample are summed once.
 """
 
 from __future__ import annotations
@@ -147,17 +154,23 @@ def verify_witness(qp: ConeQP, eta: np.ndarray, verdict: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def pattern_jvals(params: NetworkParams, bundle: DerivativeBundle, pattern: SignPattern) -> np.ndarray:
-    """Hidden-layer slope of every (sample, unit) pair under the sign pattern."""
+def pattern_jvals(
+    params: NetworkParams, bundle: DerivativeBundle, pattern: SignPattern, rows: np.ndarray
+) -> np.ndarray:
+    """Hidden-layer slope of each (sample, unit) pair of the sorted samples
+    ``rows`` under the sign pattern; entries on other samples are skipped."""
     act = params.activation
-    jvals = act.hprime(bundle.preact)  # a fresh array, so written in place below
+    jvals = act.hprime(bundle.preact[rows])  # a fresh array, so written in place below
     for (k, i), sigma in pattern.entries:
         if not bundle.boundary_mask[i, k]:
             raise ValueError(f"pattern entry ({k}, {i}) is not a boundary pair")
+        at = int(np.searchsorted(rows, i))
+        if at == len(rows) or rows[at] != i:
+            continue
         if sigma == 0:
-            jvals[i, k] = 0.0
+            jvals[at, k] = 0.0
         else:
-            jvals[i, k] = act.s_plus if sigma > 0 else act.s_minus
+            jvals[at, k] = act.s_plus if sigma > 0 else act.s_minus
     return jvals
 
 
@@ -172,7 +185,74 @@ def pattern_objective(
     Used as the direct-evaluation oracle for the assembled quadratic form:
     eta^T Q eta equals exactly twice this value.
     """
-    return _response_terms(params, bundle, eta, pattern_jvals(params, bundle, pattern))[1]
+    jvals = pattern_jvals(params, bundle, pattern, np.arange(bundle.m))
+    return _response_terms(params, bundle, eta, jvals)[1]
+
+
+def _sample_terms(
+    params: NetworkParams, bundle: DerivativeBundle, rows: np.ndarray, pattern: SignPattern
+) -> np.ndarray:
+    """The samples' part of Q: their curvature plus their u/v coupling.
+
+    Sums P_i^T H_i P_i, with P_i the (d_y, p) linear response map of sample
+    i, and the bilinear coupling of the u_k and v_k blocks over the samples
+    ``rows``, a block of ``ASSEMBLY_BLOCK`` samples at a time as one product
+    each. The result is symmetric up to rounding.
+    """
+    d_x, d_h, d_y = params.dims
+    p = params.n_params
+    _, sl_u, sl_v = perturbation_layout(params.dims)
+    eye = np.eye(d_y)
+    q_mat = np.zeros((p, p))
+    coupling = np.zeros((d_h * d_y, d_x + 1))
+    for start in range(0, len(rows), ASSEMBLY_BLOCK):
+        blk = rows[start : start + ASSEMBLY_BLOCK]
+        jvals = pattern_jvals(params, bundle, pattern, blk)
+        hidden, xbar, grads = bundle.hidden[blk], bundle.xbar[blk], bundle.grads[blk]
+        n = len(blk)
+        # P_i is [1, hidden_i] (x) I on (delta2, u_1..u_dh) and j_ik W2[:, k] xbar_i^T on v_k
+        aug = np.insert(hidden, 0, 1.0, axis=1)
+        slopes = jvals[:, None, :] * params.W2  # (n, d_y, d_h)
+        resp = np.concatenate(
+            [
+                (aug[:, None, :, None] * eye[:, None, :]).reshape(n, d_y, -1),
+                (slopes[..., None] * xbar[:, None, None, :]).reshape(n, d_y, -1),
+            ],
+            axis=2,
+        )
+        q_mat += resp.reshape(-1, p).T @ (bundle.hessians[blk] @ resp).reshape(-1, p)
+        # sum_i j_ik g_i xbar_i^T for every unit k, stacked by rows
+        coupling += (jvals[:, :, None] * grads[:, None, :]).reshape(n, -1).T @ xbar
+    for k in range(d_h):
+        w_k = coupling[k * d_y : (k + 1) * d_y]
+        q_mat[sl_u[k], sl_v[k]] += w_k
+        q_mat[sl_v[k], sl_u[k]] += w_k.T
+    return q_mat
+
+
+@dataclass(frozen=True)
+class AssemblyBase:
+    """The part of the cone QPs of one point that no sign pattern changes.
+
+    A sign pattern sets the slopes of the boundary pairs only, so the Q
+    terms of the samples with no boundary pair are summed once
+    (``q_fixed``), and each pattern adds those of the ``touched`` samples.
+    """
+
+    params: NetworkParams
+    bundle: DerivativeBundle
+    boundary: BoundaryAnalysis
+    touched: np.ndarray  # sorted indices of the samples with a boundary pair
+    q_fixed: np.ndarray  # (p, p) terms of the other samples
+
+
+def assembly_base(
+    params: NetworkParams, bundle: DerivativeBundle, boundary: BoundaryAnalysis
+) -> AssemblyBase:
+    """Sum the pattern-independent part of the cone QPs at one point."""
+    on_boundary = bundle.boundary_mask.any(axis=1)
+    q_fixed = _sample_terms(params, bundle, np.flatnonzero(~on_boundary), SignPattern(()))
+    return AssemblyBase(params, bundle, boundary, np.flatnonzero(on_boundary), q_fixed)
 
 
 def assemble_so_qp(
@@ -182,6 +262,7 @@ def assemble_so_qp(
     boundary: BoundaryAnalysis,
     pattern: SignPattern,
     bundle: DerivativeBundle | None = None,
+    base: AssemblyBase | None = None,
 ) -> ConeQP:
     """Build the cone QP for one sign pattern.
 
@@ -191,42 +272,23 @@ def assemble_so_qp(
     rescaling invariances) plus one boundary row per zero-sign entry; B
     stacks the signed boundary rows. Dependent constraint rows raise
     RankDeficientConstraintsError.
+
+    ``base`` is the :func:`assembly_base` of the point, which then also
+    supplies the parameters, derivatives and boundary analysis. Passing the
+    same base for every sign pattern of a point sums the terms of the
+    samples off the boundary once; without it the base is built here.
     """
-    if bundle is None:
-        bundle = per_sample_derivatives(params, data, loss, boundary.boundary_tol)
+    if base is None:
+        if bundle is None:
+            bundle = per_sample_derivatives(params, data, loss, boundary.boundary_tol)
+        base = assembly_base(params, bundle, boundary)
+    params, bundle, boundary = base.params, base.bundle, base.boundary
     if not pattern.matches(boundary):
         raise ValueError("sign pattern does not match the boundary analysis")
     d_x, d_h, d_y = params.dims
     p = params.n_params
     _, sl_u, sl_v = perturbation_layout(params.dims)
-    jvals = pattern_jvals(params, bundle, pattern)
-
-    # PSD part: sum_i P_i^T H_i P_i with P_i the (d_y, p) linear response map
-    # of sample i, accumulated over blocks of samples as one product each.
-    eye = np.eye(d_y)
-    q_mat = np.zeros((p, p))
-    for start in range(0, bundle.m, ASSEMBLY_BLOCK):
-        blk = slice(start, start + ASSEMBLY_BLOCK)
-        hidden, xbar = bundle.hidden[blk], bundle.xbar[blk]
-        n = hidden.shape[0]
-        # P_i is [1, hidden_i] (x) I on (delta2, u_1..u_dh) and j_ik W2[:, k] xbar_i^T on v_k
-        aug = np.insert(hidden, 0, 1.0, axis=1)
-        slopes = jvals[blk, None, :] * params.W2  # (n, d_y, d_h)
-        resp = np.concatenate(
-            [
-                (aug[:, None, :, None] * eye[:, None, :]).reshape(n, d_y, -1),
-                (slopes[..., None] * xbar[:, None, None, :]).reshape(n, d_y, -1),
-            ],
-            axis=2,
-        )
-        q_mat += resp.reshape(-1, p).T @ (bundle.hessians[blk] @ resp).reshape(-1, p)
-
-    # Bilinear coupling between the u_k and v_k blocks.
-    for k in range(d_h):
-        w_k = (bundle.grads * jvals[:, k][:, None]).T @ bundle.xbar  # (d_y, d_x+1)
-        q_mat[sl_u[k], sl_v[k]] += w_k
-        q_mat[sl_v[k], sl_u[k]] += w_k.T
-    q_mat = 0.5 * (q_mat + q_mat.T)
+    q_mat = base.q_fixed + _sample_terms(params, bundle, base.touched, pattern)
 
     a_rows = []
     for k in range(d_h):
@@ -251,7 +313,7 @@ def assemble_so_qp(
 
 
 # ---------------------------------------------------------------------------
-# Equality-constrained case: projected gradient descent + spectrum oracle
+# Equality-constrained case: the spectrum decider and the PGD cross-oracle
 # ---------------------------------------------------------------------------
 
 
@@ -334,6 +396,14 @@ class SpectrumOracle:
     witness: np.ndarray | None
     decomposition: EigenDecomposition
     basis: np.ndarray  # orthonormal basis of null(A)
+    scale: float  # ||Q||_2
+    tol: float  # zero_tol * scale: eigenvalues within it count as zero
+
+    @property
+    def lam_min(self) -> float | None:
+        """Smallest eigenvalue of the projected form; None if null(A) = {0}."""
+        values = self.decomposition.eigenvalues
+        return float(values[0]) if values.size else None
 
 
 def projected_spectrum_oracle(
@@ -345,29 +415,32 @@ def projected_spectrum_oracle(
 
     With W an orthonormal basis of null(A), the verdict follows from the
     eigenvalue signs of C = W^T Q W, with |lambda| below
-    ``zero_tol * ||Q||`` counted as zero. The top eigenvalue of C never
-    exceeds that of Q (interlacing); this is asserted.
+    ``zero_tol * ||Q||`` counted as zero. The witness is the unit
+    eigenvector of the smallest (T3) or first zero (T2) eigenvalue, mapped
+    back by W. The top eigenvalue of C never exceeds that of Q
+    (interlacing); this is asserted.
     """
     q_mat = require_finite(q_mat, "Q")
     p = q_mat.shape[0]
     a_mat = require_finite(a_mat, "A").reshape(-1, p)
     basis = nullspace_basis(a_mat) if a_mat.shape[0] else np.eye(p)
+    eig_q = np.linalg.eigvalsh(q_mat)
+    scale = float(np.abs(eig_q).max(initial=0.0))
+    tol = zero_tol * scale
     if basis.shape[1] == 0:
-        return SpectrumOracle("T1", None, EigenDecomposition(np.zeros(0), np.zeros((0, 0))), basis)
+        empty = EigenDecomposition(np.zeros(0), np.zeros((0, 0)))
+        return SpectrumOracle("T1", None, empty, basis, scale, tol)
     c_mat = basis.T @ q_mat @ basis
     dec = sym_eig(0.5 * (c_mat + c_mat.T))
-    qnorm = _spectral_norm(q_mat)
-    lam_max_q = float(np.linalg.eigvalsh(q_mat)[-1])
-    if dec.eigenvalues[-1] > lam_max_q + 1e-9 * max(1.0, qnorm):
+    if dec.eigenvalues[-1] > eig_q[-1] + 1e-9 * max(1.0, scale):
         raise InternalInconsistencyError("projected top eigenvalue exceeds the unprojected one")
-    tol = zero_tol * qnorm
-    lam_min = float(dec.eigenvalues[0])
-    if lam_min < -tol:
-        return SpectrumOracle("T3", basis @ dec.eigenvectors[:, 0], dec, basis)
+    if dec.eigenvalues[0] < -tol:
+        return SpectrumOracle("T3", basis @ dec.eigenvectors[:, 0], dec, basis, scale, tol)
     zero_cols = np.flatnonzero(np.abs(dec.eigenvalues) <= tol)
     if zero_cols.size:
-        return SpectrumOracle("T2", basis @ dec.eigenvectors[:, zero_cols[0]], dec, basis)
-    return SpectrumOracle("T1", None, dec, basis)
+        witness = basis @ dec.eigenvectors[:, zero_cols[0]]
+        return SpectrumOracle("T2", witness, dec, basis, scale, tol)
+    return SpectrumOracle("T1", None, dec, basis, scale, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ from sospcheck.checker import (
     sosp_check,
     validate_descent,
 )
-from sospcheck.errors import PatternBudgetExceededError
+from sospcheck.errors import (
+    ConstructionFailedError,
+    InternalInconsistencyError,
+    PatternBudgetExceededError,
+)
 from sospcheck.first_order import classify_boundary
 from sospcheck.harness import (
     construct_boundary_fosp,
@@ -19,10 +23,17 @@ from sospcheck.network import (
     Dataset,
     NetworkParams,
     Perturbation,
+    SignPattern,
     SquaredLoss,
     boundary_analysis,
     empirical_risk,
     expansion_terms,
+    per_sample_derivatives,
+)
+from sospcheck.second_order import (
+    assemble_so_qp,
+    projected_spectrum_oracle,
+    solve_ecqp_pgd,
 )
 
 
@@ -303,3 +314,107 @@ class TestPipelineInvariants:
         assert eta is not None and eta.norm() > 0
         first, second = expansion_terms(scalar_net(), data, SquaredLoss(), eta)
         assert abs(first) <= 1e-8 and abs(second) <= 1e-8
+
+
+def ecqp_entry(verdict):
+    (entry,) = [t for t in verdict.diagnostics["trace"] if t["stage"] == "ecqp"]
+    return entry
+
+
+def all_zero_qp(point):
+    loss = SquaredLoss()
+    bundle = per_sample_derivatives(point.params, point.data, loss)
+    boundary = boundary_analysis(point.params, point.data, loss, bundle=bundle)
+    pattern = SignPattern.all_zero(boundary)
+    return assemble_so_qp(point.params, point.data, loss, boundary, pattern, bundle=bundle)
+
+
+class TestEcqpDecision:
+    def _fixtures(self):
+        for mode in ("interior", "edge", "orthogonal"):
+            for seed in range(8):
+                try:
+                    yield construct_boundary_fosp(3, 2, 1, seed=seed, mode=mode)
+                except ConstructionFailedError:
+                    continue
+        # no (3, 2, 1) construction is indefinite; these give T3 verdicts
+        for seed in range(2):
+            yield construct_indefinite_fosp(3, 2, 2, seed=seed)
+
+    def test_verdict_matches_spectrum_and_pgd_cross_oracle(self):
+        seen, pgd_compared = set(), 0
+        for point in self._fixtures():
+            entry = ecqp_entry(sosp_check(point.params, point.data))
+            qp0 = all_zero_qp(point)
+            oracle = projected_spectrum_oracle(qp0.Q, qp0.A)
+            assert entry["verdict"] == oracle.verdict
+            margin = pytest.approx(oracle.lam_min, rel=1e-9, abs=1e-12 * oracle.scale)
+            assert entry["lam_min"] == margin
+            assert entry["scale"] == pytest.approx(oracle.scale, rel=1e-12)
+            assert entry["tol"] == pytest.approx(1e-8 * entry["scale"], rel=1e-15)
+            assert entry["fallback"] is False and entry["iterations"] is None
+            seen.add(oracle.verdict)
+            pgd = solve_ecqp_pgd(qp0.Q, qp0.A, seed=0)
+            if not pgd.diagnostics["fallback"]:
+                assert pgd.verdict == oracle.verdict
+                pgd_compared += 1
+        assert seen == {"T1", "T2", "T3"}
+        assert pgd_compared >= 3
+
+    def test_zero_eig_tol_reaches_the_decision(self):
+        point = construct_boundary_fosp(3, 2, 1, seed=1, mode="edge")
+        loose = ecqp_entry(sosp_check(point.params, point.data))
+        tight = ecqp_entry(
+            sosp_check(point.params, point.data, config=CheckConfig(zero_eig_tol=1e-12))
+        )
+        assert loose["scale"] == tight["scale"] > 0
+        assert loose["tol"] == pytest.approx(1e-8 * loose["scale"], rel=1e-15)
+        assert tight["tol"] == pytest.approx(1e-12 * tight["scale"], rel=1e-15)
+        # the flat direction's eigenvalue is rounding error, far inside both
+        assert abs(tight["lam_min"]) < tight["tol"]
+        assert loose["verdict"] == tight["verdict"] == "T2"
+
+    def test_flat_witness_is_reverified(self, monkeypatch):
+        import sospcheck.checker as checker_module
+
+        calls = []
+        original = checker_module.verify_witness
+
+        def spy(qp, eta, verdict):
+            calls.append(verdict)
+            original(qp, eta, verdict)
+
+        monkeypatch.setattr(checker_module, "verify_witness", spy)
+        point = construct_boundary_fosp(3, 2, 1, seed=1, mode="edge")
+        verdict = sosp_check(point.params, point.data)
+        assert ecqp_entry(verdict)["verdict"] == "T2"
+        assert calls == ["T2"]
+
+
+def replicate(point, copies):
+    """Repeat the non-boundary samples ``copies`` times and scale the boundary
+    samples' label residuals by ``copies``: the point stays exactly stationary."""
+    n_b = len(point.boundary_samples)
+    assert list(point.boundary_samples) == list(range(n_b))
+    params, data = point.params, point.data
+    outputs = params.activation.h(data.inputs @ params.W1.T + params.b1) @ params.W2.T + params.b2
+    labels_b = outputs[:n_b] - copies * (outputs[:n_b] - data.labels[:n_b])
+    inputs = np.vstack([data.inputs[:n_b], np.tile(data.inputs[n_b:], (copies, 1))])
+    labels = np.vstack([labels_b, np.tile(data.labels[n_b:], (copies, 1))])
+    return Dataset(inputs, labels)
+
+
+class TestReplicatedSospFixtures:
+    """Two SOSP fixtures that fail at m = 11,002 through rounding error that
+    grows with m: seed 6 gets an empty Pareto spectrum, and seed 47 a CP3
+    witness whose curvature fails re-verification (about -3e-12)."""
+
+    @pytest.mark.xfail(strict=True, raises=InternalInconsistencyError)
+    @pytest.mark.parametrize("seed", [6, 47])
+    def test_replicated_sosp_fixture_gets_a_verdict(self, seed):
+        point = construct_boundary_fosp(
+            seed=seed, d_x=6, d_h=2, d_y=1, n_boundary=2, units=[0, 1], mode="orthogonal"
+        )
+        assert sosp_check(point.params, point.data).kind == "sosp"
+        verdict = sosp_check(point.params, replicate(point, 500))
+        assert verdict.kind in ("sosp", "local_minimum", "descent")

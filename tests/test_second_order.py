@@ -1,6 +1,6 @@
 import tracemalloc
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from sospcheck.network import (
     SquaredLoss,
     boundary_analysis,
     per_sample_derivatives,
+    perturbation_layout,
 )
 from sospcheck.second_order import (
     ConeQP,
@@ -27,6 +28,7 @@ from sospcheck.second_order import (
     copositivity_classify,
     icqp_reduce,
     pareto_spectrum,
+    pattern_jvals,
     pattern_objective,
     projected_spectrum_oracle,
     solve_ecqp_pgd,
@@ -152,6 +154,72 @@ class TestAssemble:
             point, CoshLoss(), SignPattern.from_dict(pattern), seed=6, n_directions=30
         )
 
+    @staticmethod
+    def _reference_qp(params, bundle, boundary, pattern):
+        """Q, A and B of one pattern summed over every sample, with no shared base."""
+        d_x, d_h, d_y = params.dims
+        p = params.n_params
+        _, sl_u, sl_v = perturbation_layout(params.dims)
+        jvals = pattern_jvals(params, bundle, pattern, np.arange(bundle.m))
+        resp = np.zeros((bundle.m, d_y, p))
+        resp[:, :, :d_y] = np.eye(d_y)
+        for k in range(d_h):
+            resp[:, :, sl_u[k]] = bundle.hidden[:, k, None, None] * np.eye(d_y)
+            resp[:, :, sl_v[k]] = (
+                jvals[:, k, None, None] * params.W2[None, :, k, None] * bundle.xbar[:, None, :]
+            )
+        q_mat = np.einsum("iap,iab,ibq->pq", resp, bundle.hessians, resp)
+        for k in range(d_h):
+            w_k = (bundle.grads * jvals[:, k][:, None]).T @ bundle.xbar
+            q_mat[sl_u[k], sl_v[k]] += w_k
+            q_mat[sl_v[k], sl_u[k]] += w_k.T
+        a_rows, b_rows = [], []
+        for k in range(d_h):
+            row = np.zeros(p)
+            row[sl_u[k]] = params.W2[:, k]
+            row[sl_v[k]] = -params.hyperplane_row(k)
+            a_rows.append(row)
+        sigma = pattern.as_dict()
+        for k in range(d_h):
+            for i in boundary.boundary_indices[k]:
+                s = sigma[(k, int(i))]
+                row = np.zeros(p)
+                row[sl_v[k]] = bundle.xbar[i] if s >= 0 else -bundle.xbar[i]
+                (a_rows if s == 0 else b_rows).append(row)
+        b_mat = np.vstack(b_rows) if b_rows else np.zeros((0, p))
+        return 0.5 * (q_mat + q_mat.T), np.vstack(a_rows), b_mat
+
+    def test_shared_base_matches_full_assembly_for_every_pattern(self):
+        from sospcheck.network import Dataset
+        from sospcheck.second_order import ASSEMBLY_BLOCK, assemble_so_qp, assembly_base
+
+        point = construct_boundary_fosp(
+            4, 2, 2, seed=8, n_boundary=2, units=[0, 1], mode="orthogonal"
+        )
+        n_b = len(point.boundary_samples)
+        rest = np.arange(n_b, point.data.m)
+        tiled = np.tile(rest, ASSEMBLY_BLOCK // len(rest) + 2)[: ASSEMBLY_BLOCK + 20]
+        # one boundary sample inside the first block, one inside the second
+        order = np.insert(tiled, [7, ASSEMBLY_BLOCK + 2], [0, 1])
+        data = Dataset(point.data.inputs[order], point.data.labels[order])
+        for loss in (SquaredLoss(), CoshLoss()):
+            bundle = per_sample_derivatives(point.params, data, loss)
+            boundary = boundary_analysis(point.params, data, loss, bundle=bundle)
+            pairs = [(k, int(i)) for k, idx in enumerate(boundary.boundary_indices) for i in idx]
+            assert sorted(i for _, i in pairs) == [7, ASSEMBLY_BLOCK + 3]
+            base = assembly_base(point.params, bundle, boundary)
+            n_patterns = 0
+            for signs in product((-1, 0, 1), repeat=len(pairs)):
+                pattern = SignPattern.from_dict(dict(zip(pairs, signs)))
+                qp = assemble_so_qp(
+                    point.params, data, loss, boundary, pattern, bundle=bundle, base=base
+                )
+                q_ref, a_ref, b_ref = self._reference_qp(point.params, bundle, boundary, pattern)
+                assert np.abs(qp.Q - q_ref).max() <= 1e-12 * np.abs(q_ref).max()
+                assert np.array_equal(qp.A, a_ref) and np.array_equal(qp.B, b_ref)
+                n_patterns += 1
+            assert n_patterns == 9
+
     def test_degenerate_unit_rejected(self):
         # an all-zero hidden unit makes its homogeneity row vanish
         from sospcheck.network import Dataset, NetworkParams
@@ -237,10 +305,14 @@ class TestSpectrumOracle:
         oracle = projected_spectrum_oracle(np.diag([3.0, 5.0]), np.array([[1.0, 0.0]]))
         assert oracle.decomposition.eigenvalues.shape == (1,)
         assert np.isclose(oracle.decomposition.eigenvalues[0], 5.0)
+        assert np.isclose(oracle.lam_min, 5.0) and oracle.scale == 5.0
+        assert oracle.tol == 5.0 * second_order.DEFAULT_ZERO_EIG_TOL
 
     def test_trivial_subspace_is_strictly_positive(self):
-        oracle = projected_spectrum_oracle(np.diag([-3.0, -5.0]), np.eye(2))
+        oracle = projected_spectrum_oracle(np.diag([-3.0, -5.0]), np.eye(2), zero_tol=1e-6)
         assert oracle.verdict == "T1"  # vacuous: the feasible set is {0}
+        assert oracle.lam_min is None
+        assert oracle.scale == 5.0 and oracle.tol == 1e-6 * 5.0
 
     def test_monotonicity_and_agreement(self):
         rng = np.random.default_rng(7)
