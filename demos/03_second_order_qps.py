@@ -7,10 +7,11 @@ projected gradient descent cross-checks them: it converges to zero
 (strictly positive), to a nonzero fixed point (flat direction), or diverges
 exponentially along negative curvature.
 
-Inequality-constrained case: two changes of variables reduce the cone to a
-sign constraint, and a positive-semidefiniteness check plus a copositivity
-check of an r x r Schur complement (via its Pareto spectrum) decide the
-class.
+Inequality-constrained case: one orthonormal change of variables (a basis
+of the equality null space, then the singular value decomposition of the
+inequality rows on it) reduces the cone to a sign constraint, and a
+positive-semidefiniteness check plus a copositivity check of an r x r Schur
+complement (via its Pareto spectrum) decide the class.
 """
 
 import numpy as np

@@ -422,43 +422,22 @@ def _fosp_constraint_matrix(
     preact = inputs @ params.W1.T + params.b1
     hidden = act.h(preact)
     xbar = np.hstack([inputs, np.ones((m, 1))])
-    n_unknowns = m * d_y
-
-    def gidx(i: int, a: int) -> int:
-        return i * d_y + a
-
-    rows = []
+    # each block is (rows, m, d_y): entry [., i, a] is the coefficient of G[i, a]
     # Outer-layer stationarity: sum_i G[i] hidden[i]^T = 0 and sum_i G[i] = 0.
-    for a in range(d_y):
-        for j in range(d_h):
-            row = np.zeros(n_unknowns)
-            for i in range(m):
-                row[gidx(i, a)] = hidden[i, j]
-            rows.append(row)
-        row = np.zeros(n_unknowns)
-        for i in range(m):
-            row[gidx(i, a)] = 1.0
-        rows.append(row)
+    outer = np.zeros((d_y, d_h + 1, m, d_y))
+    diag = np.arange(d_y)
+    outer[diag, :, :, diag] = np.vstack([hidden.T, np.ones((1, m))])
     # Per-unit stationarity with fixed slope coefficients.
-    boundary_set = set(boundary_pairs)
-    for k in range(d_h):
-        coeff = act.hprime(preact[:, k]).astype(float)
-        for i in range(m):
-            if (i, k) in boundary_set:
-                coeff[i] = s_prescribed[(i, k)]
-        for t in range(d_x + 1):
-            row = np.zeros(n_unknowns)
-            for i in range(m):
-                for a in range(d_y):
-                    row[gidx(i, a)] = coeff[i] * params.W2[a, k] * xbar[i, t]
-            rows.append(row)
+    coeff = act.hprime(preact).astype(float)
+    for i, k in boundary_pairs:
+        coeff[i, k] = s_prescribed[(i, k)]
+    slope = (coeff[:, :, None] * params.W2.T[None, :, :]).transpose(1, 0, 2)
+    unit = slope[:, None, :, :] * xbar.T[None, :, :, None]
     # Orthogonality of the outgoing-gradient factor for selected samples.
-    for i, k in orthogonal_pairs:
-        row = np.zeros(n_unknowns)
-        for a in range(d_y):
-            row[gidx(i, a)] = params.W2[a, k]
-        rows.append(row)
-    return np.vstack(rows)
+    orth = np.zeros((len(orthogonal_pairs), m, d_y))
+    for row, (i, k) in enumerate(orthogonal_pairs):
+        orth[row, i] = params.W2[:, k]
+    return np.vstack([b.reshape(-1, m * d_y) for b in (outer, unit, orth)])
 
 
 @dataclass(frozen=True)

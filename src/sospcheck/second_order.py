@@ -17,11 +17,13 @@ O(p^3), the polynomial bound of the paper's projected gradient argument).
 The paper's projected gradient descent is kept as ``solve_ecqp_pgd``, an
 independent cross-check for the tests; its rate is about 1 - 1/kappa in
 floating point, too slow to decide the ill-conditioned forms of real
-fixtures within a fixed budget. With inequality rows, two changes of
-variables reduce the problem to ``min nu^T Rbar nu  s.t. nu_1 >= 0``, which
-is decided by a positive-semidefiniteness test on one block and a
-copositivity test (via the Pareto spectrum) on an r x r Schur complement,
-at cost O(p^3 + r^3 2^r).
+fixtures within a fixed budget. With inequality rows, one orthonormal
+change of variables (a basis W of null(A), then the singular value
+decomposition of B W) reduces the problem to
+``min nu^T Rbar nu  s.t. nu_1 >= 0``, which is decided by a
+positive-semidefiniteness test on one block and a copositivity test (via
+the Pareto spectrum) on an r x r Schur complement, at cost
+O(p^3 + r^3 2^r).
 
 The cone QPs of all sign patterns at one point share an
 :class:`AssemblyBase`: a pattern changes only the slopes of the boundary
@@ -34,7 +36,6 @@ from dataclasses import dataclass, field
 from itertools import combinations, islice
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InternalInconsistencyError,
@@ -97,7 +98,7 @@ class ConeQP:
         if q_mat.shape != (p, p) or np.abs(q_mat - q_mat.T).max(initial=0.0) > 1e-9 * max(
             1.0, np.abs(q_mat).max(initial=0.0)
         ):
-            raise RankDeficientConstraintsError("Q must be square symmetric")
+            raise NonSymmetricError("Q must be square symmetric")
         object.__setattr__(self, "Q", 0.5 * (q_mat + q_mat.T))
         a = require_finite(self.A, "A").reshape(-1, p)
         b = require_finite(self.B, "B").reshape(-1, p)
@@ -450,41 +451,25 @@ def projected_spectrum_oracle(
 
 @dataclass(frozen=True)
 class IcqpReduction:
-    """Change-of-variables data for eliminating the equality constraints.
+    """One orthonormal change of variables that turns the cone into a sign
+    constraint.
 
-    After permuting coordinates so the leading blocks are invertible, the
-    original problem is equivalent to ``min nu^T Rbar nu  s.t. nu_1 >= 0``
-    with nu_1 of length r. ``eta_from_nu`` maps reduced coordinates back to
-    a feasible original direction (B eta equals nu_1 exactly).
+    With W an orthonormal basis of null(A) and U S V^T the singular value
+    decomposition of B W, the map ``t = W [V_r S^-1 U^T | V_rest]`` satisfies
+    ``A t = 0`` and ``B t = [I 0]``. The problem is then equivalent to
+    ``min nu^T Rbar nu  s.t. nu_1 >= 0`` with ``Rbar = t^T Q t`` and nu_1 of
+    length r. ``eta_from_nu`` maps reduced coordinates back to a feasible
+    original direction (B eta equals nu_1 up to rounding).
     """
 
-    perm_a: np.ndarray
-    t_a: np.ndarray
-    r_full: np.ndarray
-    b_bar: np.ndarray
-    perm_b: np.ndarray
-    t_b: np.ndarray
+    t: np.ndarray  # (p, p - q)
     r11: np.ndarray
     r12: np.ndarray
     r22: np.ndarray
     shape: tuple[int, int, int]  # (p, q, r)
 
     def eta_from_nu(self, nu1: np.ndarray, nu2: np.ndarray) -> np.ndarray:
-        p, q, r = self.shape
-        nu = np.concatenate([np.atleast_1d(nu1), np.atleast_1d(nu2)])
-        w_perm = self.t_b @ nu
-        w = np.empty(p - q)
-        w[self.perm_b] = w_perm
-        full = self.t_a @ np.concatenate([np.zeros(q), w])
-        eta = np.empty(p)
-        eta[self.perm_a] = full
-        return eta
-
-
-def _pivot_permutation(mat: np.ndarray) -> np.ndarray:
-    """Column order from QR with pivoting; leading columns are independent."""
-    _, _, piv = scipy.linalg.qr(mat, mode="economic", pivoting=True)
-    return piv
+        return self.t @ np.concatenate([np.atleast_1d(nu1), np.atleast_1d(nu2)])
 
 
 def icqp_reduce(qp: ConeQP, rank_tol: float = DEFAULT_RANK_TOL) -> IcqpReduction:
@@ -492,60 +477,17 @@ def icqp_reduce(qp: ConeQP, rank_tol: float = DEFAULT_RANK_TOL) -> IcqpReduction
     p, q, r = qp.shape
     if r == 0:
         raise ValueError("no inequality rows; use the equality-constrained path")
-    if q:
-        perm_a = _pivot_permutation(qp.A)
-        a1 = qp.A[:, perm_a[:q]]
-        a2 = qp.A[:, perm_a[q:]]
-        s = np.linalg.svd(a1, compute_uv=False)
-        if s[-1] <= rank_tol * max(s[0], 1.0):
-            raise RankDeficientError("pivoted A1 block is singular")
-        a1inv_a2 = np.linalg.solve(a1, a2)
-        t_a = np.block(
-            [
-                [np.linalg.inv(a1), -a1inv_a2],
-                [np.zeros((p - q, q)), np.eye(p - q)],
-            ]
-        )
-        q_perm = qp.Q[np.ix_(perm_a, perm_a)]
-        m_full = t_a.T @ q_perm @ t_a
-        r_full = 0.5 * (m_full[q:, q:] + m_full[q:, q:].T)
-        b_perm = qp.B[:, perm_a]
-        b_bar = b_perm[:, q:] - b_perm[:, :q] @ a1inv_a2
-    else:
-        perm_a = np.arange(p)
-        t_a = np.eye(p)
-        r_full = qp.Q.copy()
-        b_bar = qp.B.copy()
-
-    if matrix_rank(b_bar, rank_tol) != r:
-        raise RankDeficientError("reduced inequality matrix lost row rank")
-    perm_b = _pivot_permutation(b_bar)
-    b1 = b_bar[:, perm_b[:r]]
-    b2 = b_bar[:, perm_b[r:]]
-    s = np.linalg.svd(b1, compute_uv=False)
-    if s[-1] <= rank_tol * max(s[0], 1.0):
-        raise RankDeficientError("pivoted B1 block is singular")
-    n2 = p - q - r
-    t_b = np.block(
-        [
-            [np.linalg.inv(b1), -np.linalg.solve(b1, b2)],
-            [np.zeros((n2, r)), np.eye(n2)],
-        ]
-    )
-    r_perm = r_full[np.ix_(perm_b, perm_b)]
-    r_bar = t_b.T @ r_perm @ t_b
+    basis = nullspace_basis(qp.A, rank_tol)
+    if basis.shape[1] != p - q:
+        raise RankDeficientError(f"null(A) has dimension {basis.shape[1]}, expected {p - q}")
+    u, s, vt = np.linalg.svd(qp.B @ basis)
+    if s[-1] <= rank_tol * s[0]:
+        raise RankDeficientError("inequality rows are dependent on null(A)")
+    t = basis @ np.hstack([vt[:r].T @ (u.T / s[:, None]), vt[r:].T])
+    r_bar = t.T @ qp.Q @ t
     r_bar = 0.5 * (r_bar + r_bar.T)
     return IcqpReduction(
-        perm_a=perm_a,
-        t_a=t_a,
-        r_full=r_full,
-        b_bar=b_bar,
-        perm_b=perm_b,
-        t_b=t_b,
-        r11=r_bar[:r, :r],
-        r12=r_bar[:r, r:],
-        r22=r_bar[r:, r:],
-        shape=(p, q, r),
+        t=t, r11=r_bar[:r, :r], r12=r_bar[:r, r:], r22=r_bar[r:, r:], shape=(p, q, r)
     )
 
 

@@ -84,6 +84,14 @@ def _check_icqp() -> str | None:
     res = solve_icqp(qp)
     if res.verdict != "T3":
         return f"indefinite cone form classified {res.verdict}, expected T3"
+    # x^2 + 4xy + y^2 is not PSD but is strictly positive for x, y >= 0, and
+    # the equality row leaves z = -w with positive curvature: T1 by copositivity
+    q_mat = np.eye(4)
+    q_mat[0, 1] = q_mat[1, 0] = 2.0
+    qp = ConeQP(q_mat, np.array([[0.0, 0.0, 1.0, 1.0]]), np.eye(4)[:2])
+    res = solve_icqp(qp)
+    if res.verdict != "T1" or res.diagnostics["cp"] != "CP1":
+        return f"copositive cone form classified {res.verdict}, expected T1"
     return None
 
 

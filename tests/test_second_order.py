@@ -4,15 +4,17 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sospcheck import second_order
 from sospcheck.errors import (
     NonSymmetricError,
     RankDeficientConstraintsError,
+    RankDeficientError,
     SubsetBudgetExceededError,
 )
 from sospcheck.harness import construct_boundary_fosp
-from sospcheck.linalg import require_finite, row_projector, sym_eig
+from sospcheck.linalg import nullspace_basis, require_finite, row_projector, sym_eig
 from sospcheck.network import (
     Perturbation,
     SignPattern,
@@ -75,7 +77,7 @@ class TestConeQP:
             ConeQP(np.eye(3), np.array([[1.0, 0.0, 0.0]]), np.array([[2.0, 0.0, 0.0]]))
 
     def test_rejects_asymmetric_q(self):
-        with pytest.raises(RankDeficientConstraintsError):
+        with pytest.raises(NonSymmetricError):
             ConeQP(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((0, 2)), np.zeros((0, 2)))
 
 
@@ -336,12 +338,110 @@ class TestSpectrumOracle:
         assert fallbacks < 10
 
 
+def _pivot_permutation(mat):
+    _, _, piv = scipy.linalg.qr(mat, mode="economic", pivoting=True)
+    return piv
+
+
+def _reference_icqp_reduce(qp):
+    """Two pivoted eliminations, of A and then of the reduced B: the oracle for
+    icqp_reduce. Returns (R11, R12, R22) of the reduced form."""
+    p, q, r = qp.shape
+    if q:
+        perm_a = _pivot_permutation(qp.A)
+        a1 = qp.A[:, perm_a[:q]]
+        a1inv_a2 = np.linalg.solve(a1, qp.A[:, perm_a[q:]])
+        t_a = np.block([[np.linalg.inv(a1), -a1inv_a2], [np.zeros((p - q, q)), np.eye(p - q)]])
+        m_full = t_a.T @ qp.Q[np.ix_(perm_a, perm_a)] @ t_a
+        r_full = 0.5 * (m_full[q:, q:] + m_full[q:, q:].T)
+        b_perm = qp.B[:, perm_a]
+        b_bar = b_perm[:, q:] - b_perm[:, :q] @ a1inv_a2
+    else:
+        r_full, b_bar = qp.Q.copy(), qp.B.copy()
+    perm_b = _pivot_permutation(b_bar)
+    b1, b2 = b_bar[:, perm_b[:r]], b_bar[:, perm_b[r:]]
+    n2 = p - q - r
+    t_b = np.block(
+        [[np.linalg.inv(b1), -np.linalg.solve(b1, b2)], [np.zeros((n2, r)), np.eye(n2)]]
+    )
+    r_bar = t_b.T @ r_full[np.ix_(perm_b, perm_b)] @ t_b
+    r_bar = 0.5 * (r_bar + r_bar.T)
+    return r_bar[:r, :r], r_bar[:r, r:], r_bar[r:, r:]
+
+
 class TestIcqpReduce:
-    def test_no_equalities_identity_transform(self):
-        qp = ConeQP(np.diag([2.0, 3.0]), np.zeros((0, 2)), np.array([[1.0, 0.0]]))
-        red = icqp_reduce(qp)
-        assert np.array_equal(red.t_a, np.eye(2))
-        assert np.allclose(red.r_full, qp.Q)
+    @pytest.mark.parametrize("q", [0, 1, 3])
+    def test_map_solves_the_constraints(self, q):
+        rng = np.random.default_rng(20 + q)
+        for r in (1, 2, 4):
+            p = q + r + 3
+            qp = random_cone_qp(rng, p, q, r, kind="indefinite")
+            t = icqp_reduce(qp).t
+            assert t.shape == (p, p - q)
+            t_norm = np.linalg.norm(t)
+            assert np.linalg.norm(qp.A @ t) <= 1e-12 * np.linalg.norm(qp.A) * t_norm
+            target = np.hstack([np.eye(r), np.zeros((r, p - q - r))])
+            assert np.abs(qp.B @ t - target).max() <= 1e-12 * np.linalg.norm(qp.B) * t_norm
+            assert np.linalg.matrix_rank(t) == p - q
+
+    @staticmethod
+    def _flat_cone_qp(rng, p, q, r, coupled):
+        """PSD form flat along some u with A u = 0 and B u = 0 (PD2); when
+        ``coupled``, a term u v^T + v u^T with v in the row space of B makes
+        the flat direction see R12 (PD3)."""
+        base = random_cone_qp(rng, p, q, r, kind="pd")
+        u = nullspace_basis(np.vstack([base.A, base.B]))[:, 0]
+        g = rng.standard_normal((p + 2, p)) @ (np.eye(p) - np.outer(u, u))
+        q_mat = g.T @ g
+        if coupled:
+            v = base.B.T @ rng.standard_normal(r)
+            q_mat = q_mat + np.outer(u, v) + np.outer(v, u)
+        return ConeQP(q_mat, base.A, base.B)
+
+    def test_schur_complement_and_psd_kind_match_double_elimination(self):
+        rng = np.random.default_rng(21)
+        kinds = ("indefinite", "pd", "psd_null", "flat", "flat_coupled")
+        seen = set()
+        n_pd = 0
+        for trial in range(200):
+            kind = kinds[trial % 5]
+            p = int(rng.integers(3, 9))
+            q = int(rng.integers(0, p - 1))
+            r = int(rng.integers(1, p - q + (0 if kind.startswith("flat") else 1)))
+            if kind.startswith("flat"):
+                qp = self._flat_cone_qp(rng, p, q, r, coupled=kind == "flat_coupled")
+            else:
+                qp = random_cone_qp(rng, p, q, r, kind=kind)
+            red = icqp_reduce(qp)
+            r11, r12, r22 = _reference_icqp_reduce(qp)
+            for new, ref in ((red.r11, r11), (red.r12, r12), (red.r22, r22)):
+                assert new.shape == ref.shape
+            # the zero threshold of solve_icqp: relative to the largest block entry
+            scale = max(np.abs(b).max(initial=0.0) for b in (r11, r12, r22))
+            psd_kind = classify_psd_block(r22, r12, scale=scale).kind
+            assert classify_psd_block(red.r22, red.r12, scale=scale).kind == psd_kind
+            seen.add(psd_kind)
+            if psd_kind != "PD1":
+                continue
+            n2 = p - q - r
+            n_pd += 1
+            schur = red.r11 - red.r12 @ np.linalg.solve(red.r22, red.r12.T) if n2 else red.r11
+            ref = r11 - r12 @ np.linalg.solve(r22, r12.T) if n2 else r11
+            assert np.abs(schur - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+        assert n_pd >= 50
+        assert seen == {"PD1", "PD2", "PD3", "PD4"}
+
+    def test_rank_failures_are_typed(self):
+        e = np.eye(4)
+        near_dependent = np.vstack([e[1], e[1] + 1e-8 * e[2]])
+        qp = ConeQP(np.eye(4), e[:1], near_dependent)
+        icqp_reduce(qp)
+        with pytest.raises(RankDeficientError, match="dependent on null"):
+            icqp_reduce(qp, rank_tol=1e-6)
+        qp = ConeQP(np.eye(4), near_dependent, e[3:])
+        icqp_reduce(qp)
+        with pytest.raises(RankDeficientError, match="dimension 3, expected 2"):
+            icqp_reduce(qp, rank_tol=1e-6)
 
     def test_no_inequalities_is_an_error(self):
         qp = ConeQP(np.eye(2), np.array([[1.0, 0.0]]), np.zeros((0, 2)))
