@@ -18,7 +18,7 @@ flat witness is attached.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -59,7 +59,6 @@ class CheckConfig:
 
     boundary_tol: float = 0.0
     tol_zero: float = 1e-8
-    qp_tol: float = 1e-10
     rank_tol: float = 1e-10
     zero_eig_tol: float = 1e-8
     k_max: int = 16
@@ -231,7 +230,7 @@ def sosp_check(
     s_stars: dict[int, list] = {}
     for k in range(d_h):
         if boundary.counts[k] > 0:
-            qp_res = solve_subdiff_qp(k, params, boundary, bundle, cfg.qp_tol)
+            qp_res = solve_subdiff_qp(k, params, boundary, bundle)
             certified = qp_res.certifies_zero(qp_res.scale, cfg.tol_zero)
             trace.append(
                 {
@@ -352,7 +351,3 @@ def sosp_check(
         diagnostics["flat_witness_second_order"] = second
         return Verdict(kind="sosp", flat_witness=flat_witness, diagnostics=diagnostics)
     return Verdict(kind="local_minimum", diagnostics=diagnostics)
-
-
-def with_seed(config: CheckConfig, seed: int) -> CheckConfig:
-    return replace(config, seed=seed)

@@ -7,7 +7,9 @@ Three layers of tests, in the order the certification pipeline runs them:
 * per-unit zero-in-subdifferential test: for a hidden unit with boundary
   samples, membership of zero in the (projected) generalized gradient set is
   decided by a small box-constrained convex QP over one slope variable per
-  boundary sample.
+  boundary sample: bounded-variable least squares, solved exactly by one
+  active-set call. Slopes with a zero gradient factor stay at the box
+  midpoint; a solver that stops short of a KKT point raises a typed error.
 * per-unit increasing test: once zero is in the subdifferential, directional
   growth of the risk along every extreme ray of the per-unit sign cones is
   checked with one inequality per ray; rays with exactly zero growth are
@@ -22,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import lsq_linear
 
-from .errors import DegenerateGeometryError, NotBoundaryError
+from .errors import DegenerateGeometryError, InternalInconsistencyError, NotBoundaryError
 from .network import BoundaryAnalysis, DerivativeBundle, NetworkParams, Perturbation
 
 DEFAULT_TOL_ZERO = 1e-8
-DEFAULT_QP_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +122,6 @@ class SubdiffQPResult:
     objective: float
     iterations: int
     kkt_residual: float
-    converged: bool
     scale: float
 
     def certifies_zero(self, scale: float, tol_zero: float = DEFAULT_TOL_ZERO) -> bool:
@@ -137,14 +138,13 @@ def solve_subdiff_qp(
     params: NetworkParams,
     boundary: BoundaryAnalysis,
     bundle: DerivativeBundle,
-    qp_tol: float = DEFAULT_QP_TOL,
 ) -> SubdiffQPResult:
     """Solve min_s ||W2[:,k]^T (C_k + sum_t s_t grad_t xbar_t^T)||^2 over the slope box.
 
-    Accelerated projected gradient (Nesterov momentum with restart on
-    objective increase), exact box projection, step 1/L with L the largest
-    eigenvalue of the quadratic form. The problem is convex; coordinates
-    whose gradient column vanishes are left at the box midpoint.
+    Bounded-variable least squares, solved exactly by one active-set call
+    (``lsq_linear``, ``method="bvls"``); ``iterations`` counts its steps.
+    Slopes whose gradient factor W2[:,k]^T grad_t is exactly zero stay at the
+    box midpoint. A stalled solver raises InternalInconsistencyError.
     """
     idx = boundary.boundary_indices[k]
     m_k = len(idx)
@@ -156,52 +156,24 @@ def solve_subdiff_qp(
     a = bundle.grads[idx] @ w  # (m_k,)
     cols = bundle.xbar[idx].T * a  # (d_x+1, m_k), column t = a_t * xbar_t
 
-    mid = 0.5 * (lo + hi)
-    s = np.full(m_k, mid)
-    hess = 2.0 * cols.T @ cols
-    lam_max = float(np.linalg.eigvalsh(hess)[-1]) if m_k else 0.0
-
-    def grad_f(s_vec):
-        return 2.0 * cols.T @ (c0 + cols @ s_vec)
-
-    def f_val(s_vec):
-        r = c0 + cols @ s_vec
-        return float(r @ r)
-
+    s = np.full(m_k, 0.5 * (lo + hi))
+    live = a != 0.0
     iterations = 0
-    converged = True
-    if lam_max > 0.0:
-        step = 1.0 / lam_max
-        max_iters = 50 * m_k * m_k + 200
-        y = s.copy()
-        t_mom = 1.0
-        f_prev = f_val(s)
-        converged = False
-        for iterations in range(1, max_iters + 1):
-            s_new = np.clip(y - step * grad_f(y), lo, hi)
-            f_new = f_val(s_new)
-            if f_new > f_prev:  # restart momentum
-                y = s.copy()
-                t_mom = 1.0
-                s_new = np.clip(y - step * grad_f(y), lo, hi)
-                f_new = f_val(s_new)
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-            y = s_new + ((t_mom - 1.0) / t_new) * (s_new - s)
-            s, t_mom, f_prev = s_new, t_new, f_new
-            pg = lam_max * np.linalg.norm(s - np.clip(s - step * grad_f(s), lo, hi))
-            if pg <= qp_tol:
-                converged = True
-                break
+    if live.any():
+        sol = lsq_linear(cols[:, live], -c0, bounds=(lo, hi), method="bvls")
+        if sol.status < 1:
+            raise InternalInconsistencyError(f"box QP of unit {k} not solved: {sol.message}")
+        s[live] = sol.x
+        iterations = int(sol.nit)
 
     residual = c0 + cols @ s
-    kkt = float(np.linalg.norm(s - np.clip(s - grad_f(s), lo, hi), ord=np.inf))
+    grad = 2.0 * cols.T @ residual
     return SubdiffQPResult(
         s_star=s,
         residual_vector=residual,
         objective=float(residual @ residual),
         iterations=iterations,
-        kkt_residual=kkt,
-        converged=converged,
+        kkt_residual=float(np.linalg.norm(s - np.clip(s - grad, lo, hi), ord=np.inf)),
         scale=_box_qp_scale(c0, cols, max(np.abs(params.activation.box))),
     )
 

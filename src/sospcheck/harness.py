@@ -230,11 +230,10 @@ def boundary_statistics(
     boundary = boundary_analysis(
         params, data, loss, thr.boundary, bundle=bundle, enforce_general_position=False
     )
-    gp_ok = True
-    try:
-        boundary_analysis(params, data, loss, thr.boundary, bundle=bundle)
-    except GeneralPositionViolationError:
-        gp_ok = False
+    gp_ok = all(  # the rule an enforcing boundary_analysis raises on
+        count <= params.dims[0] and basis.shape[1] == count
+        for count, basis in zip(boundary.counts, boundary.span_bases)
+    )
 
     act = params.activation
     lo, hi = act.box

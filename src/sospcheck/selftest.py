@@ -10,14 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 from .checker import sosp_check
+from .first_order import solve_subdiff_qp
 from .harness import construct_boundary_fosp, generate_dataset, init_params
 from .linalg import sym_eig
 from .network import (
     Dataset,
     Perturbation,
     SquaredLoss,
+    boundary_analysis,
     empirical_risk,
     expansion_terms,
+    per_sample_derivatives,
 )
 from .second_order import (
     ConeQP,
@@ -50,6 +53,21 @@ def _check_expansion(rng) -> str | None:
     fd = (empirical_risk(params.perturbed(eta, t), data, loss) - base) / t
     if abs(fd - first) > 1e-4 * max(1.0, abs(first)):
         return f"directional derivative mismatch: {fd} vs {first}"
+    return None
+
+
+def _check_box_qp() -> str | None:
+    loss = SquaredLoss()
+    for mode in ("edge", "subdiff_descent"):
+        point = construct_boundary_fosp(3, 1, 1, seed=1, mode=mode)
+        bundle = per_sample_derivatives(point.params, point.data, loss)
+        boundary = boundary_analysis(point.params, point.data, loss, bundle=bundle)
+        res = solve_subdiff_qp(point.unit, point.params, boundary, bundle)
+        ok = res.certifies_zero(res.scale) == (mode == "edge")
+        if mode == "edge":
+            ok = ok and np.abs(res.s_star - point.params.activation.s_plus).max() <= 1e-9
+        if not ok:
+            return f"box QP on the {mode} fixture: s* {res.s_star}, objective {res.objective:.3e}"
     return None
 
 
@@ -112,6 +130,7 @@ def run_selftest(verbose: bool = False) -> int:
     checks = [
         ("symmetric eigendecomposition", lambda: _check_eig(rng)),
         ("directional expansion vs finite differences", lambda: _check_expansion(rng)),
+        ("per-unit box QP on edge and subdiff_descent fixtures", _check_box_qp),
         ("equality-constrained QP vs spectrum oracle", lambda: _check_ecqp(rng)),
         ("copositivity hand cases", _check_copositivity),
         ("inequality-constrained QP", _check_icqp),

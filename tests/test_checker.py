@@ -406,14 +406,16 @@ def replicate(point, copies):
 
 class TestReplicatedSospFixtures:
     """SOSP fixtures that fail once replicated, through rounding error that
-    grows with m. Construction seed 6 at 500 copies (m = 11,002) gets a CP3
-    witness whose curvature fails re-verification (about 3e-12), and seed 90
-    at 2,000 copies (m = 44,002) an empty Pareto spectrum. Which seeds fail
-    depends on the summation order of the reduction, so a change to it moves
-    the failures to other seeds."""
+    grows with m. Each pins one failure message. Construction seed 6 at 500
+    copies (m = 11,002) gets a CP3 witness whose curvature fails
+    re-verification (about 3e-12); seed 90 at 2,000 copies (m = 44,002) an
+    empty Pareto spectrum; and seed 106 at 500 copies a PD3 null direction
+    with no negative curvature ("failed to realize negative curvature from
+    PD3 pair"). Which seeds fail depends on the summation order of the
+    reduction, so a change to it moves the failures to other seeds."""
 
     @pytest.mark.xfail(strict=True, raises=InternalInconsistencyError)
-    @pytest.mark.parametrize("seed, copies", [(6, 500), (90, 2000)])
+    @pytest.mark.parametrize("seed, copies", [(6, 500), (90, 2000), (106, 500)])
     def test_replicated_sosp_fixture_gets_a_verdict(self, seed, copies):
         point = construct_boundary_fosp(
             seed=seed, d_x=6, d_h=2, d_y=1, n_boundary=2, units=[0, 1], mode="orthogonal"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sospcheck.checker import validate_descent
-from sospcheck.errors import DegenerateGeometryError, NotBoundaryError
+from sospcheck.errors import DegenerateGeometryError, InternalInconsistencyError, NotBoundaryError
 from sospcheck.first_order import (
     classify_boundary,
     extreme_ray,
@@ -205,14 +205,21 @@ class TestSubdiffQP:
 
     def test_matches_active_set_enumeration(self):
         rng = np.random.default_rng(17)
-        act = ActivationSpec(1.0, 0.1)
-        lo, hi = act.box
-        for trial in range(40):
-            m_k = int(rng.integers(1, 4))
+        acts = (ActivationSpec(1.0, 0.1), ActivationSpec(0.2, 1.0))  # second: s_plus < s_minus
+        for trial in range(60):
+            act = acts[trial % 2]
+            lo, hi = act.box
+            m_k = int(rng.integers(1, 6))
             d_y = int(rng.integers(1, 4))
             d_x = m_k + int(rng.integers(1, 3))
             grads = rng.standard_normal((m_k, d_y))
             xbar = np.hstack([rng.standard_normal((m_k, d_x)), np.ones((m_k, 1))])
+            zero = np.zeros(m_k, dtype=bool)
+            if trial % 3 == 1 and m_k > 1:  # repeated boundary rows: rank-deficient columns
+                xbar[1::2] = xbar[0]
+            if trial % 3 == 2:  # exactly zero gradient factors mixed with nonzero ones
+                zero = rng.random(m_k) < 0.5
+                grads[zero] = 0.0
             c_k = rng.standard_normal((d_y, d_x + 1))
             w2col = rng.standard_normal(d_y)
             params, bundle, boundary = synthetic_unit(c_k, grads, xbar, w2col, act)
@@ -224,6 +231,23 @@ class TestSubdiffQP:
             scale = max(1.0, res.scale**2)
             assert abs(res.objective - want) <= 1e-9 * scale
             assert res.kkt_residual <= 1e-8
+            assert (res.s_star[zero] == 0.5 * (lo + hi)).all()
+
+    def test_unconverged_solver_raises(self, monkeypatch):
+        from scipy.optimize import OptimizeResult
+
+        import sospcheck.first_order as first_order
+
+        def stalled(a, b, bounds, method):
+            x = np.full(a.shape[1], bounds[0])
+            return OptimizeResult(x=x, status=0, nit=a.shape[1], message="iteration cap")
+
+        monkeypatch.setattr(first_order, "lsq_linear", stalled)
+        params, bundle, boundary = synthetic_unit(
+            c_k=[[-2.0, 0.0]], grads=[[1.0]], xbar_rows=[[1.0, 0.0]], w2col=[1.0]
+        )
+        with pytest.raises(InternalInconsistencyError):
+            first_order.solve_subdiff_qp(0, params, boundary, bundle)
 
 
 class TestExtremeRay:

@@ -174,6 +174,21 @@ class TestBoundaryStatistics:
         rep2 = boundary_statistics(point.params, point.data)
         assert rep2.verdict is None
 
+    def test_general_position_flag(self):
+        point = construct_boundary_fosp(4, 1, 1, seed=12, n_boundary=2)
+        assert boundary_statistics(point.params, point.data).general_position_ok
+        # one unit whose hyperplane is x_1 = 0, with d_x = 2
+        params = NetworkParams(
+            np.array([[1.0, 0.0]]), np.zeros(1), np.array([[1.0]]), np.zeros(1)
+        )
+        labels = np.zeros((4, 1))
+        repeated = Dataset(np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 2.0], [-1.0, 0.5]]), labels)
+        rep = boundary_statistics(params, repeated)
+        assert rep.m_hat == 2 and not rep.general_position_ok
+        crowded = Dataset(np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0], [1.0, 0.5]]), labels)
+        rep = boundary_statistics(params, crowded)
+        assert rep.m_hat == 3 and not rep.general_position_ok
+
     def test_ordering_invariant(self):
         for seed in range(4):
             params = init_params(4, 2, 1, seed=seed)
