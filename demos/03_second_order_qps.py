@@ -11,7 +11,8 @@ Inequality-constrained case: one orthonormal change of variables (a basis
 of the equality null space, then the singular value decomposition of the
 inequality rows on it) reduces the cone to a sign constraint, and a
 positive-semidefiniteness check plus a copositivity check of an r x r Schur
-complement (via its Pareto spectrum) decide the class.
+complement decide the class. A positive definite Schur complement is
+strictly copositive outright; any other is decided by its Pareto spectrum.
 """
 
 import numpy as np
@@ -54,7 +55,7 @@ for s in (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0, -3.0], 
     res = copositivity_classify(s)
     spectrum = sorted(round(p.value, 6) for p in pairs)
     print(f"  S = {s.tolist()}")
-    print(f"    Pareto spectrum {spectrum} -> {res.kind}"
+    print(f"    Pareto spectrum {spectrum} -> {res.kind} (by {res.diagnostics['cp_by']})"
           + (f", witness {np.round(res.witness, 4)}" if res.witness is not None else ""))
 
 print()

@@ -78,6 +78,7 @@ from .second_order import (
     assemble_so_qp,
     classify_psd_block,
     copositivity_classify,
+    icqp_frame,
     icqp_reduce,
     pareto_spectrum,
     pattern_objective,

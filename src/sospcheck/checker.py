@@ -47,6 +47,7 @@ from .network import (
 from .second_order import (
     assemble_so_qp,
     assembly_base,
+    icqp_frame,
     projected_spectrum_oracle,
     solve_icqp,
     verify_witness,
@@ -314,16 +315,21 @@ def sosp_check(
     if boundary.total > 0 and classification.has_flat_rays:
         patterns = enumerate_sign_patterns(classification, boundary, cfg.k_max)
         diagnostics["n_patterns"] = len(patterns)
+        frame = None  # the patterns differ only in the signs of B: one elimination
         for idx, pat in enumerate(patterns):
             qp = assemble_so_qp(params, data, loss, boundary, pat, base=base)
+            if frame is None:
+                frame = icqp_frame(qp, rank_tol=cfg.rank_tol)
             ic = solve_icqp(
                 qp,
                 seed=(cfg.seed, 2, idx),
                 r_max=cfg.r_max,
                 zero_tol=cfg.zero_eig_tol,
                 rank_tol=cfg.rank_tol,
+                frame=frame,
             )
             diagnostics["n_icqp"] += 1
+            cp_diag = ic.diagnostics.get("copositivity", {})
             trace.append(
                 {
                     "stage": "icqp",
@@ -333,6 +339,9 @@ def sosp_check(
                     "constraints": {"q": qp.shape[1], "r": qp.shape[2]},
                     "psd": ic.diagnostics.get("psd"),
                     "cp": ic.diagnostics.get("cp"),
+                    "cp_by": cp_diag.get("cp_by"),
+                    "lam_min_s": cp_diag.get("lam_min_s"),
+                    "tol": cp_diag.get("tol"),
                 }
             )
             if ic.verdict == "T3":

@@ -528,6 +528,11 @@ def construct_boundary_fosp(
             b1[k] = -(inputs @ w1.T)[b, k]
         if not ok:
             continue
+        # pinning moves only the boundary samples and draws nothing from rng,
+        # so the margin of the other rows is final here: test it before the
+        # pinning, with the same product as the test below
+        if np.abs((inputs @ w1.T + b1)[n_boundary:]).min(initial=np.inf) < margin:
+            continue
         params = NetworkParams(W1=w1, b1=b1, W2=w2, b2=b2, activation=activation)
         for b, k in enumerate(units):
             if b == first_on_unit[k]:

@@ -70,6 +70,20 @@ class EigenDecomposition:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.T
 
+    def pseudoinverse(self, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+        """Moore-Penrose pseudoinverse of the decomposed PSD matrix.
+
+        Eigenvalues below ``rank_tol * lambda_max`` are treated as exact zeros.
+        """
+        if rank_tol <= 0:
+            raise ValueError("rank_tol must be positive")
+        w, v = self.eigenvalues, self.eigenvectors
+        if w.size == 0:
+            return np.zeros((0, 0))
+        cutoff = rank_tol * max(float(w[-1]), 0.0)
+        inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
+        return (v * inv) @ v.T
+
 
 def sym_eig(m: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix.
@@ -121,18 +135,7 @@ def pseudoinverse(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarr
 
     Eigenvalues below ``rank_tol * lambda_max`` are treated as exact zeros.
     """
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    dec = sym_eig(m)
-    if dec.eigenvalues.size == 0:
-        return np.zeros_like(np.asarray(m, dtype=float))
-    lam_max = float(dec.eigenvalues[-1])
-    cutoff = rank_tol * max(lam_max, 0.0)
-    inv = np.where(dec.eigenvalues > cutoff, 1.0, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(inv > 0, 1.0 / np.where(dec.eigenvalues > cutoff, dec.eigenvalues, 1.0), 0.0)
-    v = dec.eigenvectors
-    return (v * inv) @ v.T
+    return sym_eig(m).pseudoinverse(rank_tol)
 
 
 def row_projector(a: np.ndarray) -> np.ndarray:

@@ -21,13 +21,17 @@ fixtures within a fixed budget. With inequality rows, one orthonormal
 change of variables (a basis W of null(A), then the singular value
 decomposition of B W) reduces the problem to
 ``min nu^T Rbar nu  s.t. nu_1 >= 0``, which is decided by a
-positive-semidefiniteness test on one block and a copositivity test (via
-the Pareto spectrum) on an r x r Schur complement, at cost
-O(p^3 + r^3 2^r).
+positive-semidefiniteness test on one block and a copositivity test on an
+r x r Schur complement S. A positive definite S is strictly copositive
+outright; any other is decided by its Pareto spectrum, at cost O(r^3 2^r).
 
 The cone QPs of all sign patterns at one point share an
 :class:`AssemblyBase`: a pattern changes only the slopes of the boundary
-samples, so the terms of every other sample are summed once.
+samples, so the terms of every other sample are summed once, and it only
+signs and sorts the same constraint rows, so their rank is checked once.
+Their inequality rows differ only in sign, so they also share one
+:class:`IcqpFrame`, the O(p^3) elimination of the constraints, and each
+pattern costs O(p^2 (p - q) + r^3) before any enumeration.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .linalg import (
     EigenDecomposition,
     matrix_rank,
     nullspace_basis,
-    pseudoinverse,
     require_finite,
     row_projector,
     sym_eig,
@@ -80,6 +83,17 @@ ASSEMBLY_BLOCK = 1024
 SPECTRUM_CHUNK = 1024
 
 
+def _symmetric_form(q_mat: np.ndarray) -> np.ndarray:
+    """The exactly symmetric part of Q; reject a non-square or asymmetric Q."""
+    q_mat = require_finite(q_mat, "Q")
+    p = q_mat.shape[0]
+    if q_mat.shape != (p, p) or np.abs(q_mat - q_mat.T).max(initial=0.0) > 1e-9 * max(
+        1.0, np.abs(q_mat).max(initial=0.0)
+    ):
+        raise NonSymmetricError("Q must be square symmetric")
+    return 0.5 * (q_mat + q_mat.T)
+
+
 @dataclass(frozen=True)
 class ConeQP:
     """Quadratic form Q over the cone {A eta = 0, B eta >= 0}.
@@ -93,13 +107,9 @@ class ConeQP:
     B: np.ndarray
 
     def __post_init__(self):
-        q_mat = require_finite(self.Q, "Q")
+        q_mat = _symmetric_form(self.Q)
         p = q_mat.shape[0]
-        if q_mat.shape != (p, p) or np.abs(q_mat - q_mat.T).max(initial=0.0) > 1e-9 * max(
-            1.0, np.abs(q_mat).max(initial=0.0)
-        ):
-            raise NonSymmetricError("Q must be square symmetric")
-        object.__setattr__(self, "Q", 0.5 * (q_mat + q_mat.T))
+        object.__setattr__(self, "Q", q_mat)
         a = require_finite(self.A, "A").reshape(-1, p)
         b = require_finite(self.B, "B").reshape(-1, p)
         object.__setattr__(self, "A", a)
@@ -115,6 +125,29 @@ class ConeQP:
     def shape(self) -> tuple[int, int, int]:
         """(p, q, r)."""
         return (self.Q.shape[0], self.A.shape[0], self.B.shape[0])
+
+    def with_signs(self, q_mat: np.ndarray, signs: np.ndarray) -> ConeQP:
+        """The cone with form ``q_mat`` whose rows are this cone's equality rows
+        re-signed: ``signs`` holds one entry in {-1, 0, 1} per row of A; rows
+        with sign 0 stay equalities and the others, in order, become the
+        inequality rows ``sign * A[j]``.
+
+        The stacked rows differ from this cone's only in sign and order, so
+        they keep the rank checked when this cone was built; only Q is
+        checked again.
+        """
+        signs = np.asarray(signs)
+        if self.B.shape[0] or signs.shape != self.A.shape[:1] or (np.sign(signs) != signs).any():
+            raise ValueError("need a sign in {-1, 0, 1} per row of a cone with only equalities")
+        q_mat = _symmetric_form(q_mat)
+        if q_mat.shape != self.Q.shape:
+            raise ValueError(f"form of shape {q_mat.shape} does not match {self.Q.shape}")
+        signed = signs != 0
+        cone = object.__new__(ConeQP)
+        object.__setattr__(cone, "Q", q_mat)
+        object.__setattr__(cone, "A", self.A[~signed])
+        object.__setattr__(cone, "B", signs[signed, None] * self.A[signed])
+        return cone
 
 
 @dataclass(frozen=True)
@@ -212,7 +245,8 @@ def _sample_terms(
         hidden, xbar, grads = bundle.hidden[blk], bundle.xbar[blk], bundle.grads[blk]
         n = len(blk)
         # P_i is [1, hidden_i] (x) I on (delta2, u_1..u_dh) and j_ik W2[:, k] xbar_i^T on v_k
-        aug = np.insert(hidden, 0, 1.0, axis=1)
+        aug = np.ones((n, d_h + 1))
+        aug[:, 1:] = hidden
         slopes = jvals[:, None, :] * params.W2  # (n, d_y, d_h)
         resp = np.concatenate(
             [
@@ -238,6 +272,10 @@ class AssemblyBase:
     A sign pattern sets the slopes of the boundary pairs only, so the Q
     terms of the samples with no boundary pair are summed once
     (``q_fixed``), and each pattern adds those of the ``touched`` samples.
+    A pattern also only signs and sorts the same constraint rows, so they
+    are built and rank-checked once, as the equality rows of
+    ``constraints``: one homogeneity row per hidden unit, then one row per
+    boundary pair in the order of ``boundary.boundary_indices``.
     """
 
     params: NetworkParams
@@ -245,15 +283,34 @@ class AssemblyBase:
     boundary: BoundaryAnalysis
     touched: np.ndarray  # sorted indices of the samples with a boundary pair
     q_fixed: np.ndarray  # (p, p) terms of the other samples
+    constraints: ConeQP  # Q = 0 and B empty; A holds every constraint row
 
 
 def assembly_base(
     params: NetworkParams, bundle: DerivativeBundle, boundary: BoundaryAnalysis
 ) -> AssemblyBase:
-    """Sum the pattern-independent part of the cone QPs at one point."""
+    """Sum the pattern-independent part of the cone QPs at one point.
+
+    Dependent constraint rows raise RankDeficientConstraintsError.
+    """
     on_boundary = bundle.boundary_mask.any(axis=1)
     q_fixed = _sample_terms(params, bundle, np.flatnonzero(~on_boundary), SignPattern(()))
-    return AssemblyBase(params, bundle, boundary, np.flatnonzero(on_boundary), q_fixed)
+    _, d_h, _ = params.dims
+    p = params.n_params
+    _, sl_u, sl_v = perturbation_layout(params.dims)
+    rows = np.zeros((d_h + boundary.total, p))
+    for k in range(d_h):
+        rows[k, sl_u[k]] = params.W2[:, k]
+        rows[k, sl_v[k]] = -params.hyperplane_row(k)
+    at = d_h
+    for k in range(d_h):
+        for i in boundary.boundary_indices[k]:
+            rows[at, sl_v[k]] = bundle.xbar[i]
+            at += 1
+    constraints = ConeQP(Q=np.zeros((p, p)), A=rows, B=np.zeros((0, p)))
+    return AssemblyBase(
+        params, bundle, boundary, np.flatnonzero(on_boundary), q_fixed, constraints
+    )
 
 
 def assemble_so_qp(
@@ -277,7 +334,8 @@ def assemble_so_qp(
     ``base`` is the :func:`assembly_base` of the point, which then also
     supplies the parameters, derivatives and boundary analysis. Passing the
     same base for every sign pattern of a point sums the terms of the
-    samples off the boundary once; without it the base is built here.
+    samples off the boundary, and checks the rank of the constraint rows,
+    once; without it the base is built here.
     """
     if base is None:
         if bundle is None:
@@ -286,31 +344,13 @@ def assemble_so_qp(
     params, bundle, boundary = base.params, base.bundle, base.boundary
     if not pattern.matches(boundary):
         raise ValueError("sign pattern does not match the boundary analysis")
-    d_x, d_h, d_y = params.dims
-    p = params.n_params
-    _, sl_u, sl_v = perturbation_layout(params.dims)
     q_mat = base.q_fixed + _sample_terms(params, bundle, base.touched, pattern)
-
-    a_rows = []
-    for k in range(d_h):
-        row = np.zeros(p)
-        row[sl_u[k]] = params.W2[:, k]
-        row[sl_v[k]] = -params.hyperplane_row(k)
-        a_rows.append(row)
-    b_rows = []
     sigma = pattern.as_dict()
-    for k in range(d_h):
-        for i in boundary.boundary_indices[k]:
-            s = sigma[(k, int(i))]
-            row = np.zeros(p)
-            row[sl_v[k]] = bundle.xbar[i] if s >= 0 else -bundle.xbar[i]
-            if s == 0:
-                a_rows.append(row)
-            else:
-                b_rows.append(row)
-    a_mat = np.vstack(a_rows) if a_rows else np.zeros((0, p))
-    b_mat = np.vstack(b_rows) if b_rows else np.zeros((0, p))
-    return ConeQP(Q=q_mat, A=a_mat, B=b_mat)
+    signs = np.zeros(base.constraints.A.shape[0], dtype=int)
+    signs[params.dims[1] :] = [
+        sigma[(k, int(i))] for k, idx in enumerate(boundary.boundary_indices) for i in idx
+    ]
+    return base.constraints.with_signs(q_mat, signs)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +499,10 @@ class IcqpReduction:
     ``A t = 0`` and ``B t = [I 0]``. The problem is then equivalent to
     ``min nu^T Rbar nu  s.t. nu_1 >= 0`` with ``Rbar = t^T Q t`` and nu_1 of
     length r. ``eta_from_nu`` maps reduced coordinates back to a feasible
-    original direction (B eta equals nu_1 up to rounding).
+    original direction (B eta equals nu_1 up to rounding). The map comes
+    from an :class:`IcqpFrame` shared by the cones whose B differ only in
+    row signs: ``t = t0 diag(sigma, 1)``, so only ``Rbar`` is computed per
+    cone.
     """
 
     t: np.ndarray  # (p, p - q)
@@ -472,8 +515,37 @@ class IcqpReduction:
         return self.t @ np.concatenate([np.atleast_1d(nu1), np.atleast_1d(nu2)])
 
 
-def icqp_reduce(qp: ConeQP, rank_tol: float = DEFAULT_RANK_TOL) -> IcqpReduction:
-    """Eliminate the equality constraints of an inequality-constrained QP."""
+@dataclass(frozen=True)
+class IcqpFrame:
+    """The part of the ICQP reduction that the sign patterns of a point share.
+
+    The cones of one point have the same A, and their B differ only by row
+    signs: B = diag(sigma) B0. Then B W = diag(sigma) U0 S V^T, so W, S, V
+    and U0 are those of B0, and the map of a cone is ``t0 diag(sigma, 1)``.
+    ``signs`` reads sigma off a cone and raises if the cone is not one of
+    the frame's.
+    """
+
+    a: np.ndarray  # (q, p) equality rows
+    b0: np.ndarray  # (r, p) inequality rows at sigma = 1
+    t0: np.ndarray  # (p, p - q) map at sigma = 1
+
+    def signs(self, qp: ConeQP) -> np.ndarray:
+        """sigma with qp.B = diag(sigma) b0, after checking qp.A = a bit for bit."""
+        if not np.array_equal(qp.A, self.a) or qp.B.shape != self.b0.shape:
+            raise InternalInconsistencyError("cone rows differ from the reduction frame's")
+        plus = (qp.B == self.b0).all(axis=1)
+        minus = (qp.B == -self.b0).all(axis=1)
+        if not (plus | minus).all():
+            raise InternalInconsistencyError(
+                "cone inequality rows are not sign flips of the reduction frame's"
+            )
+        return np.where(plus, 1.0, -1.0)
+
+
+def icqp_frame(qp: ConeQP, rank_tol: float = DEFAULT_RANK_TOL) -> IcqpFrame:
+    """Eliminate the equality constraints once for every cone that shares
+    ``qp``'s rows up to the signs of B, and check their ranks."""
     p, q, r = qp.shape
     if r == 0:
         raise ValueError("no inequality rows; use the equality-constrained path")
@@ -483,7 +555,24 @@ def icqp_reduce(qp: ConeQP, rank_tol: float = DEFAULT_RANK_TOL) -> IcqpReduction
     u, s, vt = np.linalg.svd(qp.B @ basis)
     if s[-1] <= rank_tol * s[0]:
         raise RankDeficientError("inequality rows are dependent on null(A)")
-    t = basis @ np.hstack([vt[:r].T @ (u.T / s[:, None]), vt[r:].T])
+    t0 = basis @ np.hstack([vt[:r].T @ (u.T / s[:, None]), vt[r:].T])
+    return IcqpFrame(qp.A, qp.B, t0)
+
+
+def icqp_reduce(
+    qp: ConeQP, rank_tol: float = DEFAULT_RANK_TOL, frame: IcqpFrame | None = None
+) -> IcqpReduction:
+    """Eliminate the equality constraints of an inequality-constrained QP.
+
+    ``frame`` is an :func:`icqp_frame` of a cone with the same rows up to
+    the signs of B, so that only the form is transformed here; without it
+    the frame of ``qp`` itself is built.
+    """
+    if frame is None:
+        frame = icqp_frame(qp, rank_tol)
+    p, q, r = qp.shape
+    t = frame.t0.copy()
+    t[:, :r] *= frame.signs(qp)
     r_bar = t.T @ qp.Q @ t
     r_bar = 0.5 * (r_bar + r_bar.T)
     return IcqpReduction(
@@ -581,47 +670,68 @@ def _require_symmetric_pairs(s_mat: np.ndarray) -> None:
         raise NonSymmetricError(f"S is not symmetric at entry ({i}, {j})")
 
 
-def _pareto_chunk(
-    s_mat: np.ndarray,
-    sym: np.ndarray,
-    idx: np.ndarray,
-    pos_tol: float,
-    comp_tol: float,
-    degen_tol: float,
-    pairs: list,
-) -> bool:
-    """Append the Pareto eigenpairs of the subsets ``idx`` (n, s) to ``pairs``.
+def _subset_candidates(
+    sym: np.ndarray, chunk: list, offset: int, degen_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Candidate Pareto eigenpairs of the principal submatrices on ``chunk``
+    (subsets of one size), by one stacked eigendecomposition.
 
-    Returns whether any of the subsets has a numerically repeated eigenvalue.
+    The candidates are every eigenvector, then for each near-repeated
+    eigenvalue the normalized sum and difference of its two neighbouring
+    eigenvectors; at most one of a sum and a difference of orthonormal
+    vectors is positive, so the eigenvector signs cannot change the result.
+    Returns the vectors zero-padded to the rows of S, their eigenvalues, the
+    index of their subset (``offset`` plus its place in ``chunk``), and
+    whether some subset has a numerically repeated eigenvalue.
     """
+    idx = np.array(chunk)
     n, size = idx.shape
     lam, vecs = np.linalg.eigh(sym[idx[:, :, None], idx[:, None, :]])
-    # candidates: every eigenvector, then for each near-repeated eigenvalue
-    # the normalized sum and difference of its two neighbouring eigenvectors.
-    # At most one of a sum and a difference of orthonormal vectors is
-    # positive, so the eigenvector signs cannot change the result.
+    sub = np.repeat(np.arange(n), size)
+    val = lam.ravel()
+    vec = vecs.transpose(0, 2, 1).reshape(-1, size)
     sub_d, j_d = np.nonzero(np.abs(np.diff(lam, axis=1)) <= degen_tol)
-    a, b = vecs[sub_d, :, j_d], vecs[sub_d, :, j_d + 1]
-    combos = np.stack([a + b, a - b], axis=1).reshape(-1, size)
-    combos /= np.linalg.norm(combos, axis=1)[:, None]
-    cand_sub = np.concatenate([np.repeat(np.arange(n), size), np.repeat(sub_d, 2)])
-    cand_val = np.concatenate([lam.ravel(), np.repeat(lam[sub_d, j_d], 2)])
-    cand_vec = np.concatenate([vecs.transpose(0, 2, 1).reshape(-1, size), combos])
-    top = cand_vec[np.arange(len(cand_vec)), np.abs(cand_vec).argmax(axis=1)]
-    cand_vec *= np.where(top < 0.0, -1.0, 1.0)[:, None]
-    keep = np.flatnonzero(cand_vec.min(axis=1) > pos_tol)
-    # complementarity on the rows outside each subset
-    cols = idx[cand_sub[keep]]
-    comp = np.matmul(cand_vec[keep][:, None, :], s_mat.T[cols])[:, 0, :]
-    comp[np.arange(len(keep))[:, None], cols] = np.inf
-    ok = comp.min(axis=1) >= -comp_tol
-    # order by subset, eigenvectors before sum/difference candidates
-    keep = keep[ok][np.argsort(cand_sub[keep[ok]], kind="stable")]
-    padded = np.zeros((len(keep), s_mat.shape[0]))
-    padded[np.arange(len(keep))[:, None], idx[cand_sub[keep]]] = cand_vec[keep]
-    for sub, value, vec in zip(cand_sub[keep], cand_val[keep], padded):
-        pairs.append(ParetoEigenpair(float(value), vec, tuple(idx[sub].tolist())))
-    return bool(len(sub_d))
+    if len(sub_d):
+        a, b = vecs[sub_d, :, j_d], vecs[sub_d, :, j_d + 1]
+        combos = np.stack([a + b, a - b], axis=1).reshape(-1, size)
+        combos /= np.linalg.norm(combos, axis=1)[:, None]
+        sub = np.concatenate([sub, np.repeat(sub_d, 2)])
+        val = np.concatenate([val, np.repeat(lam[sub_d, j_d], 2)])
+        vec = np.concatenate([vec, combos])
+    padded = np.zeros((len(vec), sym.shape[0]))
+    padded[np.arange(len(vec))[:, None], idx[sub]] = vec
+    return padded, val, sub + offset, bool(len(sub_d))
+
+
+def _keep_pareto(
+    s_mat: np.ndarray,
+    parts: list,
+    subsets: list,
+    pos_tol: float,
+    comp_tol: float,
+    pairs: list,
+) -> None:
+    """Append the candidates of ``parts`` that are Pareto eigenpairs to ``pairs``.
+
+    A candidate is kept when, signed so that its largest entry is positive,
+    it is above ``pos_tol`` on its subset J (its entries off J are zero) and
+    ``S x >= -comp_tol`` on the rows outside J. Pairs are appended by
+    subset, eigenvectors before sums and differences.
+    """
+    vec = np.concatenate([part[0] for part in parts])
+    val = np.concatenate([part[1] for part in parts])
+    sub = np.concatenate([part[2] for part in parts])
+    top = vec[np.arange(len(vec)), np.abs(vec).argmax(axis=1)]
+    vec *= np.where(top < 0.0, -1.0, 1.0)[:, None]
+    positive = vec > pos_tol
+    sizes = np.array([len(subset) for subset in subsets])
+    keep = np.flatnonzero(positive.sum(axis=1) == sizes[sub])
+    comp = vec[keep] @ s_mat.T
+    comp[positive[keep]] = np.inf
+    keep = keep[comp.min(axis=1) >= -comp_tol]
+    keep = keep[np.argsort(sub[keep], kind="stable")]
+    for s, value, v in zip(sub[keep].tolist(), val[keep].tolist(), vec[keep]):
+        pairs.append(ParetoEigenpair(value, v, subsets[s]))
 
 
 def pareto_spectrum(
@@ -634,16 +744,18 @@ def pareto_spectrum(
 
     Every nonempty principal submatrix S^J is eigendecomposed; eigenpairs
     whose eigenvector can be signed strictly positive (componentwise above
-    ``pos_tol`` after unit normalization) and whose excluded rows satisfy
-    the complementarity inequalities are kept. For numerically repeated
-    eigenvalues the candidate set additionally includes normalized sums and
-    differences of same-eigenvalue eigenvector pairs, and a diagnostic flag
-    is raised, since the eigenvectors themselves are then not well defined.
+    ``pos_tol`` >= 0 after unit normalization) and whose excluded rows
+    satisfy the complementarity inequalities are kept. For numerically
+    repeated eigenvalues the candidate set additionally includes normalized
+    sums and differences of same-eigenvalue eigenvector pairs, and a
+    diagnostic flag is raised, since the eigenvectors themselves are then
+    not well defined.
 
     The enumeration is batched: the submatrices of one size are stacked, up
     to ``SPECTRUM_CHUNK`` at a time, into one eigendecomposition, and the
-    positivity, sign and complementarity tests run on the whole stack. The
-    candidate set, and the order of the returned pairs (by subset size, then
+    positivity, sign and complementarity tests run on the candidates of
+    about ``SPECTRUM_CHUNK`` subsets at once, across sizes. The candidate
+    set, and the order of the returned pairs (by subset size, then
     lexicographic subset, then eigenvectors before sums and differences),
     are those of one eigendecomposition per subset.
     """
@@ -651,6 +763,8 @@ def pareto_spectrum(
     r = s_mat.shape[0]
     if r > r_max:
         raise SubsetBudgetExceededError(f"r={r} exceeds the subset budget r_max={r_max}")
+    if pos_tol < 0:
+        raise ValueError("pos_tol must be nonnegative")
     _require_symmetric_pairs(s_mat)
     sym = 0.5 * (s_mat + s_mat.T)
     scale = max(1.0, float(np.abs(s_mat).max(initial=0.0)))
@@ -658,11 +772,17 @@ def pareto_spectrum(
     degen_tol = 1e-9 * scale
     pairs: list[ParetoEigenpair] = []
     degenerate = False
+    parts, subsets = [], []
     for size in range(1, r + 1):
-        subsets = combinations(range(r), size)
-        while chunk := list(islice(subsets, SPECTRUM_CHUNK)):
-            idx = np.array(chunk)
-            degenerate |= _pareto_chunk(s_mat, sym, idx, pos_tol, comp_tol, degen_tol, pairs)
+        combos = combinations(range(r), size)
+        while chunk := list(islice(combos, SPECTRUM_CHUNK)):
+            part = _subset_candidates(sym, chunk, len(subsets), degen_tol)
+            degenerate |= part[3]
+            parts.append(part)
+            subsets.extend(chunk)
+            if len(subsets) >= SPECTRUM_CHUNK or size == r:
+                _keep_pareto(s_mat, parts, subsets, pos_tol, comp_tol, pairs)
+                parts, subsets = [], []
     return pairs, {"degenerate_multiplicity": degenerate, "subsets": 2**r - 1}
 
 
@@ -670,8 +790,8 @@ def pareto_spectrum(
 class CopositivityResult:
     kind: str  # "CP1" | "CP2" | "CP3"
     witness: np.ndarray | None  # nonnegative vector with value <= 0 (CP2/CP3)
-    min_pareto: float
-    spectrum: list
+    min_pareto: float | None  # None when the PD certificate decided
+    spectrum: list | None  # the Pareto spectrum; None when it was not enumerated
     diagnostics: dict
 
 
@@ -680,14 +800,34 @@ def copositivity_classify(
     r_max: int = 20,
     zero_tol: float = DEFAULT_CP_TOL,
 ) -> CopositivityResult:
-    """Decide (strict) copositivity from the sign of the minimal Pareto eigenvalue."""
-    pairs, diag = pareto_spectrum(s_mat, r_max=r_max)
+    """Decide (strict) copositivity from the sign of the minimal Pareto eigenvalue.
+
+    Every Pareto eigenvalue is an eigenvalue of a principal submatrix, so by
+    interlacing it is at least lambda_min(S). When lambda_min(S) exceeds the
+    zero threshold ``tol = zero_tol * max(1, max|S|)`` the minimal Pareto
+    eigenvalue does too, and S is CP1 without enumerating the spectrum;
+    otherwise the Pareto spectrum decides. ``diagnostics`` records which
+    path decided (``cp_by``: "pd_certificate" or "pareto"), lambda_min(S)
+    (``lam_min_s``) and ``tol``. The subset budget ``r_max`` and the
+    symmetry of S are checked on both paths.
+    """
+    s_mat = require_finite(np.atleast_2d(s_mat), "S")
+    r = s_mat.shape[0]
+    if r > r_max:
+        raise SubsetBudgetExceededError(f"r={r} exceeds the subset budget r_max={r_max}")
+    _require_symmetric_pairs(s_mat)
+    tol = zero_tol * max(1.0, float(np.abs(s_mat).max(initial=0.0)))
+    lam_min_s = float(np.linalg.eigvalsh(0.5 * (s_mat + s_mat.T))[0]) if r else float("nan")
+    diag = {"lam_min_s": lam_min_s, "tol": tol}
+    if lam_min_s > tol:
+        return CopositivityResult("CP1", None, None, None, {"cp_by": "pd_certificate", **diag})
+    pairs, pareto_diag = pareto_spectrum(s_mat, r_max=r_max)
+    diag = {"cp_by": "pareto", **diag, **pareto_diag}
     if not pairs:
         raise InternalInconsistencyError("empty Pareto spectrum; the minimum must be attained")
     values = np.array([p.value for p in pairs])
     best = int(np.argmin(values))
     lam_min = float(values[best])
-    tol = zero_tol * max(1.0, float(np.abs(np.atleast_2d(s_mat)).max(initial=0.0)))
     if lam_min > tol:
         return CopositivityResult("CP1", None, lam_min, pairs, diag)
     if lam_min < -tol:
@@ -734,6 +874,7 @@ def solve_icqp(
     r_max: int = 20,
     zero_tol: float = DEFAULT_ZERO_EIG_TOL,
     rank_tol: float = DEFAULT_RANK_TOL,
+    frame: IcqpFrame | None = None,
 ) -> QPClassification:
     """Classify an inequality-constrained cone QP.
 
@@ -742,11 +883,13 @@ def solve_icqp(
     otherwise copositivity of the r x r Schur complement decides between
     T1 (strict), T3 (negative Pareto eigenvalue) and T2 (everything else).
     Witnesses are mapped back to original coordinates and re-verified.
+    ``frame`` is passed on to :func:`icqp_reduce`, so the cones of one point
+    share one elimination of their constraints.
     """
     p, q, r = qp.shape
     if r == 0:
         raise ValueError("no inequality rows; use the equality-constrained path")
-    red = icqp_reduce(qp, rank_tol=rank_tol)
+    red = icqp_reduce(qp, rank_tol=rank_tol, frame=frame)
     scale = max(
         float(np.abs(red.r11).max(initial=0.0)),
         float(np.abs(red.r12).max(initial=0.0)),
@@ -791,14 +934,14 @@ def solve_icqp(
 
     n2 = red.r22.shape[0] if red.r22.size else 0
     if n2:
-        r22_pinv = pseudoinverse(red.r22, rank_tol=max(rank_tol, zero_tol))
+        r22_pinv = psd.decomposition.pseudoinverse(rank_tol=max(rank_tol, zero_tol))
         schur = red.r11 - red.r12 @ r22_pinv @ red.r12.T
     else:
         r22_pinv = np.zeros((0, 0))
         schur = red.r11.copy()
     schur = 0.5 * (schur + schur.T)
     cp = copositivity_classify(schur, r_max=r_max)
-    diag.update(cp=cp.kind, min_pareto=cp.min_pareto, pareto=cp.diagnostics)
+    diag.update(cp=cp.kind, min_pareto=cp.min_pareto, copositivity=cp.diagnostics)
 
     if cp.kind == "CP3":
         nu1 = cp.witness

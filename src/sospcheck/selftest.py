@@ -25,6 +25,7 @@ from .network import (
 from .second_order import (
     ConeQP,
     copositivity_classify,
+    pareto_spectrum,
     projected_spectrum_oracle,
     solve_ecqp_pgd,
     solve_icqp,
@@ -85,15 +86,25 @@ def _check_ecqp(rng) -> str | None:
 
 
 def _check_copositivity() -> str | None:
+    # (S, kind, path): [[2, 1], [1, 2]] is PD, so the certificate decides;
+    # [[1, 2], [2, 1]] is copositive but not PSD, so only enumeration can
     cases = [
-        (np.eye(2), "CP1"),
-        (np.array([[0.0, 1.0], [1.0, 0.0]]), "CP2"),
-        (np.array([[1.0, -3.0], [-3.0, 1.0]]), "CP3"),
+        (np.eye(2), "CP1", "pd_certificate"),
+        (np.array([[2.0, 1.0], [1.0, 2.0]]), "CP1", "pd_certificate"),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "CP1", "pareto"),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), "CP2", "pareto"),
+        (np.array([[1.0, -3.0], [-3.0, 1.0]]), "CP3", "pareto"),
     ]
-    for mat, want in cases:
-        got = copositivity_classify(mat).kind
-        if got != want:
-            return f"copositivity of {mat.tolist()} came out {got}, expected {want}"
+    for mat, want, path in cases:
+        res = copositivity_classify(mat)
+        got = (res.kind, res.diagnostics["cp_by"])
+        if got != (want, path):
+            return f"copositivity of {mat.tolist()} came out {got}, expected {(want, path)}"
+        # the minimal Pareto eigenvalue, enumerated, must have the verdict's sign
+        lam = min(pair.value for pair in pareto_spectrum(mat)[0])
+        tol = res.diagnostics["tol"]
+        if (lam > tol, lam < -tol) != (want == "CP1", want == "CP3"):
+            return f"copositivity of {mat.tolist()} is {want}, minimal Pareto value {lam:.3e}"
     return None
 
 

@@ -34,6 +34,7 @@ from sospcheck.second_order import (
     assemble_so_qp,
     projected_spectrum_oracle,
     solve_ecqp_pgd,
+    solve_icqp,
 )
 
 
@@ -389,6 +390,46 @@ class TestEcqpDecision:
         verdict = sosp_check(point.params, point.data)
         assert ecqp_entry(verdict)["verdict"] == "T2"
         assert calls == ["T2"]
+
+
+class TestIcqpStage:
+    @staticmethod
+    def _point():
+        # K = 3: eight patterns, decided by the PD certificate and by the
+        # Pareto spectrum, as CP1 and as CP2
+        return construct_boundary_fosp(
+            5, 2, 1, seed=10, n_boundary=3, units=[0, 0, 1], mode="orthogonal"
+        )
+
+    def test_matches_a_fresh_solve_per_pattern(self):
+        point = self._point()
+        verdict = sosp_check(point.params, point.data)
+        entries = [e for e in verdict.diagnostics["trace"] if e["stage"] == "icqp"]
+        assert len(entries) == 2 ** verdict.diagnostics["K"] == 8
+        loss = SquaredLoss()
+        boundary = boundary_analysis(point.params, point.data, loss)
+        want = []
+        for idx, entry in enumerate(entries):
+            pattern = SignPattern.from_dict(
+                {tuple(int(n) for n in key.split(",")): s for key, s in entry["pattern"].items()}
+            )
+            qp = assemble_so_qp(point.params, point.data, loss, boundary, pattern)
+            res = solve_icqp(qp, seed=(0, 2, idx))
+            want.append((res.verdict, res.diagnostics.get("psd"), res.diagnostics.get("cp")))
+        assert [(e["verdict"], e["psd"], e["cp"]) for e in entries] == want
+        assert {e["cp"] for e in entries} == {"CP1", "CP2"}
+
+    def test_trace_records_the_copositivity_path_and_margin(self):
+        point = self._point()
+        verdict = sosp_check(point.params, point.data)
+        entries = [e for e in verdict.diagnostics["trace"] if e["stage"] == "icqp"]
+        assert {e["cp_by"] for e in entries} == {"pd_certificate", "pareto"}
+        for e in entries:
+            assert e["tol"] >= 1e-9
+            if e["cp_by"] == "pd_certificate":
+                assert e["cp"] == "CP1" and e["lam_min_s"] > e["tol"]
+            else:
+                assert e["lam_min_s"] <= e["tol"]
 
 
 def replicate(point, copies):

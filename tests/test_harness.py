@@ -230,6 +230,31 @@ class TestConstructors:
         bundle = per_sample_derivatives(point.params, point.data, SquaredLoss())
         assert not bundle.boundary_mask.any()
 
+    def test_attempts_failing_the_margin_are_not_pinned(self, monkeypatch):
+        import sospcheck.harness as harness_module
+
+        margins = []
+        original = harness_module._pin_sample_to_hyperplane
+
+        def spy(inputs, params, i, k):
+            pre = inputs @ params.W1.T + params.b1
+            margins.append(float(np.abs(pre[3:]).min()))
+            return original(inputs, params, i, k)
+
+        monkeypatch.setattr(harness_module, "_pin_sample_to_hyperplane", spy)
+        built = 0
+        for seed in range(4):
+            try:
+                construct_boundary_fosp(
+                    6, 2, 1, seed=seed, n_boundary=3, units=[0, 0, 1], mode="orthogonal",
+                    max_attempts=10,
+                )
+                built += 1
+            except ConstructionFailedError:
+                pass
+        assert built >= 1 and len(margins) >= built
+        assert min(margins) >= 0.05
+
     def test_impossible_request_raises(self):
         with pytest.raises(ConstructionFailedError):
             # d_x = 1 cannot host two independent boundary samples on one unit

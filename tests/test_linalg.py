@@ -117,6 +117,21 @@ class TestPseudoinverse:
     def test_requires_positive_tol(self):
         with pytest.raises(ValueError):
             pseudoinverse(np.eye(2), rank_tol=0.0)
+        with pytest.raises(ValueError):
+            sym_eig(np.eye(2)).pseudoinverse(rank_tol=0.0)
+
+    def test_from_a_decomposition_is_bit_equal(self):
+        # inverting the decomposition's eigenvalues above rank_tol * lambda_max
+        rng = np.random.default_rng(6)
+        for n, rank in ((1, 1), (3, 2), (5, 5), (6, 3)):
+            g = rng.standard_normal((n, rank))
+            dec = sym_eig(g @ g.T)
+            w, v = dec.eigenvalues, dec.eigenvectors
+            for rank_tol in (1e-10, 1e-8, 1e-1):
+                keep = w > rank_tol * max(w[-1], 0.0)
+                want = (v * np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)) @ v.T
+                assert np.array_equal(dec.pseudoinverse(rank_tol), want)
+                assert np.array_equal(pseudoinverse(g @ g.T, rank_tol), want)
 
 
 class TestRowProjector:

@@ -80,6 +80,26 @@ class TestConeQP:
         with pytest.raises(NonSymmetricError):
             ConeQP(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((0, 2)), np.zeros((0, 2)))
 
+    def test_with_signs_splits_and_signs_the_rows(self):
+        rows = np.random.default_rng(35).standard_normal((4, 6))
+        base = ConeQP(np.zeros((6, 6)), rows, np.zeros((0, 6)))
+        q_mat = np.diag(np.arange(6.0))
+        cone = base.with_signs(q_mat, np.array([0, -1, 0, 1]))
+        assert np.array_equal(cone.Q, q_mat)
+        assert np.array_equal(cone.A, rows[[0, 2]])
+        assert np.array_equal(cone.B, np.vstack([-rows[1], rows[3]]))
+        assert cone.shape == (6, 2, 2)
+        with pytest.raises(NonSymmetricError):
+            base.with_signs(np.triu(np.ones((6, 6))), np.zeros(4))
+        with pytest.raises(ValueError):
+            base.with_signs(np.eye(5), np.zeros(4))
+        with pytest.raises(ValueError):
+            base.with_signs(q_mat, np.array([0, 2, 0, 1]))
+        with pytest.raises(ValueError):
+            base.with_signs(q_mat, np.zeros(3))
+        with pytest.raises(ValueError):  # only equality rows are re-signed
+            cone.with_signs(q_mat, np.zeros(2))
+
 
 class TestAssemble:
     def _fixture(self, mode, seed=0, d_y=1):
@@ -466,6 +486,96 @@ class TestIcqpReduce:
             )
 
 
+def _orthogonal_fixture_cones():
+    """Every sign pattern's cone at an orthogonal fixture with K = 3 (both
+    rays of three boundary samples flat), in lexicographic sign order."""
+    from sospcheck.second_order import assemble_so_qp, assembly_base
+
+    point = construct_boundary_fosp(
+        5, 2, 1, seed=10, n_boundary=3, units=[0, 0, 1], mode="orthogonal"
+    )
+    loss = SquaredLoss()
+    bundle = per_sample_derivatives(point.params, point.data, loss)
+    boundary = boundary_analysis(point.params, point.data, loss, bundle=bundle)
+    pairs = [(k, int(i)) for k, idx in enumerate(boundary.boundary_indices) for i in idx]
+    base = assembly_base(point.params, bundle, boundary)
+    cones = []
+    for signs in product((-1, 1), repeat=len(pairs)):
+        pattern = SignPattern.from_dict(dict(zip(pairs, signs)))
+        cones.append(assemble_so_qp(point.params, point.data, loss, boundary, pattern, base=base))
+    return cones
+
+
+class TestIcqpFrame:
+    @staticmethod
+    def _assert_matches_fresh_reduction(qp, frame):
+        p, q, r = qp.shape
+        red = icqp_reduce(qp, frame=frame)
+        t_norm = np.linalg.norm(red.t)
+        assert np.linalg.norm(qp.A @ red.t) <= 1e-12 * np.linalg.norm(qp.A) * t_norm
+        target = np.hstack([np.eye(r), np.zeros((r, p - q - r))])
+        assert np.abs(qp.B @ red.t - target).max() <= 1e-12 * np.linalg.norm(qp.B) * t_norm
+        r11, r12, r22 = _reference_icqp_reduce(qp)
+        scale = max(np.abs(b).max(initial=0.0) for b in (r11, r12, r22))
+        psd_kind = classify_psd_block(r22, r12, scale=scale).kind
+        assert classify_psd_block(red.r22, red.r12, scale=scale).kind == psd_kind
+        if psd_kind == "PD1":
+            n2 = p - q - r
+            schur = red.r11 - red.r12 @ np.linalg.solve(red.r22, red.r12.T) if n2 else red.r11
+            ref = r11 - r12 @ np.linalg.solve(r22, r12.T) if n2 else r11
+            assert np.abs(schur - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+        return psd_kind
+
+    def test_every_pattern_of_an_orthogonal_fixture(self):
+        cones = _orthogonal_fixture_cones()
+        assert len(cones) == 8 and cones[0].shape[2] == 3
+        frame = second_order.icqp_frame(cones[0])
+        for qp in cones:
+            assert np.array_equal(qp.A, cones[0].A)
+            assert np.array_equal(np.abs(qp.B), np.abs(cones[0].B))
+            assert self._assert_matches_fresh_reduction(qp, frame) == "PD1"
+        # a frame built from any pattern serves the others
+        frame = second_order.icqp_frame(cones[5])
+        for qp in cones:
+            self._assert_matches_fresh_reduction(qp, frame)
+
+    def test_random_cones_with_random_signs(self):
+        rng = np.random.default_rng(33)
+        kinds = ("indefinite", "pd", "psd_null")
+        seen = set()
+        for trial in range(90):
+            p = int(rng.integers(3, 9))
+            q = int(rng.integers(0, p - 1))
+            r = int(rng.integers(1, p - q + 1))
+            first = random_cone_qp(rng, p, q, r, kind=kinds[trial % 3])
+            frame = second_order.icqp_frame(first)
+            for _ in range(3):
+                sigma = rng.choice((-1.0, 1.0), size=r)
+                form = random_cone_qp(rng, p, 0, 0, kind=kinds[trial % 3]).Q
+                qp = ConeQP(form, first.A, sigma[:, None] * first.B)
+                assert np.array_equal(frame.signs(qp), sigma)
+                seen.add(self._assert_matches_fresh_reduction(qp, frame))
+        assert {"PD1", "PD4"} <= seen
+
+    def test_mismatched_rows_raise(self):
+        from sospcheck.errors import InternalInconsistencyError
+
+        rng = np.random.default_rng(34)
+        first = random_cone_qp(rng, 6, 2, 3, kind="pd")
+        frame = second_order.icqp_frame(first)
+        a = first.A.copy()
+        a[1, 2] = np.nextafter(a[1, 2], np.inf)
+        b_scaled = first.B.copy()
+        b_scaled[1] *= 2.0
+        b_mixed = first.B.copy()
+        b_mixed[2, 0] = -b_mixed[2, 0]  # one entry flipped, not the whole row
+        b_swapped = first.B[[1, 0, 2]]
+        for a_mat, b_mat in ((a, first.B), (first.A, b_scaled), (first.A, b_mixed),
+                             (first.A, b_swapped), (first.A, first.B[:2])):
+            with pytest.raises(InternalInconsistencyError):
+                icqp_reduce(ConeQP(first.Q, a_mat, b_mat), frame=frame)
+
+
 class TestPsdBlock:
     def test_identity_pd1(self):
         assert classify_psd_block(np.eye(2), np.zeros((1, 2))).kind == "PD1"
@@ -657,6 +767,109 @@ class TestCopositivity:
                 assert w @ s @ w < 0
             else:
                 assert vals.min() >= -1e-8
+
+
+def _reference_copositivity(s_mat, r_max=20, zero_tol=second_order.DEFAULT_CP_TOL):
+    """Enumeration only, from the sign of the minimal Pareto eigenvalue: the
+    oracle for copositivity_classify. Returns (kind, witness, min_pareto)."""
+    pairs, _ = pareto_spectrum(s_mat, r_max=r_max)
+    values = np.array([p.value for p in pairs])
+    best = int(np.argmin(values))
+    lam_min = float(values[best])
+    tol = zero_tol * max(1.0, float(np.abs(np.atleast_2d(s_mat)).max(initial=0.0)))
+    if lam_min > tol:
+        return "CP1", None, lam_min
+    if lam_min < -tol:
+        return "CP3", pairs[best].vector, lam_min
+    return "CP2", pairs[best].vector, lam_min
+
+
+def _random_s(rng, r, kind):
+    """Random symmetric r x r matrix of one of four kinds."""
+    if kind == "pd":
+        g = rng.standard_normal((r + 2, r))
+        return g.T @ g + 0.1 * np.eye(r)
+    if kind == "copositive_not_psd":
+        # positive diagonal and nonnegative off-diagonals: copositive, and
+        # not PSD when an off-diagonal entry dominates its two diagonals
+        n = rng.random((r, r)) + 1.0
+        return n + n.T + np.diag(0.1 + rng.random(r) - 2.0 * np.diag(n))
+    if kind == "indefinite":
+        g = rng.standard_normal((r, r))
+        return g + g.T
+    if kind == "singular_psd":
+        g = rng.standard_normal((r, r - 1))
+        return g @ g.T
+    raise ValueError(kind)
+
+
+def _s_with_lam_min(rng, r, lam):
+    """Symmetric S whose smallest eigenvalue ``lam`` has a positive eigenvector
+    (so lam is also the minimal Pareto eigenvalue) and whose others lie in
+    [1, 3]."""
+    v = np.abs(rng.standard_normal(r)) + 0.5
+    v /= np.linalg.norm(v)
+    basis = np.linalg.qr(np.column_stack([v, rng.standard_normal((r, r - 1))]))[0]
+    basis[:, 0] = v
+    basis = np.linalg.qr(basis)[0]
+    basis[:, 0] *= np.sign(basis[0, 0])
+    vals = np.concatenate([[lam], 1.0 + 2.0 * rng.random(r - 1)])
+    s_mat = (basis * vals) @ basis.T
+    return 0.5 * (s_mat + s_mat.T)
+
+
+class TestCopositivityCertificate:
+    KINDS = ("pd", "copositive_not_psd", "indefinite", "singular_psd")
+
+    @staticmethod
+    def _assert_matches_enumeration(s_mat):
+        got = copositivity_classify(s_mat)
+        kind, witness, min_pareto = _reference_copositivity(s_mat)
+        assert got.kind == kind
+        if got.diagnostics["cp_by"] == "pareto":
+            assert got.min_pareto == min_pareto
+            assert (got.witness is None) == (witness is None)
+            if witness is not None:
+                assert np.array_equal(got.witness, witness)
+        else:
+            assert got.diagnostics["cp_by"] == "pd_certificate"
+            assert got.min_pareto is None and got.spectrum is None and got.witness is None
+        return got
+
+    def test_certificate_matches_enumeration(self):
+        rng = np.random.default_rng(31)
+        decided_by = {kind: set() for kind in self.KINDS}
+        for r in range(1, 9):
+            for kind in self.KINDS:
+                if r == 1 and kind in ("copositive_not_psd", "singular_psd"):
+                    continue  # a 1 x 1 copositive matrix is PSD; G G^T is 0
+                for _ in range(3):
+                    got = self._assert_matches_enumeration(_random_s(rng, r, kind))
+                    decided_by[kind].add(got.diagnostics["cp_by"])
+                    if kind == "copositive_not_psd":
+                        assert got.kind == "CP1" and got.diagnostics["lam_min_s"] < 0
+        assert decided_by["pd"] == {"pd_certificate"}
+        assert decided_by["copositive_not_psd"] == decided_by["singular_psd"] == {"pareto"}
+        assert "pareto" in decided_by["indefinite"]
+
+    def test_threshold_edges(self):
+        rng = np.random.default_rng(32)
+        for r in range(1, 9):
+            s0 = _s_with_lam_min(rng, r, 0.0)
+            tol = second_order.DEFAULT_CP_TOL * max(1.0, np.abs(s0).max())
+            for factor, want_kind, want_by in ((1 + 1e-3, "CP1", "pd_certificate"),
+                                               (1 - 1e-3, "CP2", "pareto")):
+                s_mat = s0 + factor * tol * np.eye(r)
+                got = self._assert_matches_enumeration(s_mat)
+                assert (got.kind, got.diagnostics["cp_by"]) == (want_kind, want_by)
+                assert got.diagnostics["tol"] == pytest.approx(tol, rel=1e-12)
+                assert got.diagnostics["lam_min_s"] == pytest.approx(factor * tol, rel=1e-6)
+
+    def test_budget_and_symmetry_are_checked_before_the_certificate(self):
+        with pytest.raises(SubsetBudgetExceededError):
+            copositivity_classify(np.eye(3), r_max=2)
+        with pytest.raises(NonSymmetricError):
+            copositivity_classify(np.array([[1.0, 1e-6], [0.0, 1.0]]))
 
 
 class TestSolveIcqp:
