@@ -18,7 +18,7 @@ flat witness is attached.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 
 import numpy as np
@@ -56,7 +56,11 @@ from .second_order import (
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Tolerances, budgets and the RNG seed threaded through a check."""
+    """Tolerances and budgets threaded through a check.
+
+    Nothing in a check is random, so these fields are all a rerun needs;
+    every verdict records them under ``diagnostics["config"]``.
+    """
 
     boundary_tol: float = 0.0
     tol_zero: float = 1e-8
@@ -64,7 +68,6 @@ class CheckConfig:
     zero_eig_tol: float = 1e-8
     k_max: int = 16
     r_max: int = 20
-    seed: int = 0
     gamma0: float = 1e-2
     gamma_halvings: int = 40
 
@@ -200,6 +203,7 @@ def sosp_check(
         "trace": trace,
         "n_ecqp": 0,
         "n_icqp": 0,
+        "config": asdict(cfg),
     }
 
     def finish_descent(stage: str, eta: Perturbation) -> Verdict:
@@ -322,7 +326,6 @@ def sosp_check(
                 frame = icqp_frame(qp, rank_tol=cfg.rank_tol)
             ic = solve_icqp(
                 qp,
-                seed=(cfg.seed, 2, idx),
                 r_max=cfg.r_max,
                 zero_tol=cfg.zero_eig_tol,
                 rank_tol=cfg.rank_tol,

@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 internal inconsistency
 (for example a descent direction that fails its own line-search validation).
-The environment variable SOSP_SEED, when set, overrides every seed argument.
+The environment variable SOSP_SEED, when set, overrides the seed argument of
+train, stats and synth; check draws no random numbers and takes no seed.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _cmd_check(args) -> int:
     except (OSError, KeyError, ValueError, SospcheckError) as exc:
         print(f"error: could not load inputs: {exc}", file=sys.stderr)
         return 2
-    config = CheckConfig(boundary_tol=args.boundary_tol, seed=_seed(args))
+    config = CheckConfig(boundary_tol=args.boundary_tol)
     verdict = sosp_check(params, data, SquaredLoss(), config)
     report = {"schema_version": harness.SCHEMA_VERSION, **verdict.as_dict()}
     if args.out:
@@ -165,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--data", required=True)
     p_check.add_argument("--out", default=None)
     p_check.add_argument("--boundary-tol", type=float, default=0.0)
-    p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=_cmd_check)
 
     p_train = sub.add_parser("train", help="full-batch Adam training")

@@ -4,6 +4,9 @@ Every routine here is a thin, checked wrapper around LAPACK-backed numpy /
 scipy calls. Outputs are deterministic (eigenvalues ascending, eigenvector
 signs canonicalized) so they can be used in golden tests, and the routines
 double as independent oracles for the QP solvers elsewhere in the package.
+Each job has one routine: a pseudo-inverse comes from the
+:class:`EigenDecomposition` that a caller already holds, and a projection
+onto null(A) is ``W W^T`` with ``W = nullspace_basis(A)``.
 
 All rank / zero decisions funnel through a single relative threshold,
 ``DEFAULT_RANK_TOL``, so the numerical meaning of "rank" is auditable in one
@@ -16,12 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, NonSymmetricError, RankDeficientError
+from .errors import NonFiniteError, NonSymmetricError
 
 DEFAULT_RANK_TOL = 1e-10
-
-# Relative condition-number threshold beyond which AA^T counts as singular.
-CONDITION_LIMIT = 1e12
 
 
 def require_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
@@ -128,37 +128,6 @@ def nullspace_basis(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.nda
     else:
         rank = int(np.sum(s > rank_tol * s[0]))
     return canonicalize_columns(vt[rank:].T)
-
-
-def pseudoinverse(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a symmetric PSD matrix.
-
-    Eigenvalues below ``rank_tol * lambda_max`` are treated as exact zeros.
-    """
-    return sym_eig(m).pseudoinverse(rank_tol)
-
-
-def row_projector(a: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the null space of ``a``: I - A^T (AA^T)^{-1} A.
-
-    ``a`` must have full row rank; a relative condition number of AA^T above
-    CONDITION_LIMIT raises RankDeficientError. An empty ``a`` (zero rows)
-    yields the identity.
-    """
-    a = require_finite(a, "constraint matrix")
-    if a.ndim != 2:
-        raise RankDeficientError(f"expected a matrix, got shape {a.shape}")
-    q, p = a.shape
-    if q == 0:
-        return np.eye(p)
-    gram = a @ a.T
-    w = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-    if w[-1] <= 0.0 or w[0] <= w[-1] / CONDITION_LIMIT:
-        raise RankDeficientError(
-            f"AA^T is singular or ill-conditioned (eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
-        )
-    proj = np.eye(p) - a.T @ np.linalg.solve(gram, a)
-    return 0.5 * (proj + proj.T)
 
 
 def matrix_rank(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:

@@ -22,8 +22,10 @@ change of variables (a basis W of null(A), then the singular value
 decomposition of B W) reduces the problem to
 ``min nu^T Rbar nu  s.t. nu_1 >= 0``, which is decided by a
 positive-semidefiniteness test on one block and a copositivity test on an
-r x r Schur complement S. A positive definite S is strictly copositive
-outright; any other is decided by its Pareto spectrum, at cost O(r^3 2^r).
+r x r Schur complement S (a null vector z of the block that R12 sees is a
+descent ray with e_j, j = argmax |R12 z|). A positive definite S is strictly
+copositive outright; any other is decided by its Pareto spectrum, at cost
+O(r^3 2^r). Only the PGD cross-check draws random numbers.
 
 The cone QPs of all sign patterns at one point share an
 :class:`AssemblyBase`: a pattern changes only the slopes of the boundary
@@ -54,7 +56,6 @@ from .linalg import (
     matrix_rank,
     nullspace_basis,
     require_finite,
-    row_projector,
     sym_eig,
 )
 from .network import (
@@ -71,7 +72,10 @@ from .network import (
 )
 
 DEFAULT_ZERO_EIG_TOL = 1e-8
+# Pareto spectrum: positivity of unit eigenvectors, then complementarity and
+# the zero test of copositivity relative to max(1, max |S|)
 DEFAULT_POS_TOL = 1e-9
+DEFAULT_COMP_TOL = 1e-10
 DEFAULT_CP_TOL = 1e-9
 WITNESS_FEAS_TOL = 1e-8
 WITNESS_CURV_TOL = 1e-10
@@ -81,6 +85,11 @@ ASSEMBLY_BLOCK = 1024
 # principal subsets per batched eigendecomposition in the Pareto spectrum;
 # bounds its working memory at O(SPECTRUM_CHUNK * r^2)
 SPECTRUM_CHUNK = 1024
+# PGD budget, and its divergence, convergence and fixed-point factors
+PGD_MAX_ITERS = 10_000
+PGD_DIV_FACTOR = 1e8
+PGD_CONV_FACTOR = 1e-12
+PGD_FIXED_POINT_TOL = 1e-12
 
 
 def _symmetric_form(q_mat: np.ndarray) -> np.ndarray:
@@ -358,29 +367,23 @@ def assemble_so_qp(
 # ---------------------------------------------------------------------------
 
 
-def solve_ecqp_pgd(
-    q_mat: np.ndarray,
-    a_mat: np.ndarray,
-    seed: int = 0,
-    max_iters: int = 10_000,
-    div_threshold: float = 1e8,
-    conv_threshold: float = 1e-12,
-    fixed_point_tol: float = 1e-12,
-) -> QPClassification:
+def solve_ecqp_pgd(q_mat: np.ndarray, a_mat: np.ndarray, seed: int = 0) -> QPClassification:
     """Classify Q on the subspace {A eta = 0} by projected gradient descent.
 
     Iterates eta <- P (I - alpha Q) eta from a random start projected onto
-    null(A), with alpha = 0.9 / lambda_max(Q) when the top eigenvalue is
-    positive (else 1). Convergence to zero means T1, to a nonzero fixed
-    point T2; norm growth implies a negative eigenvalue and the iterate is
-    then renormalized and run until its Rayleigh quotient is decisively
-    negative (T3). If the trajectory does not resolve within the budget the
-    eigen oracle decides and the fallback is recorded in the diagnostics.
+    null(A), with P = W W^T for an orthonormal basis W of null(A) and
+    alpha = 0.9 / lambda_max(Q) when the top eigenvalue is positive (else 1).
+    Convergence to zero means T1, to a nonzero fixed point T2; norm growth
+    implies a negative eigenvalue and the iterate is then renormalized and
+    run until its Rayleigh quotient is decisively negative (T3). If the
+    trajectory does not resolve within ``PGD_MAX_ITERS`` the eigen oracle
+    decides and the fallback is recorded in the diagnostics.
     """
     q_mat = require_finite(q_mat, "Q")
     p = q_mat.shape[0]
     a_mat = require_finite(a_mat, "A").reshape(-1, p)
-    proj = row_projector(a_mat) if a_mat.shape[0] else np.eye(p)
+    basis = nullspace_basis(a_mat)
+    proj = basis @ basis.T
     qnorm = _spectral_norm(q_mat)
     lam_max = float(np.linalg.eigvalsh(q_mat)[-1]) if p else 0.0
     alpha = 0.9 / lam_max if lam_max > 0 else 1.0
@@ -389,8 +392,8 @@ def solve_ecqp_pgd(
     eta = proj @ rng.standard_normal(p)
     n0 = float(np.linalg.norm(eta))
     diag = {"alpha": alpha, "lam_max": lam_max, "fallback": False, "mode": "pgd"}
-    if n0 == 0.0 or matrix_rank(a_mat) >= p:
-        # feasible set is {0}: strictly positive holds vacuously
+    if n0 == 0.0:
+        # W has no columns: the feasible set is {0}, strictly positive vacuously
         diag["mode"] = "trivial"
         return QPClassification("T1", None, diag)
 
@@ -398,19 +401,19 @@ def solve_ecqp_pgd(
     norms = [n0]
     diverged = False
     prev = eta
-    for it in range(1, max_iters + 1):
+    for it in range(1, PGD_MAX_ITERS + 1):
         eta = step_mat @ prev
         n = float(np.linalg.norm(eta))
         norms.append(n)
         if not diverged:
-            if n <= conv_threshold * n0:
+            if n <= PGD_CONV_FACTOR * n0:
                 diag.update(iterations=it, norms=norms)
                 return QPClassification("T1", None, diag)
-            if n >= div_threshold * n0:
+            if n >= PGD_DIV_FACTOR * n0:
                 diverged = True
                 eta = eta / n * n0  # keep iterating on the direction only
             elif (
-                float(np.linalg.norm(eta - prev)) <= fixed_point_tol * n
+                float(np.linalg.norm(eta - prev)) <= PGD_FIXED_POINT_TOL * n
                 and n >= 1e-6 * n0
             ):
                 diag.update(iterations=it, norms=norms)
@@ -427,7 +430,7 @@ def solve_ecqp_pgd(
         prev = eta
 
     oracle = projected_spectrum_oracle(q_mat, a_mat)
-    diag.update(iterations=max_iters, norms=norms, fallback=True, mode="oracle-fallback")
+    diag.update(iterations=PGD_MAX_ITERS, norms=norms, fallback=True, mode="oracle-fallback")
     return QPClassification(oracle.verdict, oracle.witness, diag)
 
 
@@ -707,14 +710,13 @@ def _keep_pareto(
     s_mat: np.ndarray,
     parts: list,
     subsets: list,
-    pos_tol: float,
     comp_tol: float,
     pairs: list,
 ) -> None:
     """Append the candidates of ``parts`` that are Pareto eigenpairs to ``pairs``.
 
     A candidate is kept when, signed so that its largest entry is positive,
-    it is above ``pos_tol`` on its subset J (its entries off J are zero) and
+    it is above ``DEFAULT_POS_TOL`` on its subset J (zero off J) and
     ``S x >= -comp_tol`` on the rows outside J. Pairs are appended by
     subset, eigenvectors before sums and differences.
     """
@@ -723,7 +725,7 @@ def _keep_pareto(
     sub = np.concatenate([part[2] for part in parts])
     top = vec[np.arange(len(vec)), np.abs(vec).argmax(axis=1)]
     vec *= np.where(top < 0.0, -1.0, 1.0)[:, None]
-    positive = vec > pos_tol
+    positive = vec > DEFAULT_POS_TOL
     sizes = np.array([len(subset) for subset in subsets])
     keep = np.flatnonzero(positive.sum(axis=1) == sizes[sub])
     comp = vec[keep] @ s_mat.T
@@ -734,17 +736,12 @@ def _keep_pareto(
         pairs.append(ParetoEigenpair(value, v, subsets[s]))
 
 
-def pareto_spectrum(
-    s_mat: np.ndarray,
-    r_max: int = 20,
-    pos_tol: float = DEFAULT_POS_TOL,
-    comp_tol_factor: float = 1e-10,
-) -> tuple[list[ParetoEigenpair], dict]:
+def pareto_spectrum(s_mat: np.ndarray, r_max: int = 20) -> tuple[list[ParetoEigenpair], dict]:
     """Enumerate the Pareto spectrum of a symmetric matrix.
 
     Every nonempty principal submatrix S^J is eigendecomposed; eigenpairs
     whose eigenvector can be signed strictly positive (componentwise above
-    ``pos_tol`` >= 0 after unit normalization) and whose excluded rows
+    ``DEFAULT_POS_TOL`` after unit normalization) and whose excluded rows
     satisfy the complementarity inequalities are kept. For numerically
     repeated eigenvalues the candidate set additionally includes normalized
     sums and differences of same-eigenvalue eigenvector pairs, and a
@@ -763,12 +760,10 @@ def pareto_spectrum(
     r = s_mat.shape[0]
     if r > r_max:
         raise SubsetBudgetExceededError(f"r={r} exceeds the subset budget r_max={r_max}")
-    if pos_tol < 0:
-        raise ValueError("pos_tol must be nonnegative")
     _require_symmetric_pairs(s_mat)
     sym = 0.5 * (s_mat + s_mat.T)
     scale = max(1.0, float(np.abs(s_mat).max(initial=0.0)))
-    comp_tol = comp_tol_factor * scale
+    comp_tol = DEFAULT_COMP_TOL * scale
     degen_tol = 1e-9 * scale
     pairs: list[ParetoEigenpair] = []
     degenerate = False
@@ -781,7 +776,7 @@ def pareto_spectrum(
             parts.append(part)
             subsets.extend(chunk)
             if len(subsets) >= SPECTRUM_CHUNK or size == r:
-                _keep_pareto(s_mat, parts, subsets, pos_tol, comp_tol, pairs)
+                _keep_pareto(s_mat, parts, subsets, comp_tol, pairs)
                 parts, subsets = [], []
     return pairs, {"degenerate_multiplicity": degenerate, "subsets": 2**r - 1}
 
@@ -795,16 +790,12 @@ class CopositivityResult:
     diagnostics: dict
 
 
-def copositivity_classify(
-    s_mat: np.ndarray,
-    r_max: int = 20,
-    zero_tol: float = DEFAULT_CP_TOL,
-) -> CopositivityResult:
+def copositivity_classify(s_mat: np.ndarray, r_max: int = 20) -> CopositivityResult:
     """Decide (strict) copositivity from the sign of the minimal Pareto eigenvalue.
 
     Every Pareto eigenvalue is an eigenvalue of a principal submatrix, so by
     interlacing it is at least lambda_min(S). When lambda_min(S) exceeds the
-    zero threshold ``tol = zero_tol * max(1, max|S|)`` the minimal Pareto
+    zero threshold ``tol = DEFAULT_CP_TOL * max(1, max|S|)`` the minimal Pareto
     eigenvalue does too, and S is CP1 without enumerating the spectrum;
     otherwise the Pareto spectrum decides. ``diagnostics`` records which
     path decided (``cp_by``: "pd_certificate" or "pareto"), lambda_min(S)
@@ -816,7 +807,7 @@ def copositivity_classify(
     if r > r_max:
         raise SubsetBudgetExceededError(f"r={r} exceeds the subset budget r_max={r_max}")
     _require_symmetric_pairs(s_mat)
-    tol = zero_tol * max(1.0, float(np.abs(s_mat).max(initial=0.0)))
+    tol = DEFAULT_CP_TOL * max(1.0, float(np.abs(s_mat).max(initial=0.0)))
     lam_min_s = float(np.linalg.eigvalsh(0.5 * (s_mat + s_mat.T))[0]) if r else float("nan")
     diag = {"lam_min_s": lam_min_s, "tol": tol}
     if lam_min_s > tol:
@@ -870,7 +861,6 @@ def _polish_unbounded_ray(
 
 def solve_icqp(
     qp: ConeQP,
-    seed: int = 0,
     r_max: int = 20,
     zero_tol: float = DEFAULT_ZERO_EIG_TOL,
     rank_tol: float = DEFAULT_RANK_TOL,
@@ -878,10 +868,12 @@ def solve_icqp(
 ) -> QPClassification:
     """Classify an inequality-constrained cone QP.
 
-    Reduces to ``min nu^T Rbar nu, nu_1 >= 0``; a negative or ill-matched
-    zero eigenvalue of the unconstrained block settles T3 immediately;
-    otherwise copositivity of the r x r Schur complement decides between
-    T1 (strict), T3 (negative Pareto eigenvalue) and T2 (everything else).
+    Reduces to ``min nu^T Rbar nu, nu_1 >= 0``. A negative eigenvalue of the
+    unconstrained block R22 (PD4) settles T3. So does a null vector z of R22
+    that R12 sees (PD3), along (e_j, t z) with j = argmax |R12 z|: PD3 means
+    ||R12 z|| > tol, so that entry is nonzero. Otherwise copositivity of the
+    r x r Schur complement decides between T1 (strict, with R22 positive
+    definite), T3 (negative Pareto eigenvalue) and T2 (everything else).
     Witnesses are mapped back to original coordinates and re-verified.
     ``frame`` is passed on to :func:`icqp_reduce`, so the cones of one point
     share one elimination of their constraints.
@@ -905,64 +897,31 @@ def solve_icqp(
         return QPClassification("T3", eta, diag)
 
     if psd.kind == "PD3":
-        nu2 = psd.witness_nu2
-        image = red.r12 @ nu2
-        order = np.argsort(-np.abs(image))
-        nu1 = None
-        cross = 0.0
-        for j in order:
-            if abs(image[j]) > zero_tol * max(scale, 1e-300):
-                nu1 = np.zeros(r)
-                nu1[j] = 1.0
-                cross = float(image[j])
-                break
-        if nu1 is None:
-            rng = np.random.default_rng(seed)
-            for _ in range(32):
-                cand = rng.random(r)
-                val = float(cand @ image)
-                if abs(val) > zero_tol * max(scale, 1e-300):
-                    nu1, cross = cand, val
-                    break
-        if nu1 is not None:
-            eta = _polish_unbounded_ray(red, qp, nu1, nu2, cross)
-            verify_witness(qp, eta, "T3")
-            diag["pd3_cross"] = cross
-            return QPClassification("T3", eta, diag)
-        diag["pd3_fallback"] = "no nonnegative nu1 coupled to the null direction"
-        # fall through to the Schur-complement path, recorded above
+        image = red.r12 @ psd.witness_nu2
+        j = int(np.argmax(np.abs(image)))
+        nu1 = np.zeros(r)
+        nu1[j] = 1.0
+        cross = float(image[j])
+        eta = _polish_unbounded_ray(red, qp, nu1, psd.witness_nu2, cross)
+        verify_witness(qp, eta, "T3")
+        diag["pd3_cross"] = cross
+        return QPClassification("T3", eta, diag)
 
-    n2 = red.r22.shape[0] if red.r22.size else 0
-    if n2:
-        r22_pinv = psd.decomposition.pseudoinverse(rank_tol=max(rank_tol, zero_tol))
-        schur = red.r11 - red.r12 @ r22_pinv @ red.r12.T
-    else:
-        r22_pinv = np.zeros((0, 0))
-        schur = red.r11.copy()
+    # R22 is PD1 or PD2 here; an empty R22 gives an empty pseudo-inverse
+    r22_pinv = psd.decomposition.pseudoinverse(rank_tol=max(rank_tol, zero_tol))
+    schur = red.r11 - red.r12 @ r22_pinv @ red.r12.T
     schur = 0.5 * (schur + schur.T)
     cp = copositivity_classify(schur, r_max=r_max)
     diag.update(cp=cp.kind, min_pareto=cp.min_pareto, copositivity=cp.diagnostics)
 
-    if cp.kind == "CP3":
-        nu1 = cp.witness
-        nu2 = -(r22_pinv @ (red.r12.T @ nu1)) if n2 else np.zeros(0)
-        eta = red.eta_from_nu(nu1, nu2)
-        eta = eta / np.linalg.norm(eta)
-        verify_witness(qp, eta, "T3")
-        return QPClassification("T3", eta, diag)
-
     if psd.kind == "PD1" and cp.kind == "CP1":
         return QPClassification("T1", None, diag)
-
-    # Remaining combinations are T2; produce a concrete flat direction.
-    if psd.kind == "PD2":
-        eta = red.eta_from_nu(np.zeros(r), psd.witness_nu2)
-    elif cp.witness is not None:  # PD1 with CP2, or the recorded PD3 fallback with CP2
+    if cp.kind == "CP3" or psd.kind == "PD1":  # lift the Schur witness nu1
         nu1 = cp.witness
-        nu2 = -(r22_pinv @ (red.r12.T @ nu1)) if n2 else np.zeros(0)
-        eta = red.eta_from_nu(nu1, nu2)
-    else:  # recorded PD3 fallback with CP1: the null direction itself is flat
+        eta = red.eta_from_nu(nu1, -(r22_pinv @ (red.r12.T @ nu1)))
+    else:  # PD2 with CP1 or CP2: the null vector of R22 is flat
         eta = red.eta_from_nu(np.zeros(r), psd.witness_nu2)
+    verdict = "T3" if cp.kind == "CP3" else "T2"
     eta = eta / np.linalg.norm(eta)
-    verify_witness(qp, eta, "T2")
-    return QPClassification("T2", eta, diag)
+    verify_witness(qp, eta, verdict)
+    return QPClassification(verdict, eta, diag)

@@ -113,6 +113,11 @@ def _check_icqp() -> str | None:
     res = solve_icqp(qp)
     if res.verdict != "T3":
         return f"indefinite cone form classified {res.verdict}, expected T3"
+    # R22 = diag(1, 0) and R12 sees its null vector: unbounded below (PD3)
+    q_mat = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    res = solve_icqp(ConeQP(q_mat, np.zeros((0, 3)), np.eye(3)[:1]))
+    if (res.verdict, res.diagnostics["psd"]) != ("T3", "PD3"):
+        return f"null-coupled cone form classified {res.verdict}/{res.diagnostics['psd']}"
     # x^2 + 4xy + y^2 is not PSD but is strictly positive for x, y >= 0, and
     # the equality row leaves z = -w with positive curvature: T1 by copositivity
     q_mat = np.eye(4)

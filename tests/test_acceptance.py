@@ -22,7 +22,6 @@ from sospcheck.harness import (
     init_params,
     run_boundary_trend,
 )
-from sospcheck.linalg import row_projector
 from sospcheck.network import (
     NetworkParams,
     Perturbation,
@@ -151,7 +150,7 @@ def _random_ecqp(rng, p, q, kind):
         g = rng.standard_normal((p + 2, p))
         q_mat = g.T @ g + np.eye(p)
     else:  # t2: PSD with a null direction inside null(A)
-        proj = row_projector(a) if q else np.eye(p)
+        proj = np.eye(p) - np.linalg.pinv(a) @ a if q else np.eye(p)
         u = proj @ rng.standard_normal(p)
         u /= np.linalg.norm(u)
         g = rng.standard_normal((p + 2, p)) @ (np.eye(p) - np.outer(u, u))
@@ -229,7 +228,7 @@ def test_criterion_4_copositivity_suite():
 
 def _sample_feasible_cone(rng, qp, n_samples=100_000):
     p, q, r = qp.shape
-    proj = row_projector(qp.A) if q else np.eye(p)
+    proj = np.eye(p) - np.linalg.pinv(qp.A) @ qp.A if q else np.eye(p)
     accepted = []
     need = n_samples
     for _ in range(60):
@@ -264,7 +263,7 @@ def test_criterion_5_icqp_suite():
                 break
         q_mat, _ = _random_ecqp(rng, p, q, kinds[trial % 3])
         qp = ConeQP(q_mat, a, b)
-        res = solve_icqp(qp, seed=trial)
+        res = solve_icqp(qp)
         samples = _sample_feasible_cone(rng, qp, 100_000)
         min_val = float(np.einsum("ij,jk,ik->i", samples, qp.Q, samples).min())
         if min_val < -1e-8:

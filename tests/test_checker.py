@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -299,13 +301,30 @@ class TestPipelineInvariants:
             )
             assert sosp_check(rescaled, data).kind == base.kind
 
-    def test_determinism_with_seeded_config(self):
-        point = construct_boundary_fosp(3, 2, 1, seed=6, mode="interior")
-        cfg = CheckConfig(seed=42)
-        v1 = sosp_check(point.params, point.data, config=cfg)
-        v2 = sosp_check(point.params, point.data, config=cfg)
-        assert v1.kind == v2.kind
-        assert v1.diagnostics["s_star"] == v2.diagnostics["s_star"]
+    def test_checker_draws_no_random_numbers(self, monkeypatch):
+        # an orthogonal fixture whose eight sign patterns reach the ICQP
+        # stage, and a fixture with a descent direction
+        points = [
+            construct_boundary_fosp(
+                5, 2, 1, seed=10, n_boundary=3, units=[0, 0, 1], mode="orthogonal"
+            ),
+            construct_indefinite_fosp(3, 2, 2, seed=1),
+        ]
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("the checker drew a random number")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        reports = []
+        for point in points:
+            runs = [sosp_check(point.params, point.data).as_dict() for _ in range(2)]
+            for report in runs:
+                del report["diagnostics"]["elapsed"]
+            assert runs[0] == runs[1]
+            assert runs[0]["diagnostics"]["config"] == asdict(CheckConfig())
+            reports.append(runs[0])
+        assert reports[0]["diagnostics"]["n_icqp"] == 8
+        assert reports[1]["kind"] == "descent"
 
     def test_sosp_includes_validated_flat_witness(self):
         data = Dataset(np.array([[1.0], [2.0]]), np.array([[1.0], [2.0]]))
@@ -414,7 +433,7 @@ class TestIcqpStage:
                 {tuple(int(n) for n in key.split(",")): s for key, s in entry["pattern"].items()}
             )
             qp = assemble_so_qp(point.params, point.data, loss, boundary, pattern)
-            res = solve_icqp(qp, seed=(0, 2, idx))
+            res = solve_icqp(qp)
             want.append((res.verdict, res.diagnostics.get("psd"), res.diagnostics.get("cp")))
         assert [(e["verdict"], e["psd"], e["cp"]) for e in entries] == want
         assert {e["cp"] for e in entries} == {"CP1", "CP2"}

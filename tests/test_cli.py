@@ -3,8 +3,9 @@ import os
 
 import pytest
 
+from sospcheck.checker import CheckConfig, sosp_check
 from sospcheck.cli import main
-from sospcheck.harness import load_json
+from sospcheck.harness import dataset_from_dict, load_json, params_from_dict
 
 
 def run_cli(argv, monkeypatch=None, env_seed=None):
@@ -49,6 +50,22 @@ class TestCheck:
         assert report["schema_version"] == "1"
         assert report["diagnostics"]["M"] == 1
         json.dumps(report)  # fully serializable
+
+    def test_report_config_reproduces_the_verdict(self, fixture_files, tmp_path):
+        params, data = fixture_files
+        out = tmp_path / "report.json"
+        argv = ["check", "--params", str(params), "--data", str(data), "--out", str(out)]
+        assert run_cli(argv + ["--boundary-tol", "1e-6"]) == 0
+        report = load_json(out)
+        config = report["diagnostics"]["config"]
+        assert config["boundary_tol"] == 1e-6
+        verdict = sosp_check(
+            params_from_dict(load_json(params)),
+            dataset_from_dict(load_json(data)),
+            config=CheckConfig(**config),
+        )
+        assert (verdict.kind, verdict.stage) == (report["kind"], report["stage"])
+        assert run_cli(argv + ["--seed", "0"]) == 1  # check takes no seed
 
     def test_check_perturbed_labels_descent(self, fixture_files, tmp_path):
         params, data = fixture_files

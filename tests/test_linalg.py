@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from sospcheck.errors import NonFiniteError, NonSymmetricError, RankDeficientError
+from sospcheck.errors import NonFiniteError, NonSymmetricError
 from sospcheck.linalg import (
     matrix_rank,
     nullspace_basis,
     orthonormal_basis,
-    pseudoinverse,
-    row_projector,
     sym_eig,
 )
 
@@ -102,21 +100,20 @@ class TestNullspaceBasis:
 
 class TestPseudoinverse:
     def test_identity(self):
-        assert np.allclose(pseudoinverse(np.eye(3)), np.eye(3))
+        assert np.allclose(sym_eig(np.eye(3)).pseudoinverse(), np.eye(3))
 
     def test_diagonal(self):
-        assert np.allclose(pseudoinverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
+        dec = sym_eig(np.diag([2.0, 0.0]))
+        assert np.allclose(dec.pseudoinverse(), np.diag([0.5, 0.0]))
 
     def test_moore_penrose_identity(self):
         rng = np.random.default_rng(5)
         g = rng.standard_normal((4, 2))
         m = g @ g.T  # PSD, rank 2
-        mp = pseudoinverse(m)
+        mp = sym_eig(m).pseudoinverse()
         assert np.linalg.norm(m @ mp @ m - m) <= 1e-9 * np.linalg.norm(m)
 
     def test_requires_positive_tol(self):
-        with pytest.raises(ValueError):
-            pseudoinverse(np.eye(2), rank_tol=0.0)
         with pytest.raises(ValueError):
             sym_eig(np.eye(2)).pseudoinverse(rank_tol=0.0)
 
@@ -131,37 +128,6 @@ class TestPseudoinverse:
                 keep = w > rank_tol * max(w[-1], 0.0)
                 want = (v * np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)) @ v.T
                 assert np.array_equal(dec.pseudoinverse(rank_tol), want)
-                assert np.array_equal(pseudoinverse(g @ g.T, rank_tol), want)
-
-
-class TestRowProjector:
-    def test_single_row(self):
-        p = row_projector(np.array([[1.0, 0.0]]))
-        assert np.allclose(p, np.diag([0.0, 1.0]))
-
-    def test_identity_rows_give_zero(self):
-        p = row_projector(np.eye(2))
-        assert np.abs(p).max() <= 1e-12
-
-    def test_idempotency(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((3, 7))
-        p = row_projector(a)
-        assert np.linalg.norm(p @ p - p) <= 1e-10
-        assert np.linalg.norm(p @ a.T) <= 1e-10
-
-    def test_rank_deficient_raises(self):
-        a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
-        with pytest.raises(RankDeficientError):
-            row_projector(a)
-
-    def test_fixes_null_vectors(self):
-        rng = np.random.default_rng(13)
-        a = rng.standard_normal((2, 6))
-        p = row_projector(a)
-        n = nullspace_basis(a)
-        v = n @ rng.standard_normal(n.shape[1])
-        assert np.linalg.norm(p @ v - v) <= 1e-10 * max(1.0, np.linalg.norm(v))
 
 
 def test_matrix_rank_threshold():

@@ -14,7 +14,7 @@ from sospcheck.errors import (
     SubsetBudgetExceededError,
 )
 from sospcheck.harness import construct_boundary_fosp
-from sospcheck.linalg import nullspace_basis, require_finite, row_projector, sym_eig
+from sospcheck.linalg import nullspace_basis, require_finite, sym_eig
 from sospcheck.network import (
     Perturbation,
     SignPattern,
@@ -55,7 +55,7 @@ def random_cone_qp(rng, p, q, r, kind="indefinite"):
         q_mat = g.T @ g + 1.0 * np.eye(p)
     elif kind == "psd_null":
         # PSD with null space along a feasible direction
-        proj = row_projector(a) if q else np.eye(p)
+        proj = np.eye(p) - np.linalg.pinv(a) @ a if q else np.eye(p)
         u = proj @ rng.standard_normal(p)
         for _ in range(100):
             if r == 0 or (b @ u >= 0).all():
@@ -906,6 +906,27 @@ class TestSolveIcqp:
         assert (qp.B @ w).min() >= -1e-10
         assert w @ q_mat @ w < 0
 
+    def test_pd3_with_every_coupling_entry_below_tol(self):
+        # R22 = diag(1, 0); no entry of R12 z exceeds tol while
+        # ||R12 z|| = 1.04 tol does: PD3, decided along the largest entry
+        r = 4
+        tol = second_order.DEFAULT_ZERO_EIG_TOL  # the scale of the blocks is 1
+        q_mat = np.zeros((r + 2, r + 2))
+        q_mat[r, r] = 1.0
+        q_mat[:r, r + 1] = q_mat[r + 1, :r] = np.array([0.4, 0.6, 0.5, 0.55]) * tol
+        qp = ConeQP(q_mat, np.zeros((0, r + 2)), np.eye(r + 2)[:r])
+        res = solve_icqp(qp)
+        assert (res.verdict, res.diagnostics["psd"]) == ("T3", "PD3")
+        red = icqp_reduce(qp)
+        psd = classify_psd_block(red.r22, red.r12, scale=1.0)
+        image = red.r12 @ psd.witness_nu2
+        assert np.abs(image).max() <= tol < np.linalg.norm(image)
+        assert res.diagnostics["pd3_cross"] == image[np.argmax(np.abs(image))]
+        assert abs(res.diagnostics["pd3_cross"]) == pytest.approx(0.6 * tol, rel=1e-9)
+        assert np.argmax(np.abs(res.witness[:r])) == 1  # nu1 = e_1
+        second_order.verify_witness(qp, res.witness, "T3")
+        assert (qp.B @ res.witness).min() >= 0.0
+
     def test_random_witnesses_reverify(self):
         rng = np.random.default_rng(11)
         kinds = ("indefinite", "pd", "psd_null")
@@ -915,7 +936,7 @@ class TestSolveIcqp:
             q = int(rng.integers(0, min(3, p - 2) + 1))
             r = int(rng.integers(1, min(3, p - q - 1) + 1))
             qp = random_cone_qp(rng, p, q, r, kind=kinds[trial % 3])
-            res = solve_icqp(qp, seed=trial)
+            res = solve_icqp(qp)
             seen.add(res.verdict)
             if res.verdict == "T3":
                 w = res.witness
