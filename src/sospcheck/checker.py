@@ -323,7 +323,7 @@ def sosp_check(
         for idx, pat in enumerate(patterns):
             qp = assemble_so_qp(params, data, loss, boundary, pat, base=base)
             if frame is None:
-                frame = icqp_frame(qp, rank_tol=cfg.rank_tol)
+                frame = icqp_frame(qp, rank_tol=cfg.rank_tol, face=ec)
             ic = solve_icqp(
                 qp,
                 r_max=cfg.r_max,

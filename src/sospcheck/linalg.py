@@ -5,10 +5,10 @@ scipy calls. Outputs are deterministic (eigenvalues ascending, eigenvector
 signs canonicalized) so they can be used in golden tests, and the routines
 double as independent oracles for the QP solvers elsewhere in the package.
 Each job has one routine: a pseudo-inverse comes from the
-:class:`EigenDecomposition` that a caller already holds, and a projection
-onto null(A) is ``W W^T`` with ``W = nullspace_basis(A)``.
+:class:`EigenDecomposition` a caller already holds, cut at its own zero
+threshold, and a projection onto null(A) is ``W W^T``, W = nullspace_basis(A).
 
-All rank / zero decisions funnel through a single relative threshold,
+All rank decisions funnel through a single relative threshold,
 ``DEFAULT_RANK_TOL``, so the numerical meaning of "rank" is auditable in one
 place.
 """
@@ -70,19 +70,17 @@ class EigenDecomposition:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.T
 
-    def pseudoinverse(self, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-        """Moore-Penrose pseudoinverse of the decomposed PSD matrix.
+    def pseudoinverse(self, tol: float) -> np.ndarray:
+        """Moore-Penrose pseudoinverse of the decomposed matrix.
 
-        Eigenvalues below ``rank_tol * lambda_max`` are treated as exact zeros.
+        Eigenvalues with ``|lambda| <= tol`` are treated as exact zeros;
+        ``tol`` is absolute, the zero threshold of the caller's decision.
         """
-        if rank_tol <= 0:
-            raise ValueError("rank_tol must be positive")
+        if tol <= 0:
+            raise ValueError("tol must be positive")
         w, v = self.eigenvalues, self.eigenvectors
-        if w.size == 0:
-            return np.zeros((0, 0))
-        cutoff = rank_tol * max(float(w[-1]), 0.0)
-        inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
-        return (v * inv) @ v.T
+        keep = np.abs(w) > tol
+        return (v * np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)) @ v.T
 
 
 def sym_eig(m: np.ndarray) -> EigenDecomposition:

@@ -17,23 +17,24 @@ O(p^3), the polynomial bound of the paper's projected gradient argument).
 The paper's projected gradient descent is kept as ``solve_ecqp_pgd``, an
 independent cross-check for the tests; its rate is about 1 - 1/kappa in
 floating point, too slow to decide the ill-conditioned forms of real
-fixtures within a fixed budget. With inequality rows, one orthonormal
-change of variables (a basis W of null(A), then the singular value
-decomposition of B W) reduces the problem to
-``min nu^T Rbar nu  s.t. nu_1 >= 0``, which is decided by a
-positive-semidefiniteness test on one block and a copositivity test on an
-r x r Schur complement S (a null vector z of the block that R12 sees is a
-descent ray with e_j, j = argmax |R12 z|). A positive definite S is strictly
-copositive outright; any other is decided by its Pareto spectrum, at cost
-O(r^3 2^r). Only the PGD cross-check draws random numbers.
+fixtures within a fixed budget. With inequality rows, one change of
+variables reduces the problem to ``min nu^T Rbar nu  s.t. nu_1 >= 0``,
+which is decided by a positive-semidefiniteness test on the block R22, the
+form on the face {A eta = 0, B eta = 0}, and a copositivity test on an
+r x r Schur complement S (a null vector z of R22 that R12 sees spans a
+descent direction with e_j, j = argmax |R12 z|). A positive definite S is
+strictly copositive outright; any other is decided by its Pareto spectrum,
+at cost O(r^3 2^r). Only the PGD cross-check draws random numbers.
 
 The cone QPs of all sign patterns at one point share an
 :class:`AssemblyBase`: a pattern changes only the slopes of the boundary
 samples, so the terms of every other sample are summed once, and it only
 signs and sorts the same constraint rows, so their rank is checked once.
 Their inequality rows differ only in sign, so they also share one
-:class:`IcqpFrame`, the O(p^3) elimination of the constraints, and each
-pattern costs O(p^2 (p - q) + r^3) before any enumeration.
+:class:`IcqpFrame`, the O(p^3) elimination of the constraints. Every term a
+pattern changes carries a factor ``xbar_i . v_k`` that vanishes on the
+face, so R22 is the projected form of the point's equality-constrained QP,
+decided once, and each pattern costs O(p^2 r + r^3) beyond its assembly.
 """
 
 from __future__ import annotations
@@ -494,24 +495,18 @@ def projected_spectrum_oracle(
 
 @dataclass(frozen=True)
 class IcqpReduction:
-    """One orthonormal change of variables that turns the cone into a sign
-    constraint.
+    """One change of variables that turns the cone into a sign constraint.
 
-    With W an orthonormal basis of null(A) and U S V^T the singular value
-    decomposition of B W, the map ``t = W [V_r S^-1 U^T | V_rest]`` satisfies
-    ``A t = 0`` and ``B t = [I 0]``. The problem is then equivalent to
-    ``min nu^T Rbar nu  s.t. nu_1 >= 0`` with ``Rbar = t^T Q t`` and nu_1 of
-    length r. ``eta_from_nu`` maps reduced coordinates back to a feasible
-    original direction (B eta equals nu_1 up to rounding). The map comes
-    from an :class:`IcqpFrame` shared by the cones whose B differ only in
-    row signs: ``t = t0 diag(sigma, 1)``, so only ``Rbar`` is computed per
-    cone.
+    The map ``t`` of an :class:`IcqpFrame` satisfies ``A t = 0`` and
+    ``B t = [I 0]``, so the problem is ``min nu^T Rbar nu  s.t. nu_1 >= 0``
+    with ``Rbar = t^T Q t``. Only the rows R11 and R12 that nu_1 (length r)
+    indexes are formed; R22 is the frame's ``face``. ``eta_from_nu`` maps
+    reduced coordinates back to a feasible original direction.
     """
 
     t: np.ndarray  # (p, p - q)
     r11: np.ndarray
     r12: np.ndarray
-    r22: np.ndarray
     shape: tuple[int, int, int]  # (p, q, r)
 
     def eta_from_nu(self, nu1: np.ndarray, nu2: np.ndarray) -> np.ndarray:
@@ -523,15 +518,19 @@ class IcqpFrame:
     """The part of the ICQP reduction that the sign patterns of a point share.
 
     The cones of one point have the same A, and their B differ only by row
-    signs: B = diag(sigma) B0. Then B W = diag(sigma) U0 S V^T, so W, S, V
-    and U0 are those of B0, and the map of a cone is ``t0 diag(sigma, 1)``.
-    ``signs`` reads sigma off a cone and raises if the cone is not one of
-    the frame's.
+    signs: B = diag(sigma) B0. The map of a cone is ``t0 diag(sigma, 1)``,
+    ``t0 = [T_r | face.basis]``, T_r the minimum-norm map with A T_r = 0 and
+    B0 T_r = I. ``face`` is the form on the face {A eta = 0, B0 eta = 0},
+    R22 of every cone of the frame; ``face_pinv`` drops the eigenvalues it
+    calls zero. ``signs`` reads sigma off a cone and raises if the cone is
+    not one of the frame's.
     """
 
     a: np.ndarray  # (q, p) equality rows
     b0: np.ndarray  # (r, p) inequality rows at sigma = 1
     t0: np.ndarray  # (p, p - q) map at sigma = 1
+    face: SpectrumOracle
+    face_pinv: np.ndarray  # (p - q - r, p - q - r)
 
     def signs(self, qp: ConeQP) -> np.ndarray:
         """sigma with qp.B = diag(sigma) b0, after checking qp.A = a bit for bit."""
@@ -546,41 +545,56 @@ class IcqpFrame:
         return np.where(plus, 1.0, -1.0)
 
 
-def icqp_frame(qp: ConeQP, rank_tol: float = DEFAULT_RANK_TOL) -> IcqpFrame:
+def icqp_frame(
+    qp: ConeQP, rank_tol: float = DEFAULT_RANK_TOL, face: SpectrumOracle | None = None
+) -> IcqpFrame:
     """Eliminate the equality constraints once for every cone that shares
-    ``qp``'s rows up to the signs of B, and check their ranks."""
+    ``qp``'s rows up to the signs of B, and check their ranks.
+
+    ``face`` is the :func:`projected_spectrum_oracle` of the form on the face
+    {A eta = 0, B eta = 0}, by default that of ``qp.Q``. Cones that share a
+    frame must agree on the face, as those of one :func:`assembly_base` and
+    its all-zero pattern's QP do. Raises InternalInconsistencyError unless
+    ``face.basis`` has p - q - r columns that the cone's rows annihilate.
+    """
     p, q, r = qp.shape
     if r == 0:
         raise ValueError("no inequality rows; use the equality-constrained path")
     basis = nullspace_basis(qp.A, rank_tol)
     if basis.shape[1] != p - q:
         raise RankDeficientError(f"null(A) has dimension {basis.shape[1]}, expected {p - q}")
-    u, s, vt = np.linalg.svd(qp.B @ basis)
+    u, s, vt = np.linalg.svd(qp.B @ basis, full_matrices=False)
     if s[-1] <= rank_tol * s[0]:
         raise RankDeficientError("inequality rows are dependent on null(A)")
-    t0 = basis @ np.hstack([vt[:r].T @ (u.T / s[:, None]), vt[r:].T])
-    return IcqpFrame(qp.A, qp.B, t0)
+    rows = np.vstack([qp.A, qp.B])
+    if face is None:
+        face = projected_spectrum_oracle(qp.Q, rows)
+    bad = face.basis.shape != (p, p - q - r)
+    if bad or np.linalg.norm(rows @ face.basis) > rank_tol * np.linalg.norm(rows):
+        raise InternalInconsistencyError("the face basis does not span null of the cone's rows")
+    t0 = np.hstack([basis @ (vt.T @ (u.T / s[:, None])), face.basis])
+    # the tol of a zero form is 0, and every eigenvalue of it is zero
+    face_pinv = face.decomposition.pseudoinverse(max(face.tol, np.finfo(float).tiny))
+    return IcqpFrame(qp.A, qp.B, t0, face, face_pinv)
 
 
 def icqp_reduce(
     qp: ConeQP, rank_tol: float = DEFAULT_RANK_TOL, frame: IcqpFrame | None = None
 ) -> IcqpReduction:
-    """Eliminate the equality constraints of an inequality-constrained QP.
+    """Form R11 and R12 of an inequality-constrained QP, at cost O(p^2 r).
 
     ``frame`` is an :func:`icqp_frame` of a cone with the same rows up to
-    the signs of B, so that only the form is transformed here; without it
-    the frame of ``qp`` itself is built.
+    the signs of B and the same form on the face; without it the frame of
+    ``qp`` itself is built.
     """
     if frame is None:
         frame = icqp_frame(qp, rank_tol)
     p, q, r = qp.shape
     t = frame.t0.copy()
     t[:, :r] *= frame.signs(qp)
-    r_bar = t.T @ qp.Q @ t
-    r_bar = 0.5 * (r_bar + r_bar.T)
-    return IcqpReduction(
-        t=t, r11=r_bar[:r, :r], r12=r_bar[:r, r:], r22=r_bar[r:, r:], shape=(p, q, r)
-    )
+    head = t[:, :r].T @ qp.Q @ t
+    r11 = 0.5 * (head[:, :r] + head[:, :r].T)
+    return IcqpReduction(t=t, r11=r11, r12=head[:, r:], shape=(p, q, r))
 
 
 # ---------------------------------------------------------------------------
@@ -592,46 +606,28 @@ def icqp_reduce(
 class PsdBlockResult:
     kind: str  # "PD1" | "PD2" | "PD3" | "PD4"
     witness_nu2: np.ndarray | None  # negative direction (PD4) or null vector (PD2/PD3)
-    decomposition: EigenDecomposition
 
 
-def classify_psd_block(
-    r22: np.ndarray,
-    r12: np.ndarray,
-    zero_tol: float = DEFAULT_ZERO_EIG_TOL,
-    scale: float | None = None,
-) -> PsdBlockResult:
-    """Eigenvalue trichotomy of the unconstrained block.
+def classify_psd_block(face: SpectrumOracle, r12: np.ndarray, tol: float) -> PsdBlockResult:
+    """Trichotomy of the unconstrained block R22 from the verdict of the form
+    on the face, which R22 is, with no eigendecomposition.
 
-    PD1: positive definite. PD2: singular PSD with its null space contained
-    in null(R12) (flat directions only). PD3: singular PSD with a null
-    vector that R12 sees (the form is then unbounded below). PD4: a negative
-    eigenvalue. The zero threshold is relative to ``scale`` (defaults to the
-    spectral scale of the blocks themselves).
+    PD4 (face T3): a negative eigenvalue; its smallest eigenvector. PD1
+    (face T1): positive definite. Face T2 is PD3 when ``||R12 z|| > tol``
+    for a null vector z of the face (the form is then unbounded below), the
+    z that R12 sees most, and PD2 otherwise (flat directions only).
     """
-    r22 = require_finite(np.atleast_2d(r22), "R22")
-    n2 = r22.shape[0] if r22.size else 0
-    if n2 == 0:
-        return PsdBlockResult("PD1", None, EigenDecomposition(np.zeros(0), np.zeros((0, 0))))
-    r12 = require_finite(r12, "R12").reshape(-1, n2)
-    dec = sym_eig(r22)
-    if scale is None:
-        scale = max(float(np.abs(dec.eigenvalues).max()), float(np.abs(r12).max(initial=0.0)))
-    tol = zero_tol * max(scale, 1e-300)
-    if dec.eigenvalues[0] < -tol:
-        return PsdBlockResult("PD4", dec.eigenvectors[:, 0], dec)
-    zero_cols = np.flatnonzero(np.abs(dec.eigenvalues) <= tol)
-    if zero_cols.size == 0:
-        return PsdBlockResult("PD1", None, dec)
-    null_basis = dec.eigenvectors[:, zero_cols]
-    if r12.shape[0] == 0:
-        return PsdBlockResult("PD2", null_basis[:, 0], dec)
-    images = r12 @ null_basis
-    norms = np.linalg.norm(images, axis=0)
+    dec = face.decomposition
+    if face.verdict == "T3":
+        return PsdBlockResult("PD4", dec.eigenvectors[:, 0])
+    if face.verdict == "T1":
+        return PsdBlockResult("PD1", None)
+    null_basis = dec.eigenvectors[:, np.abs(dec.eigenvalues) <= face.tol]
+    norms = np.linalg.norm(require_finite(r12, "R12") @ null_basis, axis=0)
     best = int(np.argmax(norms))
     if norms[best] <= tol:
-        return PsdBlockResult("PD2", null_basis[:, 0], dec)
-    return PsdBlockResult("PD3", null_basis[:, best], dec)
+        return PsdBlockResult("PD2", null_basis[:, 0])
+    return PsdBlockResult("PD3", null_basis[:, best])
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +796,9 @@ def copositivity_classify(s_mat: np.ndarray, r_max: int = 20) -> CopositivityRes
     otherwise the Pareto spectrum decides. ``diagnostics`` records which
     path decided (``cp_by``: "pd_certificate" or "pareto"), lambda_min(S)
     (``lam_min_s``) and ``tol``. The subset budget ``r_max`` and the
-    symmetry of S are checked on both paths.
+    symmetry of S are checked on both paths. The CP3 witness is the pair of
+    the minimal Pareto value, the CP2 witness the first pair whose value is
+    within ``tol`` of zero, so that rounding does not pick it.
     """
     s_mat = require_finite(np.atleast_2d(s_mat), "S")
     r = s_mat.shape[0]
@@ -823,7 +821,8 @@ def copositivity_classify(s_mat: np.ndarray, r_max: int = 20) -> CopositivityRes
         return CopositivityResult("CP1", None, lam_min, pairs, diag)
     if lam_min < -tol:
         return CopositivityResult("CP3", pairs[best].vector, lam_min, pairs, diag)
-    return CopositivityResult("CP2", pairs[best].vector, lam_min, pairs, diag)
+    flat = next(pair for pair in pairs if abs(pair.value) <= tol)
+    return CopositivityResult("CP2", flat.vector, lam_min, pairs, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -831,32 +830,20 @@ def copositivity_classify(s_mat: np.ndarray, r_max: int = 20) -> CopositivityRes
 # ---------------------------------------------------------------------------
 
 
-def _polish_unbounded_ray(
-    red: IcqpReduction, qp: ConeQP, nu1: np.ndarray, nu2: np.ndarray, cross: float
-) -> np.ndarray:
-    """Pick the scaling of the null direction giving the best negative curvature.
+def _pd3_ray(red: IcqpReduction, qp: ConeQP, j: int, z: np.ndarray) -> np.ndarray:
+    """The unit direction of least curvature of Q on span{u = t e_j, w = W z}
+    with a nonnegative u coefficient, so that B eta >= 0.
 
-    For a PD3 pair the reduced value is affine in the scaling t of nu2
-    (value = nu1^T R11 nu1 + 2 t cross), so the normalized curvature of the
-    mapped direction varies with t; a geometric sweep picks a decisively
-    negative one.
+    u is orthogonal to the face and w a unit vector on it, so this is one
+    2 x 2 eigenproblem of Q on (u / ||u||, w). Raises if the span has no
+    negative curvature.
     """
-    base = float(nu1 @ red.r11 @ nu1)
-    sign = -1.0 if cross > 0 else 1.0
-    best_eta, best_curv = None, 0.0
-    for mag in np.geomspace(1e-3, 1e9, 25):
-        t = sign * mag * max(1.0, abs(base) / max(abs(cross), 1e-300))
-        value = base + 2.0 * t * cross
-        if value >= 0:
-            continue
-        eta = red.eta_from_nu(nu1, t * nu2)
-        n2 = float(eta @ eta)
-        curv = float(eta @ qp.Q @ eta) / n2
-        if curv < best_curv:
-            best_curv, best_eta = curv, eta / np.sqrt(n2)
-    if best_eta is None:
-        raise InternalInconsistencyError("failed to realize negative curvature from PD3 pair")
-    return best_eta
+    u = red.t[:, j]
+    pair = np.column_stack([u / np.linalg.norm(u), red.t[:, red.shape[2] :] @ z])
+    curv, vecs = np.linalg.eigh(pair.T @ qp.Q @ pair)
+    if curv[0] >= 0.0:
+        raise InternalInconsistencyError("no negative curvature on the span of a PD3 pair")
+    return pair @ (vecs[:, 0] if vecs[0, 0] >= 0.0 else -vecs[:, 0])
 
 
 def solve_icqp(
@@ -868,26 +855,28 @@ def solve_icqp(
 ) -> QPClassification:
     """Classify an inequality-constrained cone QP.
 
-    Reduces to ``min nu^T Rbar nu, nu_1 >= 0``. A negative eigenvalue of the
-    unconstrained block R22 (PD4) settles T3. So does a null vector z of R22
-    that R12 sees (PD3), along (e_j, t z) with j = argmax |R12 z|: PD3 means
-    ||R12 z|| > tol, so that entry is nonzero. Otherwise copositivity of the
-    r x r Schur complement decides between T1 (strict, with R22 positive
-    definite), T3 (negative Pareto eigenvalue) and T2 (everything else).
-    Witnesses are mapped back to original coordinates and re-verified.
-    ``frame`` is passed on to :func:`icqp_reduce`, so the cones of one point
-    share one elimination of their constraints.
+    Reduces to ``min nu^T Rbar nu, nu_1 >= 0``. The block R22 is decided
+    once, as ``frame.face``. A negative eigenvalue of it (PD4) settles T3.
+    So does a null vector z of R22 that R12 sees (PD3), with the least
+    curvature on the span of t e_j and W z, j = argmax |R12 z|. PD3 means
+    ``||R12 z|| > zero_tol * scale``, scale the largest of max |R11|,
+    max |R12| and max |lambda(R22)|. Otherwise copositivity of the Schur
+    complement R11 - R12 R22^+ R12^T decides between T1 (strict, with R22
+    positive definite), T3 (negative Pareto eigenvalue) and T2. Witnesses
+    are re-verified in original coordinates. ``frame`` is an
+    :func:`icqp_frame` shared by the cones of one point; by default that of
+    ``qp``, with its face decided at ``zero_tol``.
     """
     p, q, r = qp.shape
     if r == 0:
         raise ValueError("no inequality rows; use the equality-constrained path")
-    red = icqp_reduce(qp, rank_tol=rank_tol, frame=frame)
-    scale = max(
-        float(np.abs(red.r11).max(initial=0.0)),
-        float(np.abs(red.r12).max(initial=0.0)),
-        float(np.abs(red.r22).max(initial=0.0)),
-    )
-    psd = classify_psd_block(red.r22, red.r12, zero_tol=zero_tol, scale=scale)
+    if frame is None:
+        face = projected_spectrum_oracle(qp.Q, np.vstack([qp.A, qp.B]), zero_tol)
+        frame = icqp_frame(qp, rank_tol, face)
+    red = icqp_reduce(qp, frame=frame)
+    blocks = (red.r11, red.r12, frame.face.decomposition.eigenvalues)
+    scale = max(float(np.abs(b).max(initial=0.0)) for b in blocks)
+    psd = classify_psd_block(frame.face, red.r12, zero_tol * scale)
     diag = {"psd": psd.kind, "reduction": red.shape}
 
     if psd.kind == "PD4":
@@ -899,17 +888,13 @@ def solve_icqp(
     if psd.kind == "PD3":
         image = red.r12 @ psd.witness_nu2
         j = int(np.argmax(np.abs(image)))
-        nu1 = np.zeros(r)
-        nu1[j] = 1.0
-        cross = float(image[j])
-        eta = _polish_unbounded_ray(red, qp, nu1, psd.witness_nu2, cross)
+        eta = _pd3_ray(red, qp, j, psd.witness_nu2)
         verify_witness(qp, eta, "T3")
-        diag["pd3_cross"] = cross
+        diag["pd3_cross"] = float(image[j])
         return QPClassification("T3", eta, diag)
 
     # R22 is PD1 or PD2 here; an empty R22 gives an empty pseudo-inverse
-    r22_pinv = psd.decomposition.pseudoinverse(rank_tol=max(rank_tol, zero_tol))
-    schur = red.r11 - red.r12 @ r22_pinv @ red.r12.T
+    schur = red.r11 - red.r12 @ frame.face_pinv @ red.r12.T
     schur = 0.5 * (schur + schur.T)
     cp = copositivity_classify(schur, r_max=r_max)
     diag.update(cp=cp.kind, min_pareto=cp.min_pareto, copositivity=cp.diagnostics)
@@ -918,7 +903,7 @@ def solve_icqp(
         return QPClassification("T1", None, diag)
     if cp.kind == "CP3" or psd.kind == "PD1":  # lift the Schur witness nu1
         nu1 = cp.witness
-        eta = red.eta_from_nu(nu1, -(r22_pinv @ (red.r12.T @ nu1)))
+        eta = red.eta_from_nu(nu1, -(frame.face_pinv @ (red.r12.T @ nu1)))
     else:  # PD2 with CP1 or CP2: the null vector of R22 is flat
         eta = red.eta_from_nu(np.zeros(r), psd.witness_nu2)
     verdict = "T3" if cp.kind == "CP3" else "T2"

@@ -25,6 +25,7 @@ from .network import (
 from .second_order import (
     ConeQP,
     copositivity_classify,
+    icqp_frame,
     pareto_spectrum,
     projected_spectrum_oracle,
     solve_ecqp_pgd,
@@ -118,6 +119,11 @@ def _check_icqp() -> str | None:
     res = solve_icqp(ConeQP(q_mat, np.zeros((0, 3)), np.eye(3)[:1]))
     if (res.verdict, res.diagnostics["psd"]) != ("T3", "PD3"):
         return f"null-coupled cone form classified {res.verdict}/{res.diagnostics['psd']}"
+    # R22 = diag(1, 0) and R12 = 0 is blind to its null vector (PD2): the
+    # flat witness lies on the face, B eta = 0
+    res = solve_icqp(ConeQP(np.diag([1.0, 1.0, 0.0]), np.zeros((0, 3)), np.eye(3)[:1]))
+    if (res.verdict, res.diagnostics["psd"]) != ("T2", "PD2") or abs(res.witness[0]) > 1e-12:
+        return f"flat cone form classified {res.verdict}/{res.diagnostics['psd']}"
     # x^2 + 4xy + y^2 is not PSD but is strictly positive for x, y >= 0, and
     # the equality row leaves z = -w with positive curvature: T1 by copositivity
     q_mat = np.eye(4)
@@ -126,6 +132,15 @@ def _check_icqp() -> str | None:
     res = solve_icqp(qp)
     if res.verdict != "T1" or res.diagnostics["cp"] != "CP1":
         return f"copositive cone form classified {res.verdict}, expected T1"
+    # forms that differ by B^T X + X^T B agree on the face {A eta = 0,
+    # B eta = 0}, so one frame serves both, here a T1 and a T3 cone
+    x = np.array([[-2.0, 0.0, 0.5, 0.0], [0.0, 0.5, -0.5, 1.0]])
+    frame = icqp_frame(qp)
+    for form in (q_mat, q_mat + qp.B.T @ x + x.T @ qp.B):
+        cone = ConeQP(form, qp.A, qp.B)
+        shared, fresh = solve_icqp(cone, frame=frame).verdict, solve_icqp(cone).verdict
+        if shared != fresh:
+            return f"a shared frame gave {shared}, a fresh one {fresh}"
     return None
 
 

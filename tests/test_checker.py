@@ -450,6 +450,44 @@ class TestIcqpStage:
             else:
                 assert e["lam_min_s"] <= e["tol"]
 
+    def test_one_eigendecomposition_decides_every_psd_block(self, monkeypatch):
+        # R22 of every pattern is the form the equality-constrained QP
+        # decides, so the ICQPs run no eigendecomposition of their own
+        import sospcheck.second_order as second_order
+
+        calls = []
+        original = second_order.sym_eig
+
+        def counting(m):
+            calls.append(np.shape(m))
+            return original(m)
+
+        monkeypatch.setattr(second_order, "sym_eig", counting)
+        point = self._point()
+        verdict = sosp_check(point.params, point.data)
+        assert verdict.diagnostics["n_icqp"] == 8
+        assert len(calls) == 1
+
+
+class TestOrthogonalCandidates:
+    def test_every_candidate_fixture_gets_a_verdict(self):
+        # the (6, 2, 1) fixtures with orthogonal boundary samples on units 0
+        # and 1, from the construction seeds the large-m benchmark set-up
+        # checks before it replicates them
+        kinds = []
+        for s in range(20):
+            for j in range(10):
+                try:
+                    point = construct_boundary_fosp(
+                        6, 2, 1, seed=s * 1000 + j, n_boundary=2, units=[0, 1],
+                        mode="orthogonal",
+                    )
+                except ConstructionFailedError:
+                    continue
+                kinds.append(sosp_check(point.params, point.data).kind)
+        assert len(kinds) >= 150
+        assert set(kinds) <= {"local_minimum", "sosp", "descent"}
+
 
 def replicate(point, copies):
     """Repeat the non-boundary samples ``copies`` times and scale the boundary
@@ -469,10 +507,11 @@ class TestReplicatedSospFixtures:
     grows with m. Each pins one failure message. Construction seed 6 at 500
     copies (m = 11,002) gets a CP3 witness whose curvature fails
     re-verification (about 3e-12); seed 90 at 2,000 copies (m = 44,002) an
-    empty Pareto spectrum; and seed 106 at 500 copies a PD3 null direction
-    with no negative curvature ("failed to realize negative curvature from
-    PD3 pair"). Which seeds fail depends on the summation order of the
-    reduction, so a change to it moves the failures to other seeds."""
+    empty Pareto spectrum; and seed 106 at 500 copies a PD3 call on a small
+    but real eigenvalue of R22, whose pair spans no negative curvature ("no
+    negative curvature on the span of a PD3 pair"). Which seeds fail depends
+    on the summation order of the reduction, so a change to it moves the
+    failures to other seeds."""
 
     @pytest.mark.xfail(strict=True, raises=InternalInconsistencyError)
     @pytest.mark.parametrize("seed, copies", [(6, 500), (90, 2000), (106, 500)])

@@ -100,34 +100,37 @@ class TestNullspaceBasis:
 
 class TestPseudoinverse:
     def test_identity(self):
-        assert np.allclose(sym_eig(np.eye(3)).pseudoinverse(), np.eye(3))
+        assert np.allclose(sym_eig(np.eye(3)).pseudoinverse(1e-10), np.eye(3))
 
     def test_diagonal(self):
         dec = sym_eig(np.diag([2.0, 0.0]))
-        assert np.allclose(dec.pseudoinverse(), np.diag([0.5, 0.0]))
+        assert np.allclose(dec.pseudoinverse(1e-10), np.diag([0.5, 0.0]))
+        # the cutoff is absolute and two-sided
+        dec = sym_eig(np.diag([1e-6, 1e-9, -2.0]))
+        assert np.allclose(dec.pseudoinverse(1e-8), np.diag([1e6, 0.0, -0.5]))
 
     def test_moore_penrose_identity(self):
         rng = np.random.default_rng(5)
         g = rng.standard_normal((4, 2))
         m = g @ g.T  # PSD, rank 2
-        mp = sym_eig(m).pseudoinverse()
+        mp = sym_eig(m).pseudoinverse(1e-10)
         assert np.linalg.norm(m @ mp @ m - m) <= 1e-9 * np.linalg.norm(m)
 
     def test_requires_positive_tol(self):
         with pytest.raises(ValueError):
-            sym_eig(np.eye(2)).pseudoinverse(rank_tol=0.0)
+            sym_eig(np.eye(2)).pseudoinverse(tol=0.0)
 
     def test_from_a_decomposition_is_bit_equal(self):
-        # inverting the decomposition's eigenvalues above rank_tol * lambda_max
+        # inverting the decomposition's eigenvalues with |lambda| above tol
         rng = np.random.default_rng(6)
         for n, rank in ((1, 1), (3, 2), (5, 5), (6, 3)):
             g = rng.standard_normal((n, rank))
             dec = sym_eig(g @ g.T)
             w, v = dec.eigenvalues, dec.eigenvectors
-            for rank_tol in (1e-10, 1e-8, 1e-1):
-                keep = w > rank_tol * max(w[-1], 0.0)
+            for tol in (1e-10, 1e-8, 1e-1):
+                keep = np.abs(w) > tol
                 want = (v * np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)) @ v.T
-                assert np.array_equal(dec.pseudoinverse(rank_tol), want)
+                assert np.array_equal(dec.pseudoinverse(tol), want)
 
 
 def test_matrix_rank_threshold():

@@ -365,8 +365,11 @@ def _pivot_permutation(mat):
 
 def _reference_icqp_reduce(qp):
     """Two pivoted eliminations, of A and then of the reduced B: the oracle for
-    icqp_reduce. Returns (R11, R12, R22) of the reduced form."""
+    icqp_reduce. Returns (R11, R12, R22) of the reduced form, and the map from
+    the coordinates of R22 to original directions, a basis of the face
+    {A eta = 0, B eta = 0} that is not orthonormal."""
     p, q, r = qp.shape
+    map_a = np.eye(p)
     if q:
         perm_a = _pivot_permutation(qp.A)
         a1 = qp.A[:, perm_a[:q]]
@@ -376,6 +379,8 @@ def _reference_icqp_reduce(qp):
         r_full = 0.5 * (m_full[q:, q:] + m_full[q:, q:].T)
         b_perm = qp.B[:, perm_a]
         b_bar = b_perm[:, q:] - b_perm[:, :q] @ a1inv_a2
+        map_a = np.zeros((p, p - q))
+        map_a[perm_a] = t_a[:, q:]
     else:
         r_full, b_bar = qp.Q.copy(), qp.B.copy()
     perm_b = _pivot_permutation(b_bar)
@@ -386,7 +391,46 @@ def _reference_icqp_reduce(qp):
     )
     r_bar = t_b.T @ r_full[np.ix_(perm_b, perm_b)] @ t_b
     r_bar = 0.5 * (r_bar + r_bar.T)
-    return r_bar[:r, :r], r_bar[:r, r:], r_bar[r:, r:]
+    map_b = np.zeros((p - q, p - q))
+    map_b[perm_b] = t_b
+    return r_bar[:r, :r], r_bar[:r, r:], r_bar[r:, r:], (map_a @ map_b)[:, r:]
+
+
+def _reference_psd_kind(r22, r12, tol):
+    """Eigenvalue trichotomy of R22 by its own eigendecomposition, with one
+    zero threshold ``tol``: the oracle for classify_psd_block."""
+    dec = sym_eig(r22)
+    if dec.eigenvalues.size == 0:
+        return "PD1"
+    if dec.eigenvalues[0] < -tol:
+        return "PD4"
+    zero_cols = np.abs(dec.eigenvalues) <= tol
+    if not zero_cols.any():
+        return "PD1"
+    coupling = np.linalg.norm(r12 @ dec.eigenvectors[:, zero_cols], axis=0).max()
+    return "PD3" if coupling > tol else "PD2"
+
+
+def _matches_reference(qp, frame):
+    """Assert that the frame's reduction of ``qp`` matches the double
+    elimination: block shapes, the PSD kind at the reference's zero threshold,
+    and, for a positive definite R22, the Schur complement. Returns the kind."""
+    p, q, r = qp.shape
+    red = icqp_reduce(qp, frame=frame)
+    r11, r12, r22, _ = _reference_icqp_reduce(qp)
+    for new, ref in ((red.r11, r11), (red.r12, r12), (frame.face_pinv, r22)):
+        assert new.shape == ref.shape
+    # the zero threshold of the PD3 test: relative to the largest block entry
+    tol = second_order.DEFAULT_ZERO_EIG_TOL * max(
+        np.abs(b).max(initial=0.0) for b in (r11, r12, r22)
+    )
+    psd_kind = _reference_psd_kind(r22, r12, tol)
+    assert classify_psd_block(frame.face, red.r12, tol).kind == psd_kind
+    if psd_kind == "PD1":
+        schur = red.r11 - red.r12 @ frame.face_pinv @ red.r12.T
+        ref = r11 - r12 @ np.linalg.solve(r22, r12.T) if p - q - r else r11
+        assert np.abs(schur - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+    return psd_kind
 
 
 class TestIcqpReduce:
@@ -432,22 +476,9 @@ class TestIcqpReduce:
                 qp = self._flat_cone_qp(rng, p, q, r, coupled=kind == "flat_coupled")
             else:
                 qp = random_cone_qp(rng, p, q, r, kind=kind)
-            red = icqp_reduce(qp)
-            r11, r12, r22 = _reference_icqp_reduce(qp)
-            for new, ref in ((red.r11, r11), (red.r12, r12), (red.r22, r22)):
-                assert new.shape == ref.shape
-            # the zero threshold of solve_icqp: relative to the largest block entry
-            scale = max(np.abs(b).max(initial=0.0) for b in (r11, r12, r22))
-            psd_kind = classify_psd_block(r22, r12, scale=scale).kind
-            assert classify_psd_block(red.r22, red.r12, scale=scale).kind == psd_kind
+            psd_kind = _matches_reference(qp, second_order.icqp_frame(qp))
             seen.add(psd_kind)
-            if psd_kind != "PD1":
-                continue
-            n2 = p - q - r
-            n_pd += 1
-            schur = red.r11 - red.r12 @ np.linalg.solve(red.r22, red.r12.T) if n2 else red.r11
-            ref = r11 - r12 @ np.linalg.solve(r22, r12.T) if n2 else r11
-            assert np.abs(schur - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+            n_pd += psd_kind == "PD1"
         assert n_pd >= 50
         assert seen == {"PD1", "PD2", "PD3", "PD4"}
 
@@ -471,7 +502,9 @@ class TestIcqpReduce:
     def test_round_trip_feasibility_and_values(self):
         rng = np.random.default_rng(8)
         qp = random_cone_qp(rng, 6, 2, 2, kind="indefinite")
-        red = icqp_reduce(qp)
+        frame = second_order.icqp_frame(qp)
+        red = icqp_reduce(qp, frame=frame)
+        r22 = frame.face.decomposition.reconstruct()
         for _ in range(1000):
             nu1 = np.abs(rng.standard_normal(2))
             nu2 = rng.standard_normal(2)
@@ -480,15 +513,16 @@ class TestIcqpReduce:
             assert (qp.B @ eta >= -1e-9).all()
             assert np.allclose(qp.B @ eta, nu1, atol=1e-9)
             nu = np.concatenate([nu1, nu2])
-            r_bar = np.block([[red.r11, red.r12], [red.r12.T, red.r22]])
+            r_bar = np.block([[red.r11, red.r12], [red.r12.T, r22]])
             assert abs(eta @ qp.Q @ eta - nu @ r_bar @ nu) <= 1e-9 * max(
                 1.0, abs(nu @ r_bar @ nu)
             )
 
 
 def _orthogonal_fixture_cones():
-    """Every sign pattern's cone at an orthogonal fixture with K = 3 (both
-    rays of three boundary samples flat), in lexicographic sign order."""
+    """The all-zero pattern's cone, and every sign pattern's cone in
+    lexicographic sign order, at an orthogonal fixture with K = 3 (both rays
+    of three boundary samples flat)."""
     from sospcheck.second_order import assemble_so_qp, assembly_base
 
     point = construct_boundary_fosp(
@@ -503,7 +537,8 @@ def _orthogonal_fixture_cones():
     for signs in product((-1, 1), repeat=len(pairs)):
         pattern = SignPattern.from_dict(dict(zip(pairs, signs)))
         cones.append(assemble_so_qp(point.params, point.data, loss, boundary, pattern, base=base))
-    return cones
+    pattern0 = SignPattern.all_zero(boundary)
+    return assemble_so_qp(point.params, point.data, loss, boundary, pattern0, base=base), cones
 
 
 class TestIcqpFrame:
@@ -515,31 +550,54 @@ class TestIcqpFrame:
         assert np.linalg.norm(qp.A @ red.t) <= 1e-12 * np.linalg.norm(qp.A) * t_norm
         target = np.hstack([np.eye(r), np.zeros((r, p - q - r))])
         assert np.abs(qp.B @ red.t - target).max() <= 1e-12 * np.linalg.norm(qp.B) * t_norm
-        r11, r12, r22 = _reference_icqp_reduce(qp)
-        scale = max(np.abs(b).max(initial=0.0) for b in (r11, r12, r22))
-        psd_kind = classify_psd_block(r22, r12, scale=scale).kind
-        assert classify_psd_block(red.r22, red.r12, scale=scale).kind == psd_kind
-        if psd_kind == "PD1":
-            n2 = p - q - r
-            schur = red.r11 - red.r12 @ np.linalg.solve(red.r22, red.r12.T) if n2 else red.r11
-            ref = r11 - r12 @ np.linalg.solve(r22, r12.T) if n2 else r11
-            assert np.abs(schur - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
-        return psd_kind
+        return _matches_reference(qp, frame)
 
     def test_every_pattern_of_an_orthogonal_fixture(self):
-        cones = _orthogonal_fixture_cones()
+        ecqp, cones = _orthogonal_fixture_cones()
         assert len(cones) == 8 and cones[0].shape[2] == 3
         frame = second_order.icqp_frame(cones[0])
         for qp in cones:
             assert np.array_equal(qp.A, cones[0].A)
             assert np.array_equal(np.abs(qp.B), np.abs(cones[0].B))
             assert self._assert_matches_fresh_reduction(qp, frame) == "PD1"
-        # a frame built from any pattern serves the others
-        frame = second_order.icqp_frame(cones[5])
+        # a frame built from any pattern, or on the equality-constrained QP's
+        # subspace as the checker builds it, serves the others
+        face = projected_spectrum_oracle(ecqp.Q, ecqp.A)
+        for frame in (second_order.icqp_frame(cones[5]),
+                      second_order.icqp_frame(cones[0], face=face)):
+            for qp in cones:
+                assert self._assert_matches_fresh_reduction(qp, frame) == "PD1"
+
+    def test_r22_of_every_pattern_is_the_equality_constrained_form(self):
+        # R22 of the double elimination, in its own basis of the face,
+        # against the all-zero pattern's projected form in the same basis
+        ecqp, cones = _orthogonal_fixture_cones()
+        face = projected_spectrum_oracle(ecqp.Q, ecqp.A)
+        form = face.basis.T @ ecqp.Q @ face.basis
         for qp in cones:
-            self._assert_matches_fresh_reduction(qp, frame)
+            _, _, r22, face_map = _reference_icqp_reduce(qp)
+            coords = face.basis.T @ face_map
+            assert np.abs(face.basis @ coords - face_map).max() <= 1e-12 * np.abs(face_map).max()
+            assert np.abs(coords.T @ form @ coords - r22).max() <= 1e-12 * np.abs(r22).max()
+
+    def test_reduction_and_psd_block_run_no_eigendecomposition(self, monkeypatch):
+        ecqp, cones = _orthogonal_fixture_cones()
+        frame = second_order.icqp_frame(cones[0], face=projected_spectrum_oracle(ecqp.Q, ecqp.A))
+
+        def no_eig(*args, **kwargs):
+            raise AssertionError("an eigendecomposition ran")
+
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, no_eig)
+        monkeypatch.setattr(second_order, "sym_eig", no_eig)
+        for qp in cones:
+            red = icqp_reduce(qp, frame=frame)
+            assert not hasattr(red, "r22")
+            assert classify_psd_block(frame.face, red.r12, 1e-8).kind == "PD1"
 
     def test_random_cones_with_random_signs(self):
+        # the cones that share a frame agree on its face: their forms differ
+        # by B^T X + X^T B, which vanishes there
         rng = np.random.default_rng(33)
         kinds = ("indefinite", "pd", "psd_null")
         seen = set()
@@ -551,7 +609,8 @@ class TestIcqpFrame:
             frame = second_order.icqp_frame(first)
             for _ in range(3):
                 sigma = rng.choice((-1.0, 1.0), size=r)
-                form = random_cone_qp(rng, p, 0, 0, kind=kinds[trial % 3]).Q
+                x = rng.standard_normal((r, p))
+                form = first.Q + first.B.T @ x + x.T @ first.B
                 qp = ConeQP(form, first.A, sigma[:, None] * first.B)
                 assert np.array_equal(frame.signs(qp), sigma)
                 seen.add(self._assert_matches_fresh_reduction(qp, frame))
@@ -575,27 +634,52 @@ class TestIcqpFrame:
             with pytest.raises(InternalInconsistencyError):
                 icqp_reduce(ConeQP(first.Q, a_mat, b_mat), frame=frame)
 
+    def test_a_face_of_other_rows_is_rejected(self):
+        from sospcheck.errors import InternalInconsistencyError
+
+        rng = np.random.default_rng(36)
+        first = random_cone_qp(rng, 6, 2, 2, kind="pd")
+        rows = np.vstack([first.A, first.B])
+        for face_rows in (rows[:3], rows + 1e-3 * rng.standard_normal(rows.shape)):
+            face = projected_spectrum_oracle(first.Q, face_rows)
+            with pytest.raises(InternalInconsistencyError, match="face basis"):
+                second_order.icqp_frame(first, face=face)
+        assert second_order.icqp_frame(first, face=projected_spectrum_oracle(first.Q, rows))
+
+
+def _psd_block(face, r12):
+    """classify_psd_block with the PD3 threshold relative to the larger of
+    the face's scale and max |R12|."""
+    scale = max(face.scale, np.abs(r12).max(initial=0.0))
+    return classify_psd_block(face, r12, second_order.DEFAULT_ZERO_EIG_TOL * scale)
+
 
 class TestPsdBlock:
+    @staticmethod
+    def _classify(r22, r12):
+        return _psd_block(projected_spectrum_oracle(r22, np.zeros((0, len(r22)))), r12)
+
     def test_identity_pd1(self):
-        assert classify_psd_block(np.eye(2), np.zeros((1, 2))).kind == "PD1"
+        assert self._classify(np.eye(2), np.zeros((1, 2))).kind == "PD1"
 
     def test_singular_flat_pd2(self):
-        res = classify_psd_block(np.diag([1.0, 0.0]), np.zeros((1, 2)))
+        res = self._classify(np.diag([1.0, 0.0]), np.zeros((1, 2)))
         assert res.kind == "PD2"
         assert abs(abs(res.witness_nu2[1]) - 1.0) <= 1e-12
 
     def test_singular_coupled_pd3(self):
-        res = classify_psd_block(np.diag([1.0, 0.0]), np.array([[0.0, 1.0]]))
+        res = self._classify(np.diag([1.0, 0.0]), np.array([[0.0, 1.0]]))
         assert res.kind == "PD3"
 
     def test_negative_pd4(self):
-        res = classify_psd_block(np.diag([1.0, -1.0]), np.zeros((1, 2)))
+        res = self._classify(np.diag([1.0, -1.0]), np.zeros((1, 2)))
         assert res.kind == "PD4"
         assert abs(abs(res.witness_nu2[1]) - 1.0) <= 1e-12
 
     def test_empty_block_is_pd1(self):
-        assert classify_psd_block(np.zeros((0, 0)), np.zeros((2, 0))).kind == "PD1"
+        # a face of dimension 0: the rows span the whole space
+        face = projected_spectrum_oracle(np.eye(2), np.eye(2))
+        assert _psd_block(face, np.zeros((2, 0))).kind == "PD1"
 
 
 def _reference_pareto_spectrum(s_mat, r_max=20, pos_tol=1e-9, comp_tol_factor=1e-10):
@@ -738,6 +822,15 @@ class TestCopositivity:
     def test_identity_strictly_copositive(self):
         assert copositivity_classify(np.eye(3)).kind == "CP1"
 
+    def test_flat_witness_does_not_follow_rounding(self):
+        # diagonal entries at rounding level: every Pareto value is zero
+        # within tol, so the witness is the first pair, e_1, in either order
+        for deltas in ((3e-18, -2e-18), (-2e-18, 3e-18), (1e-18, 1e-18)):
+            res = copositivity_classify(np.diag(deltas))
+            assert res.kind == "CP2"
+            assert np.array_equal(res.witness, [1.0, 0.0])
+            assert res.min_pareto == min(deltas)
+
     def test_flat_case(self):
         res = copositivity_classify(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert res.kind == "CP2"
@@ -771,7 +864,9 @@ class TestCopositivity:
 
 def _reference_copositivity(s_mat, r_max=20, zero_tol=second_order.DEFAULT_CP_TOL):
     """Enumeration only, from the sign of the minimal Pareto eigenvalue: the
-    oracle for copositivity_classify. Returns (kind, witness, min_pareto)."""
+    oracle for copositivity_classify. Returns (kind, witness, min_pareto); the
+    CP3 witness is the pair of the minimal value, the CP2 witness the first
+    pair whose value is within tol of zero."""
     pairs, _ = pareto_spectrum(s_mat, r_max=r_max)
     values = np.array([p.value for p in pairs])
     best = int(np.argmin(values))
@@ -781,7 +876,8 @@ def _reference_copositivity(s_mat, r_max=20, zero_tol=second_order.DEFAULT_CP_TO
         return "CP1", None, lam_min
     if lam_min < -tol:
         return "CP3", pairs[best].vector, lam_min
-    return "CP2", pairs[best].vector, lam_min
+    flat = int(np.flatnonzero(np.abs(values) <= tol)[0])
+    return "CP2", pairs[flat].vector, lam_min
 
 
 def _random_s(rng, r, kind):
@@ -893,6 +989,10 @@ class TestSolveIcqp:
         assert res.verdict == "T2"
         w = res.witness / np.linalg.norm(res.witness)
         assert np.allclose(np.abs(w), [1.0, 0.0], atol=1e-9)
+        # a zero form: every threshold is 0 and every direction is flat
+        qp = ConeQP(np.zeros((3, 3)), np.zeros((0, 3)), np.array([[1.0, 0.0, 0.0]]))
+        res = solve_icqp(qp)
+        assert (res.verdict, res.diagnostics["psd"], res.diagnostics["cp"]) == ("T2", "PD2", "CP2")
 
     def test_pd3_null_coupling_is_unbounded(self):
         # R22 = diag(1, 0) with R12 seeing the null vector: the form is
@@ -917,8 +1017,9 @@ class TestSolveIcqp:
         qp = ConeQP(q_mat, np.zeros((0, r + 2)), np.eye(r + 2)[:r])
         res = solve_icqp(qp)
         assert (res.verdict, res.diagnostics["psd"]) == ("T3", "PD3")
-        red = icqp_reduce(qp)
-        psd = classify_psd_block(red.r22, red.r12, scale=1.0)
+        frame = second_order.icqp_frame(qp)
+        red = icqp_reduce(qp, frame=frame)
+        psd = classify_psd_block(frame.face, red.r12, tol)
         image = red.r12 @ psd.witness_nu2
         assert np.abs(image).max() <= tol < np.linalg.norm(image)
         assert res.diagnostics["pd3_cross"] == image[np.argmax(np.abs(image))]
@@ -926,6 +1027,59 @@ class TestSolveIcqp:
         assert np.argmax(np.abs(res.witness[:r])) == 1  # nu1 = e_1
         second_order.verify_witness(qp, res.witness, "T3")
         assert (qp.B @ res.witness).min() >= 0.0
+
+    @staticmethod
+    def _rotated_pd3_cones():
+        """PD3 cones with a known pair: (Q, A, B, j, w), w the one null vector of
+        the form on the face and j the one inequality row whose minimum-norm
+        direction it couples to. The coordinates are rotated at random."""
+        r, tol = 4, second_order.DEFAULT_ZERO_EIG_TOL
+        q_mat = np.zeros((r + 2, r + 2))
+        q_mat[r, r] = 1.0
+        q_mat[:r, r + 1] = q_mat[r + 1, :r] = np.array([0.4, 0.6, 0.5, 0.55]) * tol
+        yield q_mat, np.zeros((0, r + 2)), np.eye(r + 2)[:r], 1, np.eye(r + 2)[r + 1]
+        # e_0 is eliminated, e_1 and e_2 are the inequality rows, the face is
+        # span(e_3, e_4) with null vector e_4, coupled to e_2 only
+        q_mat = np.diag([3.0, 1.5, 0.7, 2.0, 0.0])
+        q_mat[0, 4] = q_mat[4, 0] = -0.8
+        q_mat[1, 3] = q_mat[3, 1] = 0.4
+        q_mat[2, 4] = q_mat[4, 2] = 0.3
+        eye = np.eye(5)
+        for seed in range(3):
+            rot = np.linalg.qr(np.random.default_rng(40 + seed).standard_normal((5, 5)))[0]
+            yield rot @ q_mat @ rot.T, eye[:1] @ rot.T, eye[1:3] @ rot.T, 1, rot @ eye[4]
+
+    def test_pd3_witness_is_the_least_curvature_on_the_pair(self):
+        # u, the minimum-norm direction with A u = 0 and B u = e_j, is
+        # orthogonal to the face, so the least Rayleigh quotient on span{u, w}
+        # is that of the 2 x 2 form on (u / ||u||, w), in closed form
+        for q_mat, a_mat, b_mat, j, w in self._rotated_pd3_cones():
+            qp = ConeQP(q_mat, a_mat, b_mat)
+            res = solve_icqp(qp)
+            assert (res.verdict, res.diagnostics["psd"]) == ("T3", "PD3")
+            rows = np.vstack([a_mat, b_mat])
+            u = np.linalg.pinv(rows) @ np.eye(len(rows))[a_mat.shape[0] + j]
+            u /= np.linalg.norm(u)
+            alpha, beta, gamma = u @ qp.Q @ u, u @ qp.Q @ w, w @ qp.Q @ w
+            least = 0.5 * (alpha + gamma) - np.hypot(0.5 * (alpha - gamma), beta)
+            eta = res.witness
+            assert least < 0
+            assert abs(eta @ qp.Q @ eta / (eta @ eta) - least) <= 1e-12 * abs(least)
+            # the witness lies in the span, with a nonnegative u coefficient
+            assert np.linalg.norm(eta - (eta @ u) * u - (eta @ w) * w) <= 1e-12
+            assert eta @ u >= 0.0
+            assert np.linalg.norm(a_mat @ eta) <= 1e-12 and (b_mat @ eta).min() >= -1e-12
+
+    def test_pd3_span_without_negative_curvature_raises(self):
+        # PD3 is called on a coupling that cannot make the span's curvature
+        # negative once the small eigenvalue of R22 counts: the call is wrong
+        from sospcheck.errors import InternalInconsistencyError
+
+        q_mat = np.diag([1.0, 1.0, 1e-9])
+        q_mat[0, 2] = q_mat[2, 0] = 2e-8
+        qp = ConeQP(q_mat, np.zeros((0, 3)), np.eye(3)[:1])
+        with pytest.raises(InternalInconsistencyError, match="no negative curvature"):
+            solve_icqp(qp)
 
     def test_random_witnesses_reverify(self):
         rng = np.random.default_rng(11)
