@@ -12,7 +12,11 @@ of the equality null space, then the singular value decomposition of the
 inequality rows on it) reduces the cone to a sign constraint, and a
 positive-semidefiniteness check plus a copositivity check of an r x r Schur
 complement decide the class. A positive definite Schur complement is
-strictly copositive outright; any other is decided by its Pareto spectrum.
+strictly copositive outright. A positive semidefinite one is decided in
+polynomial time: by a zero diagonal entry (a flat unit vector), or else by
+one nonnegative least-squares solve of the standard quadratic program on the
+simplex with its Frank-Wolfe lower bound. Only the rest, indefinite ones
+among them, are decided by enumerating the Pareto spectrum.
 """
 
 import numpy as np
@@ -50,7 +54,14 @@ print()
 print("=" * 64)
 print("Pareto spectra and copositivity")
 print("=" * 64)
-for s in (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0, -3.0], [-3.0, 1.0]])):
+schur_examples = (
+    np.eye(2),  # positive definite
+    np.array([[1.0, 0.0], [0.0, 0.0]]),  # singular, with a zero diagonal entry
+    np.array([[1.0, -1.0], [-1.0, 1.0]]),  # singular, flat along (1, 1) >= 0
+    np.array([[0.0, 1.0], [1.0, 0.0]]),  # indefinite, copositive
+    np.array([[1.0, -3.0], [-3.0, 1.0]]),  # indefinite, negative along (1, 1)
+)
+for s in schur_examples:
     pairs, _ = pareto_spectrum(s)
     res = copositivity_classify(s)
     spectrum = sorted(round(p.value, 6) for p in pairs)

@@ -3,8 +3,9 @@
 Runs, in order: the outer-layer gradient test, per-unit zero-in-
 subdifferential and increasing tests, one equality-constrained QP for the
 all-zero sign pattern, and (only when flat extreme rays exist) one
-inequality-constrained QP per enumerated sign pattern. The cone QPs share
-one assembly base, so only the boundary samples are summed per pattern.
+inequality-constrained QP per enumerated sign pattern, decided in one
+batched sweep (``second_order.icqp_sweep``). The cone QPs share one
+assembly base, so only the boundary samples are summed per pattern.
 The equality-constrained QP is decided exactly by the spectrum of the
 projected form, and every T2/T3 witness is re-verified in the original
 coordinates. The first strict descent signal short-circuits the pipeline;
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -44,11 +44,13 @@ from .network import (
     expansion_terms,
     per_sample_derivatives,
 )
-from .second_order import (
+# solve_icqp stays bound here: benchmarks/tracer.py wraps it in this namespace
+from .second_order import (  # noqa: F401
     assemble_so_qp,
     assembly_base,
-    icqp_frame,
+    icqp_sweep,
     projected_spectrum_oracle,
+    sign_rows,
     solve_icqp,
     verify_witness,
 )
@@ -113,6 +115,26 @@ class Verdict:
         return out
 
 
+def _pattern_space(classification, boundary: BoundaryAnalysis, k_max: int):
+    """The boundary pairs (k, i) in the order of the cone QPs' constraint
+    rows, the sign each pair is pinned to, and which pairs take both signs,
+    as :func:`enumerate_sign_patterns` describes."""
+    if classification.K > k_max:
+        raise PatternBudgetExceededError(
+            f"2^{classification.K} sign patterns exceed the budget 2^{k_max}"
+        )
+    keys, pinned, free = [], [], []
+    for k, idx in enumerate(boundary.boundary_indices):
+        singles = dict(classification.single.get(k, []))
+        both = set(classification.both.get(k, []))
+        for i in idx:
+            i = int(i)
+            keys.append((k, i))
+            free.append(i in both)
+            pinned.append(singles.get(i, 0))
+    return keys, np.array(pinned, dtype=int), np.array(free, dtype=bool)
+
+
 def enumerate_sign_patterns(classification, boundary: BoundaryAnalysis, k_max: int = 16):
     """All sign patterns consistent with the flat-ray sets, lexicographically.
 
@@ -120,27 +142,9 @@ def enumerate_sign_patterns(classification, boundary: BoundaryAnalysis, k_max: i
     combinations total), single-flat samples are pinned to their sign, and
     samples with no flat ray are pinned to zero.
     """
-    if classification.K > k_max:
-        raise PatternBudgetExceededError(
-            f"2^{classification.K} sign patterns exceed the budget 2^{k_max}"
-        )
-    keys = []
-    choices = []
-    for k, idx in enumerate(boundary.boundary_indices):
-        singles = dict(classification.single.get(k, []))
-        for i in idx:
-            i = int(i)
-            keys.append((k, i))
-            if i in classification.both.get(k, []):
-                choices.append((-1, 1))
-            elif i in singles:
-                choices.append((singles[i],))
-            else:
-                choices.append((0,))
-    patterns = []
-    for combo in product(*choices):
-        patterns.append(SignPattern.from_dict(dict(zip(keys, combo))))
-    return patterns
+    keys, pinned, free = _pattern_space(classification, boundary, k_max)
+    rows = sign_rows(pinned, free, 0, 2 ** classification.K)
+    return [SignPattern.from_dict(dict(zip(keys, row.tolist()))) for row in rows]
 
 
 def validate_descent(
@@ -185,15 +189,31 @@ def sosp_check(
 
     Executes the full test pipeline and returns a verdict with a
     machine-readable stage trace in ``diagnostics`` (boundary counts, box-QP
-    solutions, flat-ray sets, QP verdicts and counts, timings).
+    solutions, flat-ray sets, QP verdicts and counts, timings). ``stage_s``
+    holds the wall seconds of each stage that ran: "derivatives" (per-sample
+    derivatives and boundary analysis), "first_order" (the outer-layer,
+    box-QP, increasing and smooth-gradient tests), "ecqp" (assembly base and
+    the equality-constrained QP) and "icqp" (the sign-pattern sweep); the
+    line search of a descent verdict is in ``elapsed`` only.
     """
     loss = loss if loss is not None else SquaredLoss()
     cfg = config if config is not None else DEFAULT_CONFIG
     t_start = time.perf_counter()
+    stage_s: dict[str, float] = {}
+    last_lap = t_start
+
+    def lap(stage: str) -> None:
+        """Record the wall time since the previous lap as ``stage``'s."""
+        nonlocal last_lap
+        now = time.perf_counter()
+        stage_s[stage] = now - last_lap
+        last_lap = now
+
     bundle = per_sample_derivatives(params, data, loss, cfg.boundary_tol)
     boundary = boundary_analysis(
         params, data, loss, cfg.boundary_tol, bundle=bundle, rank_tol=cfg.rank_tol
     )
+    lap("derivatives")
     d_x, d_h, d_y = params.dims
     trace: list[dict] = []
     diagnostics = {
@@ -204,9 +224,11 @@ def sosp_check(
         "n_ecqp": 0,
         "n_icqp": 0,
         "config": asdict(cfg),
+        "stage_s": stage_s,
     }
 
     def finish_descent(stage: str, eta: Perturbation) -> Verdict:
+        lap(stage if stage in ("ecqp", "icqp") else "first_order")
         step = validate_descent(params, data, loss, eta, cfg.gamma0, cfg.gamma_halvings)
         first, second = expansion_terms(params, data, loss, eta, cfg.boundary_tol, bundle=bundle)
         diagnostics["descent_first_order"] = first
@@ -283,6 +305,7 @@ def sosp_check(
                 return finish_descent("smooth_gradient", sm.descent)
 
     classification = classify_boundary(flat_sets_by_unit, boundary)
+    lap("first_order")
     diagnostics["K"] = classification.K
     diagnostics["L"] = classification.L
     diagnostics["s_star"] = s_stars
@@ -315,31 +338,26 @@ def sosp_check(
     if ec.verdict == "T2":
         sosp_flag = True
         flat_witness = Perturbation.unpack(ec.witness, params.dims)
+    lap("ecqp")
 
     if boundary.total > 0 and classification.has_flat_rays:
-        patterns = enumerate_sign_patterns(classification, boundary, cfg.k_max)
-        diagnostics["n_patterns"] = len(patterns)
-        frame = None  # the patterns differ only in the signs of B: one elimination
-        for idx, pat in enumerate(patterns):
-            qp = assemble_so_qp(params, data, loss, boundary, pat, base=base)
-            if frame is None:
-                frame = icqp_frame(qp, rank_tol=cfg.rank_tol, face=ec)
-            ic = solve_icqp(
-                qp,
-                r_max=cfg.r_max,
-                zero_tol=cfg.zero_eig_tol,
-                rank_tol=cfg.rank_tol,
-                frame=frame,
-            )
+        keys, pinned, free = _pattern_space(classification, boundary, cfg.k_max)
+        names = [f"{k},{i}" for k, i in keys]
+        diagnostics["n_patterns"] = 2 ** classification.K
+        sweep = icqp_sweep(
+            base, ec, pinned, free, r_max=cfg.r_max, zero_tol=cfg.zero_eig_tol, rank_tol=cfg.rank_tol
+        )
+        for idx, (signs, ic) in enumerate(sweep):
             diagnostics["n_icqp"] += 1
+            _, q, r = ic.diagnostics["reduction"]
             cp_diag = ic.diagnostics.get("copositivity", {})
             trace.append(
                 {
                     "stage": "icqp",
                     "pattern_index": idx,
-                    "pattern": {f"{k},{i}": s for (k, i), s in pat.entries},
+                    "pattern": dict(zip(names, signs.tolist())),
                     "verdict": ic.verdict,
-                    "constraints": {"q": qp.shape[1], "r": qp.shape[2]},
+                    "constraints": {"q": q, "r": r},
                     "psd": ic.diagnostics.get("psd"),
                     "cp": ic.diagnostics.get("cp"),
                     "cp_by": cp_diag.get("cp_by"),
@@ -353,6 +371,7 @@ def sosp_check(
                 sosp_flag = True
                 flat_witness = Perturbation.unpack(ic.witness, params.dims)
             sosp_flag = sosp_flag or ic.verdict == "T2"
+        lap("icqp")
 
     diagnostics["elapsed"] = time.perf_counter() - t_start
     if sosp_flag:

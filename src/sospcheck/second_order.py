@@ -22,9 +22,14 @@ variables reduces the problem to ``min nu^T Rbar nu  s.t. nu_1 >= 0``,
 which is decided by a positive-semidefiniteness test on the block R22, the
 form on the face {A eta = 0, B eta = 0}, and a copositivity test on an
 r x r Schur complement S (a null vector z of R22 that R12 sees spans a
-descent direction with e_j, j = argmax |R12 z|). A positive definite S is
-strictly copositive outright; any other is decided by its Pareto spectrum,
-at cost O(r^3 2^r). Only the PGD cross-check draws random numbers.
+descent direction with e_j, j = argmax |R12 z|). Copositivity of S is
+decided by the first of these rules that applies
+(``copositivity_classify``): lambda_min(S) above the zero threshold (CP1);
+for lambda_min(S) within it, a zero diagonal entry (CP2), or else a
+nonnegative least-squares solve of the convex standard quadratic program on
+the simplex, whose Frank-Wolfe gap bounds its minimum from below (CP1 or
+CP2); and only for the rest, indefinite S among it, the Pareto spectrum, at
+cost O(r^3 2^r). Only the PGD cross-check draws random numbers.
 
 The cone QPs of all sign patterns at one point share an
 :class:`AssemblyBase`: a pattern changes only the slopes of the boundary
@@ -34,11 +39,17 @@ Their inequality rows differ only in sign, so they also share one
 :class:`IcqpFrame`, the O(p^3) elimination of the constraints. Every term a
 pattern changes carries a factor ``xbar_i . v_k`` that vanishes on the
 face, so R22 is the projected form of the point's equality-constrained QP,
-decided once, and each pattern costs O(p^2 r + r^3) beyond its assembly.
+decided once. ``icqp_sweep`` decides the patterns of a point a chunk at a
+time: one stacked assembly of their forms, one contraction with the frame
+for R11 and R12, one batched PSD-block test, and one stacked
+eigendecomposition of the Schur complements for the positive definite
+certificate; only what that leaves open, and the witnesses, are handled
+pattern by pattern. Each pattern costs O(p^2 r + r^3) beyond its assembly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 
@@ -83,6 +94,9 @@ WITNESS_CURV_TOL = 1e-10
 # samples per block when summing the per-sample curvature terms of a cone QP;
 # bounds the working memory of the assembly at O(ASSEMBLY_BLOCK * p)
 ASSEMBLY_BLOCK = 1024
+# form entries per stack of the pattern sweep (one pattern at least); bounds
+# its working memory at O(PATTERN_CHUNK) floats
+PATTERN_CHUNK = 1 << 18
 # principal subsets per batched eigendecomposition in the Pareto spectrum;
 # bounds its working memory at O(SPECTRUM_CHUNK * r^2)
 SPECTRUM_CHUNK = 1024
@@ -94,14 +108,23 @@ PGD_FIXED_POINT_TOL = 1e-12
 
 
 def _symmetric_form(q_mat: np.ndarray) -> np.ndarray:
-    """The exactly symmetric part of Q; reject a non-square or asymmetric Q."""
+    """The exactly symmetric part of Q, or of each form of a stack (..., p, p);
+    reject a non-square or asymmetric form."""
     q_mat = require_finite(q_mat, "Q")
-    p = q_mat.shape[0]
-    if q_mat.shape != (p, p) or np.abs(q_mat - q_mat.T).max(initial=0.0) > 1e-9 * max(
-        1.0, np.abs(q_mat).max(initial=0.0)
-    ):
+    if q_mat.ndim < 2 or q_mat.shape[-1] != q_mat.shape[-2]:
         raise NonSymmetricError("Q must be square symmetric")
-    return 0.5 * (q_mat + q_mat.T)
+    q_t = np.swapaxes(q_mat, -1, -2)
+    asym = np.abs(q_mat - q_t).max(axis=(-2, -1), initial=0.0)
+    if (asym > 1e-9 * np.maximum(1.0, np.abs(q_mat).max(axis=(-2, -1), initial=0.0))).any():
+        raise NonSymmetricError("Q must be square symmetric")
+    return 0.5 * (q_mat + q_t)
+
+
+def _as_rows(mat: np.ndarray, p: int, name: str) -> np.ndarray:
+    """``mat`` as a stack of constraint rows of length p; a single row may
+    come as a vector, and with p = 0 every row is empty."""
+    mat = require_finite(mat, name)
+    return mat.reshape(-1, p) if p else mat.reshape(mat.shape[0] if mat.ndim == 2 else 0, 0)
 
 
 @dataclass(frozen=True)
@@ -118,10 +141,12 @@ class ConeQP:
 
     def __post_init__(self):
         q_mat = _symmetric_form(self.Q)
+        if q_mat.ndim != 2:
+            raise NonSymmetricError("Q must be one square symmetric matrix")
         p = q_mat.shape[0]
         object.__setattr__(self, "Q", q_mat)
-        a = require_finite(self.A, "A").reshape(-1, p)
-        b = require_finite(self.B, "B").reshape(-1, p)
+        a = _as_rows(self.A, p, "A")
+        b = _as_rows(self.B, p, "B")
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
         q, r = a.shape[0], b.shape[0]
@@ -234,44 +259,50 @@ def pattern_objective(
 
 
 def _sample_terms(
-    params: NetworkParams, bundle: DerivativeBundle, rows: np.ndarray, pattern: SignPattern
+    params: NetworkParams, bundle: DerivativeBundle, rows: np.ndarray, jvals: np.ndarray
 ) -> np.ndarray:
-    """The samples' part of Q: their curvature plus their u/v coupling.
+    """The samples' part of the forms of n sign patterns: their curvature
+    plus their u/v coupling.
 
-    Sums P_i^T H_i P_i, with P_i the (d_y, p) linear response map of sample
-    i, and the bilinear coupling of the u_k and v_k blocks over the samples
-    ``rows``, a block of ``ASSEMBLY_BLOCK`` samples at a time as one product
-    each. The result is symmetric up to rounding.
+    ``jvals`` holds the hidden-layer slopes of the samples ``rows`` under
+    each pattern, shape (n, len(rows), d_h). Sums P_i^T H_i P_i, with P_i
+    the (d_y, p) linear response map of sample i, and the bilinear coupling
+    of the u_k and v_k blocks over the samples, a block of
+    ``ASSEMBLY_BLOCK`` samples at a time as one product per pattern. The
+    result, shape (n, p, p), is symmetric up to rounding.
     """
     d_x, d_h, d_y = params.dims
     p = params.n_params
+    n = len(jvals)
     _, sl_u, sl_v = perturbation_layout(params.dims)
     eye = np.eye(d_y)
-    q_mat = np.zeros((p, p))
-    coupling = np.zeros((d_h * d_y, d_x + 1))
+    q_mat = np.zeros((n, p, p))
+    coupling = np.zeros((n, d_h * d_y, d_x + 1))
     for start in range(0, len(rows), ASSEMBLY_BLOCK):
         blk = rows[start : start + ASSEMBLY_BLOCK]
-        jvals = pattern_jvals(params, bundle, pattern, blk)
+        jv = jvals[:, start : start + ASSEMBLY_BLOCK]
         hidden, xbar, grads = bundle.hidden[blk], bundle.xbar[blk], bundle.grads[blk]
-        n = len(blk)
+        b = len(blk)
         # P_i is [1, hidden_i] (x) I on (delta2, u_1..u_dh) and j_ik W2[:, k] xbar_i^T on v_k
-        aug = np.ones((n, d_h + 1))
+        aug = np.ones((b, d_h + 1))
         aug[:, 1:] = hidden
-        slopes = jvals[:, None, :] * params.W2  # (n, d_y, d_h)
+        fixed = (aug[:, None, :, None] * eye[:, None, :]).reshape(b, d_y, -1)
+        slopes = jv[:, :, None, :] * params.W2  # (n, b, d_y, d_h)
         resp = np.concatenate(
             [
-                (aug[:, None, :, None] * eye[:, None, :]).reshape(n, d_y, -1),
-                (slopes[..., None] * xbar[:, None, None, :]).reshape(n, d_y, -1),
+                np.broadcast_to(fixed, (n, *fixed.shape)),
+                (slopes[..., None] * xbar[:, None, None, :]).reshape(n, b, d_y, -1),
             ],
-            axis=2,
+            axis=3,
         )
-        q_mat += resp.reshape(-1, p).T @ (bundle.hessians[blk] @ resp).reshape(-1, p)
+        curv = bundle.hessians[blk] @ resp
+        q_mat += resp.reshape(n, -1, p).transpose(0, 2, 1) @ curv.reshape(n, -1, p)
         # sum_i j_ik g_i xbar_i^T for every unit k, stacked by rows
-        coupling += (jvals[:, :, None] * grads[:, None, :]).reshape(n, -1).T @ xbar
+        coupling += (jv[..., None] * grads[:, None, :]).reshape(n, b, -1).transpose(0, 2, 1) @ xbar
     for k in range(d_h):
-        w_k = coupling[k * d_y : (k + 1) * d_y]
-        q_mat[sl_u[k], sl_v[k]] += w_k
-        q_mat[sl_v[k], sl_u[k]] += w_k.T
+        w_k = coupling[:, k * d_y : (k + 1) * d_y]
+        q_mat[:, sl_u[k], sl_v[k]] += w_k
+        q_mat[:, sl_v[k], sl_u[k]] += w_k.transpose(0, 2, 1)
     return q_mat
 
 
@@ -285,7 +316,8 @@ class AssemblyBase:
     A pattern also only signs and sorts the same constraint rows, so they
     are built and rank-checked once, as the equality rows of
     ``constraints``: one homogeneity row per hidden unit, then one row per
-    boundary pair in the order of ``boundary.boundary_indices``.
+    boundary pair in the order of ``boundary.boundary_indices``, the order
+    of the sign vectors that :meth:`forms` takes.
     """
 
     params: NetworkParams
@@ -294,6 +326,20 @@ class AssemblyBase:
     touched: np.ndarray  # sorted indices of the samples with a boundary pair
     q_fixed: np.ndarray  # (p, p) terms of the other samples
     constraints: ConeQP  # Q = 0 and B empty; A holds every constraint row
+    slopes: np.ndarray  # (len(touched), d_h) slopes of the touched samples off their pairs
+    pair_at: np.ndarray  # place in ``touched`` of the sample of each boundary pair
+    pair_unit: np.ndarray  # hidden unit of each boundary pair
+
+    def forms(self, signs: np.ndarray) -> np.ndarray:
+        """The forms Q of n sign patterns, shape (n, p, p); row j of ``signs``
+        holds one sign in {-1, 0, 1} per boundary pair, which sets its slope
+        to ``s_minus``, 0 or ``s_plus``."""
+        act = self.params.activation
+        jvals = np.repeat(self.slopes[None], len(signs), axis=0)
+        jvals[:, self.pair_at, self.pair_unit] = np.where(
+            signs > 0, act.s_plus, np.where(signs < 0, act.s_minus, 0.0)
+        )
+        return self.q_fixed + _sample_terms(self.params, self.bundle, self.touched, jvals)
 
 
 def assembly_base(
@@ -304,7 +350,9 @@ def assembly_base(
     Dependent constraint rows raise RankDeficientConstraintsError.
     """
     on_boundary = bundle.boundary_mask.any(axis=1)
-    q_fixed = _sample_terms(params, bundle, np.flatnonzero(~on_boundary), SignPattern(()))
+    rest, touched = np.flatnonzero(~on_boundary), np.flatnonzero(on_boundary)
+    act = params.activation
+    q_fixed = _sample_terms(params, bundle, rest, act.hprime(bundle.preact[rest])[None])[0]
     _, d_h, _ = params.dims
     p = params.n_params
     _, sl_u, sl_v = perturbation_layout(params.dims)
@@ -312,14 +360,21 @@ def assembly_base(
     for k in range(d_h):
         rows[k, sl_u[k]] = params.W2[:, k]
         rows[k, sl_v[k]] = -params.hyperplane_row(k)
-    at = d_h
-    for k in range(d_h):
-        for i in boundary.boundary_indices[k]:
-            rows[at, sl_v[k]] = bundle.xbar[i]
-            at += 1
+    pair_unit = np.repeat(np.arange(d_h), boundary.counts)
+    pair_samples = np.concatenate([np.asarray(idx, dtype=int) for idx in boundary.boundary_indices])
+    for at, (k, i) in enumerate(zip(pair_unit, pair_samples), start=d_h):
+        rows[at, sl_v[k]] = bundle.xbar[i]
     constraints = ConeQP(Q=np.zeros((p, p)), A=rows, B=np.zeros((0, p)))
     return AssemblyBase(
-        params, bundle, boundary, np.flatnonzero(on_boundary), q_fixed, constraints
+        params,
+        bundle,
+        boundary,
+        touched,
+        q_fixed,
+        constraints,
+        act.hprime(bundle.preact[touched]),
+        np.searchsorted(touched, pair_samples),
+        pair_unit,
     )
 
 
@@ -351,16 +406,16 @@ def assemble_so_qp(
         if bundle is None:
             bundle = per_sample_derivatives(params, data, loss, boundary.boundary_tol)
         base = assembly_base(params, bundle, boundary)
-    params, bundle, boundary = base.params, base.bundle, base.boundary
+    params, boundary = base.params, base.boundary
     if not pattern.matches(boundary):
         raise ValueError("sign pattern does not match the boundary analysis")
-    q_mat = base.q_fixed + _sample_terms(params, bundle, base.touched, pattern)
     sigma = pattern.as_dict()
     signs = np.zeros(base.constraints.A.shape[0], dtype=int)
-    signs[params.dims[1] :] = [
+    d_h = params.dims[1]
+    signs[d_h:] = [
         sigma[(k, int(i))] for k, idx in enumerate(boundary.boundary_indices) for i in idx
     ]
-    return base.constraints.with_signs(q_mat, signs)
+    return base.constraints.with_signs(base.forms(signs[None, d_h:])[0], signs)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +437,7 @@ def solve_ecqp_pgd(q_mat: np.ndarray, a_mat: np.ndarray, seed: int = 0) -> QPCla
     """
     q_mat = require_finite(q_mat, "Q")
     p = q_mat.shape[0]
-    a_mat = require_finite(a_mat, "A").reshape(-1, p)
+    a_mat = _as_rows(a_mat, p, "A")
     basis = nullspace_basis(a_mat)
     proj = basis @ basis.T
     qnorm = _spectral_norm(q_mat)
@@ -467,7 +522,7 @@ def projected_spectrum_oracle(
     """
     q_mat = require_finite(q_mat, "Q")
     p = q_mat.shape[0]
-    a_mat = require_finite(a_mat, "A").reshape(-1, p)
+    a_mat = _as_rows(a_mat, p, "A")
     basis = nullspace_basis(a_mat) if a_mat.shape[0] else np.eye(p)
     eig_q = np.linalg.eigvalsh(q_mat)
     scale = float(np.abs(eig_q).max(initial=0.0))
@@ -578,6 +633,29 @@ def icqp_frame(
     return IcqpFrame(qp.A, qp.B, t0, face, face_pinv)
 
 
+def _reduce(
+    frame: IcqpFrame, forms: np.ndarray, signs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R11, R12 and the Schur complement S = R11 - R12 R22^+ R12^T of n cones
+    of ``frame``: forms (n, p, p), and B of cone j equal to
+    diag(signs[j]) b0.
+
+    The map of cone j is ``t0 diag(sigma, 1)``, so with D = diag(sigma) and
+    H = T_r^T Q t0 (T_r the first r columns of t0), R11 = D H11 D and
+    R12 = D H12: one contraction of the stack with t0 serves every sign.
+    R11 and S are made exactly symmetric.
+    """
+    r = frame.b0.shape[0]
+    head = (frame.t0[:, :r].T @ forms) @ frame.t0
+    head *= signs[:, :, None]
+    r11 = head[:, :, :r] * signs[:, None, :]
+    r11 = 0.5 * (r11 + r11.transpose(0, 2, 1))
+    r12 = head[:, :, r:]
+    # an empty R22 gives an empty pseudo-inverse
+    schur = r11 - r12 @ frame.face_pinv @ r12.transpose(0, 2, 1)
+    return r11, r12, 0.5 * (schur + schur.transpose(0, 2, 1))
+
+
 def icqp_reduce(
     qp: ConeQP, rank_tol: float = DEFAULT_RANK_TOL, frame: IcqpFrame | None = None
 ) -> IcqpReduction:
@@ -590,11 +668,11 @@ def icqp_reduce(
     if frame is None:
         frame = icqp_frame(qp, rank_tol)
     p, q, r = qp.shape
+    signs = frame.signs(qp)
+    r11, r12, _ = _reduce(frame, qp.Q[None], signs[None])
     t = frame.t0.copy()
-    t[:, :r] *= frame.signs(qp)
-    head = t[:, :r].T @ qp.Q @ t
-    r11 = 0.5 * (head[:, :r] + head[:, :r].T)
-    return IcqpReduction(t=t, r11=r11, r12=head[:, r:], shape=(p, q, r))
+    t[:, :r] *= signs
+    return IcqpReduction(t=t, r11=r11[0], r12=r12[0], shape=(p, q, r))
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +686,25 @@ class PsdBlockResult:
     witness_nu2: np.ndarray | None  # negative direction (PD4) or null vector (PD2/PD3)
 
 
+def _psd_blocks(face: SpectrumOracle, r12: np.ndarray, tols: np.ndarray) -> list[PsdBlockResult]:
+    """:func:`classify_psd_block` of a stack of R12 (n, r, n2), with one
+    threshold per block, by one batched product with the face's null
+    vectors."""
+    dec = face.decomposition
+    if face.verdict == "T3":
+        return [PsdBlockResult("PD4", dec.eigenvectors[:, 0])] * len(r12)
+    if face.verdict == "T1":
+        return [PsdBlockResult("PD1", None)] * len(r12)
+    null_basis = dec.eigenvectors[:, np.abs(dec.eigenvalues) <= face.tol]
+    norms = np.linalg.norm(r12 @ null_basis, axis=1)
+    best = norms.argmax(axis=1)
+    seen = norms[np.arange(len(r12)), best] > tols
+    return [
+        PsdBlockResult("PD3", null_basis[:, j]) if hit else PsdBlockResult("PD2", null_basis[:, 0])
+        for j, hit in zip(best, seen)
+    ]
+
+
 def classify_psd_block(face: SpectrumOracle, r12: np.ndarray, tol: float) -> PsdBlockResult:
     """Trichotomy of the unconstrained block R22 from the verdict of the form
     on the face, which R22 is, with no eigendecomposition.
@@ -617,17 +714,7 @@ def classify_psd_block(face: SpectrumOracle, r12: np.ndarray, tol: float) -> Psd
     for a null vector z of the face (the form is then unbounded below), the
     z that R12 sees most, and PD2 otherwise (flat directions only).
     """
-    dec = face.decomposition
-    if face.verdict == "T3":
-        return PsdBlockResult("PD4", dec.eigenvectors[:, 0])
-    if face.verdict == "T1":
-        return PsdBlockResult("PD1", None)
-    null_basis = dec.eigenvectors[:, np.abs(dec.eigenvalues) <= face.tol]
-    norms = np.linalg.norm(require_finite(r12, "R12") @ null_basis, axis=0)
-    best = int(np.argmax(norms))
-    if norms[best] <= tol:
-        return PsdBlockResult("PD2", null_basis[:, 0])
-    return PsdBlockResult("PD3", null_basis[:, best])
+    return _psd_blocks(face, require_finite(r12, "R12")[None], np.array([tol]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -781,35 +868,62 @@ def pareto_spectrum(s_mat: np.ndarray, r_max: int = 20) -> tuple[list[ParetoEige
 class CopositivityResult:
     kind: str  # "CP1" | "CP2" | "CP3"
     witness: np.ndarray | None  # nonnegative vector with value <= 0 (CP2/CP3)
-    min_pareto: float | None  # None when the PD certificate decided
+    min_pareto: float | None  # None unless the Pareto spectrum decided
     spectrum: list | None  # the Pareto spectrum; None when it was not enumerated
     diagnostics: dict
 
 
-def copositivity_classify(s_mat: np.ndarray, r_max: int = 20) -> CopositivityResult:
-    """Decide (strict) copositivity from the sign of the minimal Pareto eigenvalue.
+def _simplex_bound(s_mat: np.ndarray) -> tuple[float, np.ndarray]:
+    """A point x of the simplex {x >= 0, sum x = 1} near the minimum of
+    x^T S x there, and a lower bound on that minimum, for S with
+    lambda_min(S) near zero.
 
-    Every Pareto eigenvalue is an eigenvalue of a principal submatrix, so by
-    interlacing it is at least lambda_min(S). When lambda_min(S) exceeds the
-    zero threshold ``tol = DEFAULT_CP_TOL * max(1, max|S|)`` the minimal Pareto
-    eigenvalue does too, and S is CP1 without enumerating the spectrum;
-    otherwise the Pareto spectrum decides. ``diagnostics`` records which
-    path decided (``cp_by``: "pd_certificate" or "pareto"), lambda_min(S)
-    (``lam_min_s``) and ``tol``. The subset budget ``r_max`` and the
-    symmetry of S are checked on both paths. The CP3 witness is the pair of
-    the minimal Pareto value, the CP2 witness the first pair whose value is
-    within ``tol`` of zero, so that rounding does not pick it.
+    With mu = max(0, -lambda_min(S)) the form of M = S + mu I is convex, and
+    for any x of the simplex the Frank-Wolfe gap bounds its minimum from
+    below by min_i (2 M x)_i - x^T M x (Jaggi, ICML 2013); x^T S x is at
+    least that minus mu, as ||x|| <= 1. x minimizes ||L x||^2 + rho (1^T x - 1)^2
+    over x >= 0, L^T L = M, by one nonnegative least-squares solve: the
+    penalty only scales the minimizer of the simplex, which x is once
+    normalized.
     """
-    s_mat = require_finite(np.atleast_2d(s_mat), "S")
-    r = s_mat.shape[0]
-    if r > r_max:
-        raise SubsetBudgetExceededError(f"r={r} exceeds the subset budget r_max={r_max}")
-    _require_symmetric_pairs(s_mat)
-    tol = DEFAULT_CP_TOL * max(1.0, float(np.abs(s_mat).max(initial=0.0)))
-    lam_min_s = float(np.linalg.eigvalsh(0.5 * (s_mat + s_mat.T))[0]) if r else float("nan")
+    from scipy.optimize import nnls
+
+    sym = 0.5 * (s_mat + s_mat.T)
+    w, v = np.linalg.eigh(sym)
+    mu = max(0.0, -float(w[0]))
+    root = np.sqrt(np.maximum(w + mu, 0.0))[:, None] * v.T
+    weight = np.sqrt(max(1.0, float(np.abs(sym).max()) + mu))
+    rhs = np.zeros(len(sym) + 1)
+    rhs[-1] = weight
+    x = nnls(np.vstack([root, np.full(len(sym), weight)]), rhs)[0]
+    x /= x.sum()
+    grad = sym @ x + mu * x
+    return float(2.0 * grad.min() - x @ grad - mu), x
+
+
+def _copositivity(
+    s_mat: np.ndarray, lam_min_s: float, tol: float, r_max: int
+) -> CopositivityResult:
+    """Decide copositivity of S given lambda_min(S) and the zero threshold,
+    by the first of these rules that applies; see
+    :func:`copositivity_classify`."""
     diag = {"lam_min_s": lam_min_s, "tol": tol}
     if lam_min_s > tol:
         return CopositivityResult("CP1", None, None, None, {"cp_by": "pd_certificate", **diag})
+    if lam_min_s >= -tol:
+        flat = np.flatnonzero(np.diag(s_mat) <= tol)
+        if flat.size:
+            witness = np.zeros(len(s_mat))
+            witness[flat[0]] = 1.0
+            return CopositivityResult("CP2", witness, None, None, {"cp_by": "zero_diagonal", **diag})
+        lower, x = _simplex_bound(s_mat)
+        value = float(x @ s_mat @ x)
+        diag.update(simplex_lower=lower, simplex_value=value)
+        if lower > tol:
+            return CopositivityResult("CP1", None, None, None, {"cp_by": "simplex_bound", **diag})
+        if value <= tol * float(x @ x):
+            witness = x / np.linalg.norm(x)
+            return CopositivityResult("CP2", witness, None, None, {"cp_by": "simplex_bound", **diag})
     pairs, pareto_diag = pareto_spectrum(s_mat, r_max=r_max)
     diag = {"cp_by": "pareto", **diag, **pareto_diag}
     if not pairs:
@@ -825,25 +939,129 @@ def copositivity_classify(s_mat: np.ndarray, r_max: int = 20) -> CopositivityRes
     return CopositivityResult("CP2", flat.vector, lam_min, pairs, diag)
 
 
-# ---------------------------------------------------------------------------
-# Full inequality-constrained solver
-# ---------------------------------------------------------------------------
+def copositivity_classify(s_mat: np.ndarray, r_max: int = 20) -> CopositivityResult:
+    """Decide (strict) copositivity from the sign of the minimal Pareto eigenvalue.
 
+    The minimal Pareto eigenvalue is the minimum of x^T S x over unit x >= 0,
+    and it is compared with the zero threshold ``tol = DEFAULT_CP_TOL *
+    max(1, max|S|)``: CP1 above it, CP3 below -tol, CP2 within. Every Pareto
+    eigenvalue is an eigenvalue of a principal submatrix, so by interlacing
+    it is at least lambda_min(S). The rules, in order, each exact in exact
+    arithmetic (``cp_by`` in ``diagnostics`` names the one that decided):
 
-def _pd3_ray(red: IcqpReduction, qp: ConeQP, j: int, z: np.ndarray) -> np.ndarray:
-    """The unit direction of least curvature of Q on span{u = t e_j, w = W z}
-    with a nonnegative u coefficient, so that B eta >= 0.
+    * "pd_certificate": lambda_min(S) > tol, so CP1.
+    * For lambda_min(S) >= -tol, S cannot be CP3, and the minimum over the
+      unit vectors x >= 0 is at most that over the simplex divided by
+      ||x||^2 and, when positive, at least that over the simplex itself:
+      "zero_diagonal" when some S_ii <= tol, CP2 with witness e_i (the
+      first such i); otherwise "simplex_bound" (:func:`_simplex_bound`),
+      CP1 when the lower bound on the simplex exceeds tol, and CP2 with
+      witness x / ||x|| when x^T S x <= tol ||x||^2.
+    * "pareto": everything else, indefinite S among it, by enumerating the
+      Pareto spectrum. The CP3 witness is the pair of the minimal Pareto
+      value, the CP2 witness the first pair whose value is within ``tol``
+      of zero, so that rounding does not pick it.
 
-    u is orthogonal to the face and w a unit vector on it, so this is one
-    2 x 2 eigenproblem of Q on (u / ||u||, w). Raises if the span has no
-    negative curvature.
+    ``diagnostics`` also records lambda_min(S) (``lam_min_s``), ``tol`` and
+    the simplex bound and value where they were computed. The subset budget
+    ``r_max`` and the symmetry of S are checked on every path.
     """
-    u = red.t[:, j]
-    pair = np.column_stack([u / np.linalg.norm(u), red.t[:, red.shape[2] :] @ z])
-    curv, vecs = np.linalg.eigh(pair.T @ qp.Q @ pair)
+    s_mat = require_finite(np.atleast_2d(s_mat), "S")
+    r = s_mat.shape[0]
+    if r > r_max:
+        raise SubsetBudgetExceededError(f"r={r} exceeds the subset budget r_max={r_max}")
+    _require_symmetric_pairs(s_mat)
+    tol = DEFAULT_CP_TOL * max(1.0, float(np.abs(s_mat).max(initial=0.0)))
+    lam_min_s = float(np.linalg.eigvalsh(0.5 * (s_mat + s_mat.T))[0]) if r else float("nan")
+    return _copositivity(s_mat, lam_min_s, tol, r_max)
+
+
+# ---------------------------------------------------------------------------
+# Full inequality-constrained solver and the per-point pattern sweep
+# ---------------------------------------------------------------------------
+
+
+def _pd3_ray(q_mat: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The unit direction of least curvature of Q on span{u, w} with a
+    nonnegative u coefficient, so that B eta >= 0.
+
+    u (the map's column t e_j of a PD3 pair) is orthogonal to the face and w
+    a unit vector on it, so this is one 2 x 2 eigenproblem of Q on
+    (u / ||u||, w). Raises if the span has no negative curvature.
+    """
+    pair = np.column_stack([u / np.linalg.norm(u), w])
+    curv, vecs = np.linalg.eigh(pair.T @ q_mat @ pair)
     if curv[0] >= 0.0:
         raise InternalInconsistencyError("no negative curvature on the span of a PD3 pair")
     return pair @ (vecs[:, 0] if vecs[0, 0] >= 0.0 else -vecs[:, 0])
+
+
+def _verified(qp: ConeQP, eta: np.ndarray, verdict: str, diag: dict) -> QPClassification:
+    eta = eta / np.linalg.norm(eta)
+    verify_witness(qp, eta, verdict)
+    return QPClassification(verdict, eta, diag)
+
+
+def _decide_icqps(
+    frame: IcqpFrame,
+    forms: np.ndarray,
+    signs: np.ndarray,
+    cone: Callable[[int], ConeQP],
+    r_max: int,
+    zero_tol: float,
+) -> Iterator[QPClassification]:
+    """Decide n cones of ``frame`` in order: forms (n, p, p), B of cone j
+    equal to diag(signs[j]) b0, and ``cone(j)`` its ConeQP.
+
+    The reduction, the PSD blocks, the Schur complements and their positive
+    definite certificate run on the whole stack at once. The rest (the
+    other copositivity rules, and lifting and verifying witnesses, for
+    which ``cone(j)`` is built) runs per cone as the results are consumed,
+    so that a consumer that stops at a T3 does none of it for later cones.
+    """
+    p, q, r = frame.t0.shape[0], frame.a.shape[0], frame.b0.shape[0]
+    face = frame.face
+    r11, r12, schur = _reduce(frame, forms, signs)
+    scale = np.maximum(
+        np.maximum(np.abs(r11).max(axis=(1, 2)), np.abs(r12).max(axis=(1, 2), initial=0.0)),
+        np.abs(face.decomposition.eigenvalues).max(initial=0.0),
+    )
+    psds = _psd_blocks(face, r12, zero_tol * scale)
+    # S decides only where R22 is PD1 or PD2
+    lam_min = np.linalg.eigvalsh(schur)[:, 0]
+    cp_tol = DEFAULT_CP_TOL * np.maximum(1.0, np.abs(schur).max(axis=(1, 2)))
+    for j, psd in enumerate(psds):
+        diag = {"psd": psd.kind, "reduction": (p, q, r)}
+        sigma = signs[j]
+
+        def lift(nu1, nu2):
+            return frame.t0 @ np.concatenate([sigma * nu1, nu2])
+
+        if psd.kind == "PD4":
+            yield _verified(cone(j), lift(np.zeros(r), psd.witness_nu2), "T3", diag)
+            continue
+        if psd.kind == "PD3":
+            z = psd.witness_nu2
+            image = r12[j] @ z
+            i = int(np.argmax(np.abs(image)))
+            diag["pd3_cross"] = float(image[i])
+            qp = cone(j)
+            eta = _pd3_ray(qp.Q, sigma[i] * frame.t0[:, i], face.basis @ z)
+            yield _verified(qp, eta, "T3", diag)
+            continue
+        if r > r_max:
+            raise SubsetBudgetExceededError(f"r={r} exceeds the subset budget r_max={r_max}")
+        cp = _copositivity(schur[j], float(lam_min[j]), float(cp_tol[j]), r_max)
+        diag.update(cp=cp.kind, min_pareto=cp.min_pareto, copositivity=cp.diagnostics)
+        if psd.kind == "PD1" and cp.kind == "CP1":
+            yield QPClassification("T1", None, diag)
+            continue
+        if cp.kind == "CP3" or psd.kind == "PD1":  # lift the Schur witness nu1
+            nu1 = cp.witness
+            eta = lift(nu1, -(frame.face_pinv @ (r12[j].T @ nu1)))
+        else:  # PD2 with CP1 or CP2: the null vector of R22 is flat
+            eta = lift(np.zeros(r), psd.witness_nu2)
+        yield _verified(cone(j), eta, "T3" if cp.kind == "CP3" else "T2", diag)
 
 
 def solve_icqp(
@@ -861,52 +1079,72 @@ def solve_icqp(
     curvature on the span of t e_j and W z, j = argmax |R12 z|. PD3 means
     ``||R12 z|| > zero_tol * scale``, scale the largest of max |R11|,
     max |R12| and max |lambda(R22)|. Otherwise copositivity of the Schur
-    complement R11 - R12 R22^+ R12^T decides between T1 (strict, with R22
-    positive definite), T3 (negative Pareto eigenvalue) and T2. Witnesses
-    are re-verified in original coordinates. ``frame`` is an
+    complement R11 - R12 R22^+ R12^T (:func:`copositivity_classify`'s rules)
+    decides between T1 (strict, with R22 positive definite), T3 (CP3) and
+    T2. Witnesses are re-verified in original coordinates. ``frame`` is an
     :func:`icqp_frame` shared by the cones of one point; by default that of
-    ``qp``, with its face decided at ``zero_tol``.
+    ``qp``, with its face decided at ``zero_tol``. This is the pattern
+    sweep's decision (:func:`icqp_sweep`) on a stack of one cone.
     """
-    p, q, r = qp.shape
-    if r == 0:
+    if qp.shape[2] == 0:
         raise ValueError("no inequality rows; use the equality-constrained path")
     if frame is None:
         face = projected_spectrum_oracle(qp.Q, np.vstack([qp.A, qp.B]), zero_tol)
         frame = icqp_frame(qp, rank_tol, face)
-    red = icqp_reduce(qp, frame=frame)
-    blocks = (red.r11, red.r12, frame.face.decomposition.eigenvalues)
-    scale = max(float(np.abs(b).max(initial=0.0)) for b in blocks)
-    psd = classify_psd_block(frame.face, red.r12, zero_tol * scale)
-    diag = {"psd": psd.kind, "reduction": red.shape}
+    signs = frame.signs(qp)
+    return next(_decide_icqps(frame, qp.Q[None], signs[None], lambda _: qp, r_max, zero_tol))
 
-    if psd.kind == "PD4":
-        eta = red.eta_from_nu(np.zeros(r), psd.witness_nu2)
-        eta = eta / np.linalg.norm(eta)
-        verify_witness(qp, eta, "T3")
-        return QPClassification("T3", eta, diag)
 
-    if psd.kind == "PD3":
-        image = red.r12 @ psd.witness_nu2
-        j = int(np.argmax(np.abs(image)))
-        eta = _pd3_ray(red, qp, j, psd.witness_nu2)
-        verify_witness(qp, eta, "T3")
-        diag["pd3_cross"] = float(image[j])
-        return QPClassification("T3", eta, diag)
+def sign_rows(pinned: np.ndarray, free: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Sign patterns ``start`` to ``stop - 1`` of the lexicographic
+    enumeration in which the entries marked ``free`` take -1 or 1 and the
+    others keep their ``pinned`` sign: pattern n reads the free entries off
+    the binary digits of n, the first entry the most significant, 0 as -1."""
+    index = np.arange(start, stop)
+    cols = np.flatnonzero(free)
+    rows = np.repeat(np.asarray(pinned, dtype=int)[None], len(index), axis=0)
+    rows[:, cols] = 2 * ((index[:, None] >> np.arange(len(cols) - 1, -1, -1)) & 1) - 1
+    return rows
 
-    # R22 is PD1 or PD2 here; an empty R22 gives an empty pseudo-inverse
-    schur = red.r11 - red.r12 @ frame.face_pinv @ red.r12.T
-    schur = 0.5 * (schur + schur.T)
-    cp = copositivity_classify(schur, r_max=r_max)
-    diag.update(cp=cp.kind, min_pareto=cp.min_pareto, copositivity=cp.diagnostics)
 
-    if psd.kind == "PD1" and cp.kind == "CP1":
-        return QPClassification("T1", None, diag)
-    if cp.kind == "CP3" or psd.kind == "PD1":  # lift the Schur witness nu1
-        nu1 = cp.witness
-        eta = red.eta_from_nu(nu1, -(frame.face_pinv @ (red.r12.T @ nu1)))
-    else:  # PD2 with CP1 or CP2: the null vector of R22 is flat
-        eta = red.eta_from_nu(np.zeros(r), psd.witness_nu2)
-    verdict = "T3" if cp.kind == "CP3" else "T2"
-    eta = eta / np.linalg.norm(eta)
-    verify_witness(qp, eta, verdict)
-    return QPClassification(verdict, eta, diag)
+def icqp_sweep(
+    base: AssemblyBase,
+    face: SpectrumOracle,
+    pinned: np.ndarray,
+    free: np.ndarray,
+    r_max: int = 20,
+    zero_tol: float = DEFAULT_ZERO_EIG_TOL,
+    rank_tol: float = DEFAULT_RANK_TOL,
+) -> Iterator[tuple[np.ndarray, QPClassification]]:
+    """Decide the inequality-constrained QP of every sign pattern of a point,
+    in the order of :func:`sign_rows`; yield (signs, classification) for each.
+
+    ``pinned`` and ``free`` hold one entry per boundary pair, in the order
+    of ``base``'s constraint rows. ``face`` is the
+    :func:`projected_spectrum_oracle` of the point's equality-constrained
+    QP, which is the form on the face of every pattern's cone, so one
+    :func:`icqp_frame` serves them all. The patterns are assembled and
+    decided a chunk at a time, on stacks of at most ``PATTERN_CHUNK`` form
+    entries (one pattern at least), so the working memory does not grow with
+    the number of patterns. A consumer that stops at a T3 skips the rest.
+    """
+    d_h = base.params.dims[1]
+    p = base.params.n_params
+    n_rows = base.constraints.A.shape[0]
+    signed = (np.asarray(pinned) != 0) | free
+    first = np.zeros(n_rows, dtype=int)
+    first[d_h:] = sign_rows(pinned, free, 0, 1)[0]
+    frame = icqp_frame(base.constraints.with_signs(base.constraints.Q, first), rank_tol, face)
+    n_patterns = 2 ** int(np.count_nonzero(free))
+    step = max(1, PATTERN_CHUNK // (p * p))
+    for start in range(0, n_patterns, step):
+        full = np.zeros((min(step, n_patterns - start), n_rows), dtype=int)
+        full[:, d_h:] = sign_rows(pinned, free, start, start + len(full))
+        forms = _symmetric_form(base.forms(full[:, d_h:]))
+
+        def cone(j, forms=forms, full=full):
+            return base.constraints.with_signs(forms[j], full[j])
+
+        relative = full[:, d_h:][:, signed] * first[d_h:][signed]
+        for j, res in enumerate(_decide_icqps(frame, forms, relative, cone, r_max, zero_tol)):
+            yield full[j, d_h:], res

@@ -1,4 +1,6 @@
+from collections import Counter
 from dataclasses import asdict
+from itertools import product
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from sospcheck.network import (
 from sospcheck.second_order import (
     assemble_so_qp,
     projected_spectrum_oracle,
+    sign_rows,
     solve_ecqp_pgd,
     solve_icqp,
 )
@@ -229,6 +232,14 @@ class TestEnumerateSignPatterns:
         patterns = enumerate_sign_patterns(cls, boundary)
         assert len(patterns) == 4
 
+    def test_sign_rows_are_the_lexicographic_product_in_any_range(self):
+        pinned = np.array([1, 0, 0, -1, 0, 1])
+        free = np.array([False, True, False, False, True, True])
+        choices = [(-1, 1) if f else (int(s),) for s, f in zip(pinned, free)]
+        want = np.array(list(product(*choices)))
+        assert np.array_equal(sign_rows(pinned, free, 0, 8), want)
+        assert np.array_equal(sign_rows(pinned, free, 3, 7), want[3:7])
+
     def test_budget_exceeded(self):
         boundary, cls = self._classified(
             construct_boundary_fosp(3, 1, 1, seed=2, mode="orthogonal")
@@ -319,7 +330,7 @@ class TestPipelineInvariants:
         for point in points:
             runs = [sosp_check(point.params, point.data).as_dict() for _ in range(2)]
             for report in runs:
-                del report["diagnostics"]["elapsed"]
+                del report["diagnostics"]["elapsed"], report["diagnostics"]["stage_s"]
             assert runs[0] == runs[1]
             assert runs[0]["diagnostics"]["config"] == asdict(CheckConfig())
             reports.append(runs[0])
@@ -415,7 +426,7 @@ class TestIcqpStage:
     @staticmethod
     def _point():
         # K = 3: eight patterns, decided by the PD certificate and by the
-        # Pareto spectrum, as CP1 and as CP2
+        # simplex bound, as CP1 and as CP2
         return construct_boundary_fosp(
             5, 2, 1, seed=10, n_boundary=3, units=[0, 0, 1], mode="orthogonal"
         )
@@ -442,13 +453,46 @@ class TestIcqpStage:
         point = self._point()
         verdict = sosp_check(point.params, point.data)
         entries = [e for e in verdict.diagnostics["trace"] if e["stage"] == "icqp"]
-        assert {e["cp_by"] for e in entries} == {"pd_certificate", "pareto"}
+        assert {e["cp_by"] for e in entries} == {"pd_certificate", "simplex_bound"}
         for e in entries:
             assert e["tol"] >= 1e-9
             if e["cp_by"] == "pd_certificate":
                 assert e["cp"] == "CP1" and e["lam_min_s"] > e["tol"]
             else:
                 assert e["lam_min_s"] <= e["tol"]
+
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    def test_trace_does_not_depend_on_the_pattern_chunk(self, monkeypatch, per_chunk):
+        # eight patterns of a sosp fixture, and a fixture whose sweep stops
+        # at a T3, swept in chunks of one and of three patterns
+        import sospcheck.second_order as second_order
+
+        points = [
+            self._point(),
+            construct_boundary_fosp(3, 2, 2, seed=1, mode="orthogonal", residual_scale=3.0),
+        ]
+        whole = [sosp_check(point.params, point.data).as_dict() for point in points]
+        chunked = []
+        for point in points:
+            p = point.params.n_params
+            monkeypatch.setattr(second_order, "PATTERN_CHUNK", per_chunk * p * p)
+            chunked.append(sosp_check(point.params, point.data).as_dict())
+        for report in whole + chunked:
+            del report["diagnostics"]["elapsed"], report["diagnostics"]["stage_s"]
+        assert chunked == whole
+        assert [r["kind"] for r in whole] == ["sosp", "descent"]
+        assert whole[1]["stage"] == "icqp"
+        assert whole[1]["diagnostics"]["n_icqp"] < 2 ** whole[1]["diagnostics"]["K"]
+
+    def test_stage_timings(self):
+        point = self._point()
+        diag = sosp_check(point.params, point.data).diagnostics
+        assert list(diag["stage_s"]) == ["derivatives", "first_order", "ecqp", "icqp"]
+        assert all(t >= 0.0 for t in diag["stage_s"].values())
+        assert sum(diag["stage_s"].values()) <= diag["elapsed"]
+        descent = construct_boundary_fosp(3, 2, 1, seed=1, mode="ray_descent")
+        diag = sosp_check(descent.params, descent.data).diagnostics
+        assert list(diag["stage_s"]) == ["derivatives", "first_order"]
 
     def test_one_eigendecomposition_decides_every_psd_block(self, monkeypatch):
         # R22 of every pattern is the form the equality-constrained QP
@@ -474,7 +518,7 @@ class TestOrthogonalCandidates:
         # the (6, 2, 1) fixtures with orthogonal boundary samples on units 0
         # and 1, from the construction seeds the large-m benchmark set-up
         # checks before it replicates them
-        kinds = []
+        kinds, icqps = [], []
         for s in range(20):
             for j in range(10):
                 try:
@@ -484,9 +528,17 @@ class TestOrthogonalCandidates:
                     )
                 except ConstructionFailedError:
                     continue
-                kinds.append(sosp_check(point.params, point.data).kind)
+                verdict = sosp_check(point.params, point.data)
+                kinds.append(verdict.kind)
+                icqps += [(e["verdict"], e["psd"], e["cp"])
+                          for e in verdict.diagnostics["trace"] if e["stage"] == "icqp"]
         assert len(kinds) >= 150
         assert set(kinds) <= {"local_minimum", "sosp", "descent"}
+        # the verdicts, PSD kinds and copositivity kinds that the ICQP stage
+        # must keep on these fixtures
+        assert Counter(kinds) == {"local_minimum": 131, "sosp": 61}
+        assert Counter(icqps) == {("T1", "PD1", "CP1"): 571, ("T2", "PD2", "CP2"): 93,
+                                  ("T2", "PD1", "CP2"): 57, ("T2", "PD2", "CP1"): 47}
 
 
 def replicate(point, copies):
@@ -503,18 +555,25 @@ def replicate(point, copies):
 
 
 class TestReplicatedSospFixtures:
-    """SOSP fixtures that fail once replicated, through rounding error that
-    grows with m. Each pins one failure message. Construction seed 6 at 500
-    copies (m = 11,002) gets a CP3 witness whose curvature fails
-    re-verification (about 3e-12); seed 90 at 2,000 copies (m = 44,002) an
-    empty Pareto spectrum; and seed 106 at 500 copies a PD3 call on a small
-    but real eigenvalue of R22, whose pair spans no negative curvature ("no
-    negative curvature on the span of a PD3 pair"). Which seeds fail depends
-    on the summation order of the reduction, so a change to it moves the
-    failures to other seeds."""
+    """SOSP fixtures replicated until rounding error that grows with m
+    reaches the decisions. The strict xfails pin a failure message each.
+    Construction seed 6 at 500 copies (m = 11,002) gets a CP3 witness whose
+    curvature fails re-verification (about 3e-12); seed 106 at 500 copies a
+    PD3 call on a small but real eigenvalue of R22, whose pair spans no
+    negative curvature ("no negative curvature on the span of a PD3 pair").
+    Which seeds fail depends on the summation order of the reduction, so a
+    change to it moves the failures to other seeds. Seed 90 at 2,000 copies
+    (m = 44,002) had every Pareto candidate rejected ("empty Pareto
+    spectrum"); its Schur complements have entries below the zero threshold
+    on the diagonal, and lambda_min(S) above -tol, so the zero-diagonal
+    rule decides them without the enumeration."""
 
-    @pytest.mark.xfail(strict=True, raises=InternalInconsistencyError)
-    @pytest.mark.parametrize("seed, copies", [(6, 500), (90, 2000), (106, 500)])
+    _fails = pytest.mark.xfail(strict=True, raises=InternalInconsistencyError)
+
+    @pytest.mark.parametrize(
+        "seed, copies",
+        [pytest.param(6, 500, marks=_fails), (90, 2000), pytest.param(106, 500, marks=_fails)],
+    )
     def test_replicated_sosp_fixture_gets_a_verdict(self, seed, copies):
         point = construct_boundary_fosp(
             seed=seed, d_x=6, d_h=2, d_y=1, n_boundary=2, units=[0, 1], mode="orthogonal"

@@ -80,6 +80,14 @@ class TestConeQP:
         with pytest.raises(NonSymmetricError):
             ConeQP(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((0, 2)), np.zeros((0, 2)))
 
+    def test_zero_size_form(self):
+        empty = np.zeros((0, 0))
+        assert ConeQP(empty, empty, empty).shape == (0, 0, 0)
+        with pytest.raises(RankDeficientConstraintsError):  # rows of zero length
+            ConeQP(empty, np.zeros((2, 0)), empty)
+        with pytest.raises(NonSymmetricError):  # a stack of forms is not one form
+            ConeQP(np.zeros((2, 3, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
+
     def test_with_signs_splits_and_signs_the_rows(self):
         rows = np.random.default_rng(35).standard_normal((4, 6))
         base = ConeQP(np.zeros((6, 6)), rows, np.zeros((0, 6)))
@@ -336,6 +344,14 @@ class TestSpectrumOracle:
         assert oracle.lam_min is None
         assert oracle.scale == 5.0 and oracle.tol == 1e-6 * 5.0
 
+    def test_zero_size_form_is_strictly_positive(self):
+        # p = 0: the only direction is the empty one
+        for a_mat in (np.zeros((0, 0)), np.zeros(0)):
+            oracle = projected_spectrum_oracle(np.zeros((0, 0)), a_mat)
+            assert oracle.verdict == "T1" and oracle.witness is None and oracle.lam_min is None
+            assert oracle.decomposition.eigenvalues.shape == (0,)
+            assert oracle.basis.shape == (0, 0) and oracle.scale == 0.0
+
     def test_monotonicity_and_agreement(self):
         rng = np.random.default_rng(7)
         fallbacks = 0
@@ -366,8 +382,9 @@ def _pivot_permutation(mat):
 def _reference_icqp_reduce(qp):
     """Two pivoted eliminations, of A and then of the reduced B: the oracle for
     icqp_reduce. Returns (R11, R12, R22) of the reduced form, and the map from
-    the coordinates of R22 to original directions, a basis of the face
-    {A eta = 0, B eta = 0} that is not orthonormal."""
+    the reduced coordinates to original directions; its last p - q - r
+    columns are a basis of the face {A eta = 0, B eta = 0} that is not
+    orthonormal."""
     p, q, r = qp.shape
     map_a = np.eye(p)
     if q:
@@ -393,7 +410,7 @@ def _reference_icqp_reduce(qp):
     r_bar = 0.5 * (r_bar + r_bar.T)
     map_b = np.zeros((p - q, p - q))
     map_b[perm_b] = t_b
-    return r_bar[:r, :r], r_bar[:r, r:], r_bar[r:, r:], (map_a @ map_b)[:, r:]
+    return r_bar[:r, :r], r_bar[:r, r:], r_bar[r:, r:], map_a @ map_b
 
 
 def _reference_psd_kind(r22, r12, tol):
@@ -575,7 +592,8 @@ class TestIcqpFrame:
         face = projected_spectrum_oracle(ecqp.Q, ecqp.A)
         form = face.basis.T @ ecqp.Q @ face.basis
         for qp in cones:
-            _, _, r22, face_map = _reference_icqp_reduce(qp)
+            _, _, r22, ref_map = _reference_icqp_reduce(qp)
+            face_map = ref_map[:, qp.shape[2]:]
             coords = face.basis.T @ face_map
             assert np.abs(face.basis @ coords - face_map).max() <= 1e-12 * np.abs(face_map).max()
             assert np.abs(coords.T @ form @ coords - r22).max() <= 1e-12 * np.abs(r22).max()
@@ -645,6 +663,54 @@ class TestIcqpFrame:
             with pytest.raises(InternalInconsistencyError, match="face basis"):
                 second_order.icqp_frame(first, face=face)
         assert second_order.icqp_frame(first, face=projected_spectrum_oracle(first.Q, rows))
+
+
+class TestBatchedReduction:
+    """R11, R12 and S of a stack of cones of one frame, as the pattern sweep
+    forms them, against the double elimination of each cone on its own."""
+
+    @staticmethod
+    def _assert_matches_double_elimination(frame, cones):
+        forms = np.stack([qp.Q for qp in cones])
+        signs = np.stack([frame.signs(qp) for qp in cones])
+        r11, r12, schur = second_order._reduce(frame, forms, signs)
+        r22 = frame.face.decomposition.reconstruct()
+        for j, qp in enumerate(cones):
+            p, q, r = qp.shape
+            ref11, ref12, ref22, ref_map = _reference_icqp_reduce(qp)
+            ref_bar = np.block([[ref11, ref12], [ref12.T, ref22]])
+            tol = 1e-12 * np.abs(ref_bar).max()
+            # both maps send nu1 to a direction with B eta = nu1, so they
+            # differ by a change of coordinates that keeps nu1
+            t = frame.t0 * np.concatenate([signs[j], np.ones(p - q - r)])
+            change = np.linalg.lstsq(t, ref_map, rcond=None)[0]
+            assert np.abs(change[:r] - np.eye(p - q)[:r]).max() <= 1e-12 * np.abs(change).max()
+            r_bar = np.block([[r11[j], r12[j]], [r12[j].T, r22]])
+            assert np.abs(change.T @ r_bar @ change - ref_bar).max() <= tol
+            if p - q == r or np.linalg.eigvalsh(ref22)[0] > 1e-6 * np.abs(ref22).max():
+                ref_schur = ref11 - ref12 @ np.linalg.solve(ref22, ref12.T) if ref22.size else ref11
+                assert np.abs(schur[j] - ref_schur).max() <= tol
+
+    def test_every_pattern_of_an_orthogonal_fixture(self):
+        ecqp, cones = _orthogonal_fixture_cones()
+        face = projected_spectrum_oracle(ecqp.Q, ecqp.A)
+        frame = second_order.icqp_frame(cones[0], face=face)
+        self._assert_matches_double_elimination(frame, cones)
+
+    def test_random_cones_with_random_signs(self):
+        rng = np.random.default_rng(35)
+        for trial in range(60):
+            p = int(rng.integers(3, 9))
+            q = int(rng.integers(0, p - 1))
+            r = int(rng.integers(1, p - q + 1))
+            first = random_cone_qp(rng, p, q, r, kind=("indefinite", "pd", "psd_null")[trial % 3])
+            cones = []
+            for _ in range(3):
+                sigma = rng.choice((-1.0, 1.0), size=r)
+                x = rng.standard_normal((r, p))
+                form = first.Q + first.B.T @ x + x.T @ first.B
+                cones.append(ConeQP(form, first.A, sigma[:, None] * first.B))
+            self._assert_matches_double_elimination(second_order.icqp_frame(first), cones)
 
 
 def _psd_block(face, r12):
@@ -824,12 +890,13 @@ class TestCopositivity:
 
     def test_flat_witness_does_not_follow_rounding(self):
         # diagonal entries at rounding level: every Pareto value is zero
-        # within tol, so the witness is the first pair, e_1, in either order
+        # within tol, so the witness is the first zero diagonal entry's,
+        # e_1, in either order
         for deltas in ((3e-18, -2e-18), (-2e-18, 3e-18), (1e-18, 1e-18)):
             res = copositivity_classify(np.diag(deltas))
             assert res.kind == "CP2"
             assert np.array_equal(res.witness, [1.0, 0.0])
-            assert res.min_pareto == min(deltas)
+            assert res.diagnostics["lam_min_s"] == min(deltas)
 
     def test_flat_case(self):
         res = copositivity_classify(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -880,6 +947,18 @@ def _reference_copositivity(s_mat, r_max=20, zero_tol=second_order.DEFAULT_CP_TO
     return "CP2", pairs[flat].vector, lam_min
 
 
+def _assert_flat_witness(s_mat, got):
+    """A copositivity result decided without the enumeration carries no
+    witness for CP1, and for CP2 a unit witness x >= 0 with |x^T S x| <= tol."""
+    if got.kind == "CP1":
+        assert got.witness is None
+        return
+    assert got.kind == "CP2"
+    x = got.witness
+    assert x.min() >= 0.0 and np.linalg.norm(x) == pytest.approx(1.0, rel=1e-12)
+    assert abs(x @ s_mat @ x) <= got.diagnostics["tol"]
+
+
 def _random_s(rng, r, kind):
     """Random symmetric r x r matrix of one of four kinds."""
     if kind == "pd":
@@ -928,8 +1007,9 @@ class TestCopositivityCertificate:
             if witness is not None:
                 assert np.array_equal(got.witness, witness)
         else:
-            assert got.diagnostics["cp_by"] == "pd_certificate"
-            assert got.min_pareto is None and got.spectrum is None and got.witness is None
+            assert got.diagnostics["cp_by"] in ("pd_certificate", "zero_diagonal", "simplex_bound")
+            assert got.min_pareto is None and got.spectrum is None
+            _assert_flat_witness(s_mat, got)
         return got
 
     def test_certificate_matches_enumeration(self):
@@ -945,7 +1025,8 @@ class TestCopositivityCertificate:
                     if kind == "copositive_not_psd":
                         assert got.kind == "CP1" and got.diagnostics["lam_min_s"] < 0
         assert decided_by["pd"] == {"pd_certificate"}
-        assert decided_by["copositive_not_psd"] == decided_by["singular_psd"] == {"pareto"}
+        assert decided_by["copositive_not_psd"] == {"pareto"}
+        assert decided_by["singular_psd"] == {"simplex_bound"}
         assert "pareto" in decided_by["indefinite"]
 
     def test_threshold_edges(self):
@@ -953,8 +1034,10 @@ class TestCopositivityCertificate:
         for r in range(1, 9):
             s0 = _s_with_lam_min(rng, r, 0.0)
             tol = second_order.DEFAULT_CP_TOL * max(1.0, np.abs(s0).max())
+            # r = 1: S is its own diagonal entry
+            flat_by = "zero_diagonal" if r == 1 else "simplex_bound"
             for factor, want_kind, want_by in ((1 + 1e-3, "CP1", "pd_certificate"),
-                                               (1 - 1e-3, "CP2", "pareto")):
+                                               (1 - 1e-3, "CP2", flat_by)):
                 s_mat = s0 + factor * tol * np.eye(r)
                 got = self._assert_matches_enumeration(s_mat)
                 assert (got.kind, got.diagnostics["cp_by"]) == (want_kind, want_by)
@@ -966,6 +1049,89 @@ class TestCopositivityCertificate:
             copositivity_classify(np.eye(3), r_max=2)
         with pytest.raises(NonSymmetricError):
             copositivity_classify(np.array([[1.0, 1e-6], [0.0, 1.0]]))
+
+
+class TestCopositivityRules:
+    """Each rule that decides without the enumeration, against the
+    enumeration, and its witnesses lifted through a cone QP whose Schur
+    complement is S, where the solver re-verifies them in original
+    coordinates."""
+
+    VERDICT = {"CP1": "T1", "CP2": "T2", "CP3": "T3"}
+
+    @staticmethod
+    def _cone_with_schur(rng, s_mat):
+        """Q = diag(S, I_2) on nu = (nu1, nu2) with B = [I 0], in rotated
+        coordinates: R11 = S, R12 = 0 and R22 = I_2."""
+        r = len(s_mat)
+        p = r + 2
+        q_mat = np.eye(p)
+        q_mat[:r, :r] = s_mat
+        rot = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        return ConeQP(rot @ q_mat @ rot.T, np.zeros((0, p)), np.eye(p)[:r] @ rot.T)
+
+    def _assert_decides(self, rng, s_mat, want_kind, want_by):
+        got = TestCopositivityCertificate._assert_matches_enumeration(s_mat)
+        assert (got.kind, got.diagnostics["cp_by"]) == (want_kind, want_by)
+        res = solve_icqp(self._cone_with_schur(rng, s_mat))
+        assert res.verdict == self.VERDICT[want_kind]
+        assert (res.diagnostics["cp"], res.diagnostics["copositivity"]["cp_by"]) == (
+            want_kind, want_by)
+        return got
+
+    def test_psd_with_and_without_a_nonnegative_null_vector(self):
+        rng = np.random.default_rng(41)
+        for r in range(2, 8):
+            for positive in (True, False):
+                v = np.abs(rng.standard_normal(r)) + 0.5
+                if not positive:
+                    v[0] = -v[0]
+                proj = np.eye(r) - np.outer(v, v) / (v @ v)
+                g = rng.standard_normal((r + 2, r))
+                s_mat = proj @ (g.T @ g) @ proj
+                s_mat = 0.5 * (s_mat + s_mat.T)
+                got = self._assert_decides(rng, s_mat, "CP2" if positive else "CP1",
+                                           "simplex_bound")
+                if positive:  # the witness is the null vector
+                    assert np.abs(got.witness - v / np.linalg.norm(v)).max() <= 1e-6
+
+    def test_zero_rows_and_columns(self):
+        rng = np.random.default_rng(42)
+        for r in range(1, 8):
+            for n_zero in range(1, r + 1):
+                zero = np.sort(rng.choice(r, size=n_zero, replace=False))
+                rest = np.setdiff1d(np.arange(r), zero)
+                g = rng.standard_normal((len(rest) + 1, len(rest)))
+                s_mat = np.zeros((r, r))
+                s_mat[np.ix_(rest, rest)] = g.T @ g
+                got = self._assert_decides(rng, s_mat, "CP2", "zero_diagonal")
+                assert np.array_equal(got.witness, np.eye(r)[zero[0]])
+                if len(rest):  # negative curvature off the zero rows: enumerated
+                    s_mat[rest[0], rest[0]] = -1.0
+                    self._assert_decides(rng, s_mat, "CP3", "pareto")
+
+    def test_lambda_min_at_the_threshold(self):
+        # lambda_min(S) at +-tol (1 +- 1e-3), with a positive eigenvector
+        # (the minimal Pareto eigenvalue is lambda_min) and with a mixed one
+        rng = np.random.default_rng(43)
+        for r in range(2, 8):
+            for positive in (True, False):
+                s0 = _s_with_lam_min(rng, r, 0.0)
+                if not positive:
+                    sign = np.ones(r)
+                    sign[0] = -1.0
+                    s0 = sign[:, None] * s0 * sign
+                tol = second_order.DEFAULT_CP_TOL * max(1.0, np.abs(s0).max())
+                cases = (
+                    (1 + 1e-3, "CP1", "pd_certificate"),
+                    (1 - 1e-3, "CP2" if positive else "CP1", "simplex_bound"),
+                    (-1 + 1e-3, "CP2" if positive else "CP1", "simplex_bound"),
+                    (-1 - 1e-3, "CP3" if positive else "CP1", "pareto"),
+                )
+                for factor, want_kind, want_by in cases:
+                    s_mat = s0 + factor * tol * np.eye(r)
+                    got = self._assert_decides(rng, s_mat, want_kind, want_by)
+                    assert got.diagnostics["lam_min_s"] == pytest.approx(factor * tol, rel=1e-6)
 
 
 class TestSolveIcqp:
