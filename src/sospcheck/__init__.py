@@ -8,7 +8,7 @@ unit's activation boundary) are handled exactly, via per-unit box QPs,
 extreme-ray tests, and cone-constrained quadratic programs.
 """
 
-from .checker import CheckConfig, Verdict, enumerate_sign_patterns, sosp_check, validate_descent
+from .checker import CheckConfig, Verdict, sosp_check, validate_descent
 from .errors import (
     ConstructionFailedError,
     DegenerateGeometryError,
@@ -60,7 +60,6 @@ from .network import (
     LossModel,
     NetworkParams,
     Perturbation,
-    SignPattern,
     SquaredLoss,
     boundary_analysis,
     empirical_risk,

@@ -37,7 +37,6 @@ from .network import (
     LossModel,
     NetworkParams,
     Perturbation,
-    SignPattern,
     SquaredLoss,
     boundary_analysis,
     empirical_risk,
@@ -50,7 +49,6 @@ from .second_order import (  # noqa: F401
     assembly_base,
     icqp_sweep,
     projected_spectrum_oracle,
-    sign_rows,
     solve_icqp,
     verify_witness,
 )
@@ -75,6 +73,8 @@ class CheckConfig:
 
 
 DEFAULT_CONFIG = CheckConfig()
+# relative risk decrease a validated descent step must beat
+DESCENT_MARGIN = 1e-14
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,14 @@ class Verdict:
 
 
 def _pattern_space(classification, boundary: BoundaryAnalysis, k_max: int):
-    """The boundary pairs (k, i) in the order of the cone QPs' constraint
-    rows, the sign each pair is pinned to, and which pairs take both signs,
-    as :func:`enumerate_sign_patterns` describes."""
+    """The boundary pairs (k, i) in the order of a sign row, the sign each
+    pair is pinned to, and which pairs take both signs.
+
+    Samples with both ray directions flat take both signs (2^K patterns in
+    all, in the order of ``second_order.sign_rows``), single-flat samples
+    are pinned to their sign, and samples with no flat ray are pinned to
+    zero.
+    """
     if classification.K > k_max:
         raise PatternBudgetExceededError(
             f"2^{classification.K} sign patterns exceed the budget 2^{k_max}"
@@ -135,18 +140,6 @@ def _pattern_space(classification, boundary: BoundaryAnalysis, k_max: int):
     return keys, np.array(pinned, dtype=int), np.array(free, dtype=bool)
 
 
-def enumerate_sign_patterns(classification, boundary: BoundaryAnalysis, k_max: int = 16):
-    """All sign patterns consistent with the flat-ray sets, lexicographically.
-
-    Samples with both ray directions flat contribute both signs (2^K
-    combinations total), single-flat samples are pinned to their sign, and
-    samples with no flat ray are pinned to zero.
-    """
-    keys, pinned, free = _pattern_space(classification, boundary, k_max)
-    rows = sign_rows(pinned, free, 0, 2 ** classification.K)
-    return [SignPattern.from_dict(dict(zip(keys, row.tolist()))) for row in rows]
-
-
 def validate_descent(
     params: NetworkParams,
     data: Dataset,
@@ -154,18 +147,17 @@ def validate_descent(
     eta: Perturbation,
     gamma0: float = 1e-2,
     halvings: int = 40,
-    margin: float = 1e-14,
 ) -> float:
     """Backtracking line search certifying an actual risk decrease along ``eta``.
 
     Returns the first step size gamma in {gamma0 * 2^-j} with
-    risk(z + gamma eta) < risk(z) - margin * max(1, risk(z)); raises
+    risk(z + gamma eta) < risk(z) - DESCENT_MARGIN * max(1, risk(z)); raises
     NoDecreaseFoundError if none of them decreases the risk.
     """
     if eta.norm() == 0.0:
         raise ValueError("descent direction must be nonzero")
     base = empirical_risk(params, data, loss)
-    floor = base - margin * max(1.0, abs(base))
+    floor = base - DESCENT_MARGIN * max(1.0, abs(base))
     for j in range(halvings + 1):
         gamma = gamma0 * (0.5**j)
         if empirical_risk(params.perturbed(eta, gamma), data, loss) < floor:
@@ -314,11 +306,10 @@ def sosp_check(
     flat_witness: Perturbation | None = None
 
     base = assembly_base(params, bundle, boundary)
-    pattern0 = SignPattern.all_zero(boundary)
-    qp0 = assemble_so_qp(params, data, loss, boundary, pattern0, base=base)
+    qp0 = assemble_so_qp(params, data, loss, boundary, np.zeros(boundary.total), base=base)
     ec = projected_spectrum_oracle(qp0.Q, qp0.A, zero_tol=cfg.zero_eig_tol)
     if ec.witness is not None:
-        verify_witness(qp0, ec.witness, ec.verdict)
+        verify_witness(qp0.Q, qp0.A, qp0.B, ec.witness, ec.verdict)
     diagnostics["n_ecqp"] += 1
     trace.append(
         {

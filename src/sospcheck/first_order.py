@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .errors import DegenerateGeometryError, InternalInconsistencyError, NotBoundaryError
 from .network import BoundaryAnalysis, DerivativeBundle, NetworkParams, Perturbation
@@ -146,6 +145,8 @@ def solve_subdiff_qp(
     Slopes whose gradient factor W2[:,k]^T grad_t is exactly zero stay at the
     box midpoint. A stalled solver raises InternalInconsistencyError.
     """
+    from scipy.optimize import lsq_linear
+
     idx = boundary.boundary_indices[k]
     m_k = len(idx)
     if m_k == 0:

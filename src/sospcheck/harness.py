@@ -746,7 +746,6 @@ def construct_indefinite_fosp(
     full check must escape at the second-order stage.
     """
     from .second_order import assemble_so_qp, projected_spectrum_oracle
-    from .network import SignPattern
 
     loss = SquaredLoss()
     for attempt in range(max_attempts):
@@ -765,7 +764,7 @@ def construct_indefinite_fosp(
             bundle = per_sample_derivatives(point.params, point.data, loss)
             boundary = boundary_analysis(point.params, point.data, loss, bundle=bundle)
             qp = assemble_so_qp(
-                point.params, point.data, loss, boundary, SignPattern.all_zero(boundary), bundle=bundle
+                point.params, point.data, loss, boundary, np.zeros(boundary.total), bundle=bundle
             )
             oracle = projected_spectrum_oracle(qp.Q, qp.A)
             if oracle.verdict == "T3":

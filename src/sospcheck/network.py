@@ -478,51 +478,6 @@ def boundary_analysis(
 
 
 # ---------------------------------------------------------------------------
-# Sign patterns
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SignPattern:
-    """One sign assignment sigma_{i,k} in {-1, 0, +1} per boundary pair (k, i).
-
-    Keys are (unit, sample) pairs and must exactly match the boundary sets of
-    the analysis the pattern was built for. A zero entry pins the direction
-    to the boundary hyperplane (equality constraint); +-1 selects a side.
-    """
-
-    entries: tuple  # sorted tuple of ((k, i), sigma)
-
-    @staticmethod
-    def from_dict(d: dict) -> "SignPattern":
-        items = tuple(sorted(((k, i), int(s)) for (k, i), s in d.items()))
-        for (_, _), s in items:
-            if s not in (-1, 0, 1):
-                raise ValueError(f"sigma must be in {{-1, 0, +1}}, got {s}")
-        return SignPattern(items)
-
-    @staticmethod
-    def all_zero(boundary: BoundaryAnalysis) -> "SignPattern":
-        d = {}
-        for k, idx in enumerate(boundary.boundary_indices):
-            for i in idx:
-                d[(k, int(i))] = 0
-        return SignPattern.from_dict(d)
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
-    def matches(self, boundary: BoundaryAnalysis) -> bool:
-        keys = {key for key, _ in self.entries}
-        expect = {
-            (k, int(i))
-            for k, idx in enumerate(boundary.boundary_indices)
-            for i in idx
-        }
-        return keys == expect
-
-
-# ---------------------------------------------------------------------------
 # Directional expansion
 # ---------------------------------------------------------------------------
 

@@ -31,12 +31,17 @@ the simplex, whose Frank-Wolfe gap bounds its minimum from below (CP1 or
 CP2); and only for the rest, indefinite S among it, the Pareto spectrum, at
 cost O(r^3 2^r). Only the PGD cross-check draws random numbers.
 
-The cone QPs of all sign patterns at one point share an
-:class:`AssemblyBase`: a pattern changes only the slopes of the boundary
-samples, so the terms of every other sample are summed once, and it only
-signs and sorts the same constraint rows, so their rank is checked once.
-Their inequality rows differ only in sign, so they also share one
-:class:`IcqpFrame`, the O(p^3) elimination of the constraints. Every term a
+A sign pattern is a sign row: one entry in {-1, 0, 1} per boundary pair
+(k, i), unit-major and in the order of ``boundary.boundary_indices``. A
+zero pins the direction to the pair's boundary hyperplane (an equality
+row); -1 and 1 pick a side (an inequality row signed by the entry). The
+cone QPs of all sign patterns at one point share an :class:`AssemblyBase`:
+a pattern changes only the slopes of the boundary samples, so the terms of
+every other sample are summed once, and it only signs and sorts the same
+constraint rows, so their rank is checked once. Their inequality rows
+differ only in sign, so they also share one :class:`IcqpFrame`, the O(p^3)
+elimination of the constraints, built with every signed row at +1, so that
+the signs of a cone's inequality rows are its own sign row. Every term a
 pattern changes carries a factor ``xbar_i . v_k`` that vanishes on the
 face, so R22 is the projected form of the point's equality-constrained QP,
 decided once. ``icqp_sweep`` decides the patterns of a point a chunk at a
@@ -49,7 +54,7 @@ pattern by pattern. Each pattern costs O(p^2 r + r^3) beyond its assembly.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 
@@ -77,7 +82,6 @@ from .network import (
     LossModel,
     NetworkParams,
     Perturbation,
-    SignPattern,
     _response_terms,
     per_sample_derivatives,
     perturbation_layout,
@@ -161,29 +165,6 @@ class ConeQP:
         """(p, q, r)."""
         return (self.Q.shape[0], self.A.shape[0], self.B.shape[0])
 
-    def with_signs(self, q_mat: np.ndarray, signs: np.ndarray) -> ConeQP:
-        """The cone with form ``q_mat`` whose rows are this cone's equality rows
-        re-signed: ``signs`` holds one entry in {-1, 0, 1} per row of A; rows
-        with sign 0 stay equalities and the others, in order, become the
-        inequality rows ``sign * A[j]``.
-
-        The stacked rows differ from this cone's only in sign and order, so
-        they keep the rank checked when this cone was built; only Q is
-        checked again.
-        """
-        signs = np.asarray(signs)
-        if self.B.shape[0] or signs.shape != self.A.shape[:1] or (np.sign(signs) != signs).any():
-            raise ValueError("need a sign in {-1, 0, 1} per row of a cone with only equalities")
-        q_mat = _symmetric_form(q_mat)
-        if q_mat.shape != self.Q.shape:
-            raise ValueError(f"form of shape {q_mat.shape} does not match {self.Q.shape}")
-        signed = signs != 0
-        cone = object.__new__(ConeQP)
-        object.__setattr__(cone, "Q", q_mat)
-        object.__setattr__(cone, "A", self.A[~signed])
-        object.__setattr__(cone, "B", signs[signed, None] * self.A[signed])
-        return cone
-
 
 @dataclass(frozen=True)
 class QPClassification:
@@ -199,16 +180,19 @@ def _spectral_norm(q_mat: np.ndarray) -> float:
     return float(max(abs(w[0]), abs(w[-1])))
 
 
-def verify_witness(qp: ConeQP, eta: np.ndarray, verdict: str) -> None:
-    """Re-check a witness in the original coordinates; raise if it fails."""
+def verify_witness(
+    q_mat: np.ndarray, a_mat: np.ndarray, b_mat: np.ndarray, eta: np.ndarray, verdict: str
+) -> None:
+    """Re-check a witness of the form ``q_mat`` on the cone {a_mat eta = 0,
+    b_mat eta >= 0} in the original coordinates; raise if it fails."""
     n = float(np.linalg.norm(eta))
     if n == 0.0:
         raise InternalInconsistencyError(f"{verdict} witness is the zero vector")
-    qnorm = _spectral_norm(qp.Q)
-    quad = float(eta @ qp.Q @ eta)
-    if qp.A.shape[0] and np.linalg.norm(qp.A @ eta) > WITNESS_FEAS_TOL * n:
+    qnorm = _spectral_norm(q_mat)
+    quad = float(eta @ q_mat @ eta)
+    if a_mat.shape[0] and np.linalg.norm(a_mat @ eta) > WITNESS_FEAS_TOL * n:
         raise InternalInconsistencyError(f"{verdict} witness violates equality constraints")
-    if qp.B.shape[0] and float(np.min(qp.B @ eta)) < -WITNESS_FEAS_TOL * n:
+    if b_mat.shape[0] and float(np.min(b_mat @ eta)) < -WITNESS_FEAS_TOL * n:
         raise InternalInconsistencyError(f"{verdict} witness violates inequality constraints")
     if verdict == "T3" and quad > -WITNESS_CURV_TOL * qnorm * n * n:
         raise InternalInconsistencyError(
@@ -223,38 +207,37 @@ def verify_witness(qp: ConeQP, eta: np.ndarray, verdict: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def pattern_jvals(
-    params: NetworkParams, bundle: DerivativeBundle, pattern: SignPattern, rows: np.ndarray
-) -> np.ndarray:
-    """Hidden-layer slope of each (sample, unit) pair of the sorted samples
-    ``rows`` under the sign pattern; entries on other samples are skipped."""
+def _sign_row(signs, n_pairs: int) -> np.ndarray:
+    """``signs`` as a sign row of ``n_pairs`` entries; ValueError unless it
+    has that length and every entry is in {-1, 0, 1}."""
+    row = np.asarray(signs)
+    if row.shape != (n_pairs,) or (np.sign(row) != row).any():
+        raise ValueError(f"need a sign row of {n_pairs} entries in {{-1, 0, 1}}")
+    return row.astype(int)
+
+
+def _pair_slopes(params: NetworkParams, signs: np.ndarray) -> np.ndarray:
+    """The hidden-layer slope that each sign sets on its boundary pair:
+    ``s_minus``, 0 or ``s_plus``."""
     act = params.activation
-    jvals = act.hprime(bundle.preact[rows])  # a fresh array, so written in place below
-    for (k, i), sigma in pattern.entries:
-        if not bundle.boundary_mask[i, k]:
-            raise ValueError(f"pattern entry ({k}, {i}) is not a boundary pair")
-        at = int(np.searchsorted(rows, i))
-        if at == len(rows) or rows[at] != i:
-            continue
-        if sigma == 0:
-            jvals[at, k] = 0.0
-        else:
-            jvals[at, k] = act.s_plus if sigma > 0 else act.s_minus
-    return jvals
+    return np.where(signs > 0, act.s_plus, np.where(signs < 0, act.s_minus, 0.0))
 
 
 def pattern_objective(
     params: NetworkParams,
     bundle: DerivativeBundle,
-    pattern: SignPattern,
+    signs: np.ndarray,
     eta: Perturbation,
 ) -> float:
-    """Second-order objective at ``eta`` with slopes fixed by the pattern.
+    """Second-order objective at ``eta`` with the slopes of the boundary
+    pairs fixed by the sign row ``signs``.
 
     Used as the direct-evaluation oracle for the assembled quadratic form:
     eta^T Q eta equals exactly twice this value.
     """
-    jvals = pattern_jvals(params, bundle, pattern, np.arange(bundle.m))
+    units, samples = np.nonzero(bundle.boundary_mask.T)  # the pairs, unit-major
+    jvals = params.activation.hprime(bundle.preact)
+    jvals[samples, units] = _pair_slopes(params, _sign_row(signs, len(units)))
     return _response_terms(params, bundle, eta, jvals)[1]
 
 
@@ -314,10 +297,9 @@ class AssemblyBase:
     terms of the samples with no boundary pair are summed once
     (``q_fixed``), and each pattern adds those of the ``touched`` samples.
     A pattern also only signs and sorts the same constraint rows, so they
-    are built and rank-checked once, as the equality rows of
-    ``constraints``: one homogeneity row per hidden unit, then one row per
-    boundary pair in the order of ``boundary.boundary_indices``, the order
-    of the sign vectors that :meth:`forms` takes.
+    are built and rank-checked once, as ``rows``: one homogeneity row per
+    hidden unit, then one row per boundary pair in the order of
+    ``boundary.boundary_indices``, the order of the entries of a sign row.
     """
 
     params: NetworkParams
@@ -325,20 +307,16 @@ class AssemblyBase:
     boundary: BoundaryAnalysis
     touched: np.ndarray  # sorted indices of the samples with a boundary pair
     q_fixed: np.ndarray  # (p, p) terms of the other samples
-    constraints: ConeQP  # Q = 0 and B empty; A holds every constraint row
+    rows: np.ndarray  # (d_h + M, p) independent constraint rows, each pair's at sign +1
     slopes: np.ndarray  # (len(touched), d_h) slopes of the touched samples off their pairs
     pair_at: np.ndarray  # place in ``touched`` of the sample of each boundary pair
     pair_unit: np.ndarray  # hidden unit of each boundary pair
 
     def forms(self, signs: np.ndarray) -> np.ndarray:
-        """The forms Q of n sign patterns, shape (n, p, p); row j of ``signs``
-        holds one sign in {-1, 0, 1} per boundary pair, which sets its slope
-        to ``s_minus``, 0 or ``s_plus``."""
-        act = self.params.activation
+        """The forms Q of n sign patterns, shape (n, p, p), from their sign
+        rows (n, M)."""
         jvals = np.repeat(self.slopes[None], len(signs), axis=0)
-        jvals[:, self.pair_at, self.pair_unit] = np.where(
-            signs > 0, act.s_plus, np.where(signs < 0, act.s_minus, 0.0)
-        )
+        jvals[:, self.pair_at, self.pair_unit] = _pair_slopes(self.params, signs)
         return self.q_fixed + _sample_terms(self.params, self.bundle, self.touched, jvals)
 
 
@@ -364,14 +342,17 @@ def assembly_base(
     pair_samples = np.concatenate([np.asarray(idx, dtype=int) for idx in boundary.boundary_indices])
     for at, (k, i) in enumerate(zip(pair_unit, pair_samples), start=d_h):
         rows[at, sl_v[k]] = bundle.xbar[i]
-    constraints = ConeQP(Q=np.zeros((p, p)), A=rows, B=np.zeros((0, p)))
+    if matrix_rank(rows) != len(rows):
+        raise RankDeficientConstraintsError(
+            f"constraint rows are dependent: rank {matrix_rank(rows)} < {len(rows)}"
+        )
     return AssemblyBase(
         params,
         bundle,
         boundary,
         touched,
         q_fixed,
-        constraints,
+        rows,
         act.hprime(bundle.preact[touched]),
         np.searchsorted(touched, pair_samples),
         pair_unit,
@@ -383,17 +364,19 @@ def assemble_so_qp(
     data: Dataset,
     loss: LossModel,
     boundary: BoundaryAnalysis,
-    pattern: SignPattern,
+    signs: np.ndarray,
     bundle: DerivativeBundle | None = None,
     base: AssemblyBase | None = None,
 ) -> ConeQP:
-    """Build the cone QP for one sign pattern.
+    """Build the cone QP for the sign pattern of the sign row ``signs``.
 
     Q is the symmetric matrix with eta^T Q eta equal to twice the
     second-order objective. A stacks one homogeneity row per hidden unit
     (confining directions to the orthogonal complement of the per-unit
-    rescaling invariances) plus one boundary row per zero-sign entry; B
-    stacks the signed boundary rows. Dependent constraint rows raise
+    rescaling invariances) plus the boundary row of each zero entry; B
+    stacks the boundary rows of the other entries, each times its sign.
+    A sign row of the wrong length or with an entry outside {-1, 0, 1}
+    raises ValueError; dependent constraint rows raise
     RankDeficientConstraintsError.
 
     ``base`` is the :func:`assembly_base` of the point, which then also
@@ -406,16 +389,14 @@ def assemble_so_qp(
         if bundle is None:
             bundle = per_sample_derivatives(params, data, loss, boundary.boundary_tol)
         base = assembly_base(params, bundle, boundary)
-    params, boundary = base.params, base.boundary
-    if not pattern.matches(boundary):
-        raise ValueError("sign pattern does not match the boundary analysis")
-    sigma = pattern.as_dict()
-    signs = np.zeros(base.constraints.A.shape[0], dtype=int)
-    d_h = params.dims[1]
-    signs[d_h:] = [
-        sigma[(k, int(i))] for k, idx in enumerate(boundary.boundary_indices) for i in idx
-    ]
-    return base.constraints.with_signs(base.forms(signs[None, d_h:])[0], signs)
+    signs = _sign_row(signs, base.boundary.total)
+    d_h = base.params.dims[1]
+    pairs, zero = base.rows[d_h:], signs == 0
+    return ConeQP(
+        base.forms(signs[None])[0],
+        np.vstack([base.rows[:d_h], pairs[zero]]),
+        signs[~zero, None] * pairs[~zero],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -573,12 +554,11 @@ class IcqpFrame:
     """The part of the ICQP reduction that the sign patterns of a point share.
 
     The cones of one point have the same A, and their B differ only by row
-    signs: B = diag(sigma) B0. The map of a cone is ``t0 diag(sigma, 1)``,
-    ``t0 = [T_r | face.basis]``, T_r the minimum-norm map with A T_r = 0 and
-    B0 T_r = I. ``face`` is the form on the face {A eta = 0, B0 eta = 0},
-    R22 of every cone of the frame; ``face_pinv`` drops the eigenvalues it
-    calls zero. ``signs`` reads sigma off a cone and raises if the cone is
-    not one of the frame's.
+    signs: B = diag(sigma) b0, sigma in {-1, 1}^r. The map of a cone is
+    ``t0 diag(sigma, 1)``, ``t0 = [T_r | face.basis]``, T_r the minimum-norm
+    map with A T_r = 0 and b0 T_r = I. ``face`` is the form on the face
+    {A eta = 0, b0 eta = 0}, R22 of every cone of the frame; ``face_pinv``
+    drops the eigenvalues it calls zero.
     """
 
     a: np.ndarray  # (q, p) equality rows
@@ -587,17 +567,27 @@ class IcqpFrame:
     face: SpectrumOracle
     face_pinv: np.ndarray  # (p - q - r, p - q - r)
 
-    def signs(self, qp: ConeQP) -> np.ndarray:
-        """sigma with qp.B = diag(sigma) b0, after checking qp.A = a bit for bit."""
-        if not np.array_equal(qp.A, self.a) or qp.B.shape != self.b0.shape:
-            raise InternalInconsistencyError("cone rows differ from the reduction frame's")
-        plus = (qp.B == self.b0).all(axis=1)
-        minus = (qp.B == -self.b0).all(axis=1)
-        if not (plus | minus).all():
-            raise InternalInconsistencyError(
-                "cone inequality rows are not sign flips of the reduction frame's"
-            )
-        return np.where(plus, 1.0, -1.0)
+
+def _frame(a: np.ndarray, b0: np.ndarray, face: SpectrumOracle, rank_tol: float) -> IcqpFrame:
+    """The :class:`IcqpFrame` of the rows ``a`` and ``b0``; see
+    :func:`icqp_frame`."""
+    p, q, r = a.shape[1], a.shape[0], b0.shape[0]
+    if r == 0:
+        raise ValueError("no inequality rows; use the equality-constrained path")
+    basis = nullspace_basis(a, rank_tol)
+    if basis.shape[1] != p - q:
+        raise RankDeficientError(f"null(A) has dimension {basis.shape[1]}, expected {p - q}")
+    u, s, vt = np.linalg.svd(b0 @ basis, full_matrices=False)
+    if s[-1] <= rank_tol * s[0]:
+        raise RankDeficientError("inequality rows are dependent on null(A)")
+    rows = np.vstack([a, b0])
+    bad = face.basis.shape != (p, p - q - r)
+    if bad or np.linalg.norm(rows @ face.basis) > rank_tol * np.linalg.norm(rows):
+        raise InternalInconsistencyError("the face basis does not span null of the cone's rows")
+    t0 = np.hstack([basis @ (vt.T @ (u.T / s[:, None])), face.basis])
+    # the tol of a zero form is 0, and every eigenvalue of it is zero
+    face_pinv = face.decomposition.pseudoinverse(max(face.tol, np.finfo(float).tiny))
+    return IcqpFrame(a, b0, t0, face, face_pinv)
 
 
 def icqp_frame(
@@ -606,31 +596,16 @@ def icqp_frame(
     """Eliminate the equality constraints once for every cone that shares
     ``qp``'s rows up to the signs of B, and check their ranks.
 
-    ``face`` is the :func:`projected_spectrum_oracle` of the form on the face
+    ``qp.B`` becomes the frame's b0. ``face`` is the
+    :func:`projected_spectrum_oracle` of the form on the face
     {A eta = 0, B eta = 0}, by default that of ``qp.Q``. Cones that share a
     frame must agree on the face, as those of one :func:`assembly_base` and
     its all-zero pattern's QP do. Raises InternalInconsistencyError unless
     ``face.basis`` has p - q - r columns that the cone's rows annihilate.
     """
-    p, q, r = qp.shape
-    if r == 0:
-        raise ValueError("no inequality rows; use the equality-constrained path")
-    basis = nullspace_basis(qp.A, rank_tol)
-    if basis.shape[1] != p - q:
-        raise RankDeficientError(f"null(A) has dimension {basis.shape[1]}, expected {p - q}")
-    u, s, vt = np.linalg.svd(qp.B @ basis, full_matrices=False)
-    if s[-1] <= rank_tol * s[0]:
-        raise RankDeficientError("inequality rows are dependent on null(A)")
-    rows = np.vstack([qp.A, qp.B])
     if face is None:
-        face = projected_spectrum_oracle(qp.Q, rows)
-    bad = face.basis.shape != (p, p - q - r)
-    if bad or np.linalg.norm(rows @ face.basis) > rank_tol * np.linalg.norm(rows):
-        raise InternalInconsistencyError("the face basis does not span null of the cone's rows")
-    t0 = np.hstack([basis @ (vt.T @ (u.T / s[:, None])), face.basis])
-    # the tol of a zero form is 0, and every eigenvalue of it is zero
-    face_pinv = face.decomposition.pseudoinverse(max(face.tol, np.finfo(float).tiny))
-    return IcqpFrame(qp.A, qp.B, t0, face, face_pinv)
+        face = projected_spectrum_oracle(qp.Q, np.vstack([qp.A, qp.B]))
+    return _frame(qp.A, qp.B, face, rank_tol)
 
 
 def _reduce(
@@ -656,23 +631,12 @@ def _reduce(
     return r11, r12, 0.5 * (schur + schur.transpose(0, 2, 1))
 
 
-def icqp_reduce(
-    qp: ConeQP, rank_tol: float = DEFAULT_RANK_TOL, frame: IcqpFrame | None = None
-) -> IcqpReduction:
-    """Form R11 and R12 of an inequality-constrained QP, at cost O(p^2 r).
-
-    ``frame`` is an :func:`icqp_frame` of a cone with the same rows up to
-    the signs of B and the same form on the face; without it the frame of
-    ``qp`` itself is built.
-    """
-    if frame is None:
-        frame = icqp_frame(qp, rank_tol)
-    p, q, r = qp.shape
-    signs = frame.signs(qp)
-    r11, r12, _ = _reduce(frame, qp.Q[None], signs[None])
-    t = frame.t0.copy()
-    t[:, :r] *= signs
-    return IcqpReduction(t=t, r11=r11[0], r12=r12[0], shape=(p, q, r))
+def icqp_reduce(qp: ConeQP, rank_tol: float = DEFAULT_RANK_TOL) -> IcqpReduction:
+    """Form R11 and R12 of an inequality-constrained QP in its own
+    :func:`icqp_frame`, at cost O(p^2 r) beyond the frame."""
+    frame = icqp_frame(qp, rank_tol)
+    r11, r12, _ = _reduce(frame, qp.Q[None], np.ones((1, qp.shape[2])))
+    return IcqpReduction(t=frame.t0, r11=r11[0], r12=r12[0], shape=qp.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -996,28 +960,17 @@ def _pd3_ray(q_mat: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return pair @ (vecs[:, 0] if vecs[0, 0] >= 0.0 else -vecs[:, 0])
 
 
-def _verified(qp: ConeQP, eta: np.ndarray, verdict: str, diag: dict) -> QPClassification:
-    eta = eta / np.linalg.norm(eta)
-    verify_witness(qp, eta, verdict)
-    return QPClassification(verdict, eta, diag)
-
-
 def _decide_icqps(
-    frame: IcqpFrame,
-    forms: np.ndarray,
-    signs: np.ndarray,
-    cone: Callable[[int], ConeQP],
-    r_max: int,
-    zero_tol: float,
+    frame: IcqpFrame, forms: np.ndarray, signs: np.ndarray, r_max: int, zero_tol: float
 ) -> Iterator[QPClassification]:
-    """Decide n cones of ``frame`` in order: forms (n, p, p), B of cone j
-    equal to diag(signs[j]) b0, and ``cone(j)`` its ConeQP.
+    """Decide n cones of ``frame`` in order: forms (n, p, p), and B of cone
+    j equal to diag(signs[j]) b0.
 
     The reduction, the PSD blocks, the Schur complements and their positive
     definite certificate run on the whole stack at once. The rest (the
-    other copositivity rules, and lifting and verifying witnesses, for
-    which ``cone(j)`` is built) runs per cone as the results are consumed,
-    so that a consumer that stops at a T3 does none of it for later cones.
+    other copositivity rules, and lifting and verifying witnesses) runs per
+    cone as the results are consumed, so that a consumer that stops at a T3
+    does none of it for later cones.
     """
     p, q, r = frame.t0.shape[0], frame.a.shape[0], frame.b0.shape[0]
     face = frame.face
@@ -1033,35 +986,36 @@ def _decide_icqps(
     for j, psd in enumerate(psds):
         diag = {"psd": psd.kind, "reduction": (p, q, r)}
         sigma = signs[j]
-
-        def lift(nu1, nu2):
-            return frame.t0 @ np.concatenate([sigma * nu1, nu2])
-
-        if psd.kind == "PD4":
-            yield _verified(cone(j), lift(np.zeros(r), psd.witness_nu2), "T3", diag)
-            continue
         if psd.kind == "PD3":
             z = psd.witness_nu2
             image = r12[j] @ z
             i = int(np.argmax(np.abs(image)))
             diag["pd3_cross"] = float(image[i])
-            qp = cone(j)
-            eta = _pd3_ray(qp.Q, sigma[i] * frame.t0[:, i], face.basis @ z)
-            yield _verified(qp, eta, "T3", diag)
-            continue
-        if r > r_max:
-            raise SubsetBudgetExceededError(f"r={r} exceeds the subset budget r_max={r_max}")
-        cp = _copositivity(schur[j], float(lam_min[j]), float(cp_tol[j]), r_max)
-        diag.update(cp=cp.kind, min_pareto=cp.min_pareto, copositivity=cp.diagnostics)
-        if psd.kind == "PD1" and cp.kind == "CP1":
-            yield QPClassification("T1", None, diag)
-            continue
-        if cp.kind == "CP3" or psd.kind == "PD1":  # lift the Schur witness nu1
-            nu1 = cp.witness
-            eta = lift(nu1, -(frame.face_pinv @ (r12[j].T @ nu1)))
-        else:  # PD2 with CP1 or CP2: the null vector of R22 is flat
-            eta = lift(np.zeros(r), psd.witness_nu2)
-        yield _verified(cone(j), eta, "T3" if cp.kind == "CP3" else "T2", diag)
+            verdict = "T3"
+            eta = _pd3_ray(forms[j], sigma[i] * frame.t0[:, i], face.basis @ z)
+        else:
+            if psd.kind == "PD4":
+                verdict, nu1, nu2 = "T3", np.zeros(r), psd.witness_nu2
+            else:
+                if r > r_max:
+                    raise SubsetBudgetExceededError(
+                        f"r={r} exceeds the subset budget r_max={r_max}"
+                    )
+                cp = _copositivity(schur[j], float(lam_min[j]), float(cp_tol[j]), r_max)
+                diag.update(cp=cp.kind, min_pareto=cp.min_pareto, copositivity=cp.diagnostics)
+                if psd.kind == "PD1" and cp.kind == "CP1":
+                    yield QPClassification("T1", None, diag)
+                    continue
+                verdict = "T3" if cp.kind == "CP3" else "T2"
+                if cp.kind == "CP3" or psd.kind == "PD1":  # lift the Schur witness nu1
+                    nu1 = cp.witness
+                    nu2 = -(frame.face_pinv @ (r12[j].T @ nu1))
+                else:  # PD2 with CP1 or CP2: the null vector of R22 is flat
+                    nu1, nu2 = np.zeros(r), psd.witness_nu2
+            eta = frame.t0 @ np.concatenate([sigma * nu1, nu2])
+        eta = eta / np.linalg.norm(eta)
+        verify_witness(forms[j], frame.a, sigma[:, None] * frame.b0, eta, verdict)
+        yield QPClassification(verdict, eta, diag)
 
 
 def solve_icqp(
@@ -1069,30 +1023,27 @@ def solve_icqp(
     r_max: int = 20,
     zero_tol: float = DEFAULT_ZERO_EIG_TOL,
     rank_tol: float = DEFAULT_RANK_TOL,
-    frame: IcqpFrame | None = None,
 ) -> QPClassification:
     """Classify an inequality-constrained cone QP.
 
-    Reduces to ``min nu^T Rbar nu, nu_1 >= 0``. The block R22 is decided
-    once, as ``frame.face``. A negative eigenvalue of it (PD4) settles T3.
+    Reduces to ``min nu^T Rbar nu, nu_1 >= 0`` in the cone's own
+    :func:`icqp_frame`. The block R22 is decided as the frame's ``face``, at
+    ``zero_tol``. A negative eigenvalue of it (PD4) settles T3.
     So does a null vector z of R22 that R12 sees (PD3), with the least
     curvature on the span of t e_j and W z, j = argmax |R12 z|. PD3 means
     ``||R12 z|| > zero_tol * scale``, scale the largest of max |R11|,
     max |R12| and max |lambda(R22)|. Otherwise copositivity of the Schur
     complement R11 - R12 R22^+ R12^T (:func:`copositivity_classify`'s rules)
     decides between T1 (strict, with R22 positive definite), T3 (CP3) and
-    T2. Witnesses are re-verified in original coordinates. ``frame`` is an
-    :func:`icqp_frame` shared by the cones of one point; by default that of
-    ``qp``, with its face decided at ``zero_tol``. This is the pattern
-    sweep's decision (:func:`icqp_sweep`) on a stack of one cone.
+    T2. Witnesses are re-verified in original coordinates. This is the
+    pattern sweep's decision (:func:`icqp_sweep`) on a stack of one cone.
     """
-    if qp.shape[2] == 0:
+    r = qp.shape[2]
+    if r == 0:
         raise ValueError("no inequality rows; use the equality-constrained path")
-    if frame is None:
-        face = projected_spectrum_oracle(qp.Q, np.vstack([qp.A, qp.B]), zero_tol)
-        frame = icqp_frame(qp, rank_tol, face)
-    signs = frame.signs(qp)
-    return next(_decide_icqps(frame, qp.Q[None], signs[None], lambda _: qp, r_max, zero_tol))
+    face = projected_spectrum_oracle(qp.Q, np.vstack([qp.A, qp.B]), zero_tol)
+    frame = icqp_frame(qp, rank_tol, face)
+    return next(_decide_icqps(frame, qp.Q[None], np.ones((1, r)), r_max, zero_tol))
 
 
 def sign_rows(pinned: np.ndarray, free: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -1117,34 +1068,27 @@ def icqp_sweep(
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> Iterator[tuple[np.ndarray, QPClassification]]:
     """Decide the inequality-constrained QP of every sign pattern of a point,
-    in the order of :func:`sign_rows`; yield (signs, classification) for each.
+    in the order of :func:`sign_rows`; yield (sign row, classification) for
+    each.
 
     ``pinned`` and ``free`` hold one entry per boundary pair, in the order
-    of ``base``'s constraint rows. ``face`` is the
-    :func:`projected_spectrum_oracle` of the point's equality-constrained
-    QP, which is the form on the face of every pattern's cone, so one
-    :func:`icqp_frame` serves them all. The patterns are assembled and
+    of a sign row. ``face`` is the :func:`projected_spectrum_oracle` of the
+    point's equality-constrained QP, which is the form on the face of every
+    pattern's cone, so one :func:`icqp_frame` serves them all. It takes the
+    row of every signed pair at +1, so the signs of a pattern's inequality
+    rows are its sign row's entries on those pairs. The patterns are assembled and
     decided a chunk at a time, on stacks of at most ``PATTERN_CHUNK`` form
     entries (one pattern at least), so the working memory does not grow with
     the number of patterns. A consumer that stops at a T3 skips the rest.
     """
     d_h = base.params.dims[1]
     p = base.params.n_params
-    n_rows = base.constraints.A.shape[0]
     signed = (np.asarray(pinned) != 0) | free
-    first = np.zeros(n_rows, dtype=int)
-    first[d_h:] = sign_rows(pinned, free, 0, 1)[0]
-    frame = icqp_frame(base.constraints.with_signs(base.constraints.Q, first), rank_tol, face)
+    pairs = base.rows[d_h:]
+    frame = _frame(np.vstack([base.rows[:d_h], pairs[~signed]]), pairs[signed], face, rank_tol)
     n_patterns = 2 ** int(np.count_nonzero(free))
     step = max(1, PATTERN_CHUNK // (p * p))
     for start in range(0, n_patterns, step):
-        full = np.zeros((min(step, n_patterns - start), n_rows), dtype=int)
-        full[:, d_h:] = sign_rows(pinned, free, start, start + len(full))
-        forms = _symmetric_form(base.forms(full[:, d_h:]))
-
-        def cone(j, forms=forms, full=full):
-            return base.constraints.with_signs(forms[j], full[j])
-
-        relative = full[:, d_h:][:, signed] * first[d_h:][signed]
-        for j, res in enumerate(_decide_icqps(frame, forms, relative, cone, r_max, zero_tol)):
-            yield full[j, d_h:], res
+        rows = sign_rows(pinned, free, start, min(start + step, n_patterns))
+        forms = _symmetric_form(base.forms(rows))
+        yield from zip(rows, _decide_icqps(frame, forms, rows[:, signed], r_max, zero_tol))

@@ -24,6 +24,7 @@ from .network import (
 )
 from .second_order import (
     ConeQP,
+    _reduce,
     copositivity_classify,
     icqp_frame,
     pareto_spectrum,
@@ -133,14 +134,16 @@ def _check_icqp() -> str | None:
     if res.verdict != "T1" or res.diagnostics["cp"] != "CP1":
         return f"copositive cone form classified {res.verdict}, expected T1"
     # forms that differ by B^T X + X^T B agree on the face {A eta = 0,
-    # B eta = 0}, so one frame serves both, here a T1 and a T3 cone
+    # B eta = 0}, so one frame serves both, here a T1 and a T3 cone: the
+    # Schur complement it gives each must be as copositive as their own
     x = np.array([[-2.0, 0.0, 0.5, 0.0], [0.0, 0.5, -0.5, 1.0]])
     frame = icqp_frame(qp)
-    for form in (q_mat, q_mat + qp.B.T @ x + x.T @ qp.B):
-        cone = ConeQP(form, qp.A, qp.B)
-        shared, fresh = solve_icqp(cone, frame=frame).verdict, solve_icqp(cone).verdict
-        if shared != fresh:
-            return f"a shared frame gave {shared}, a fresh one {fresh}"
+    for form, want in ((q_mat, ("T1", "CP1")), (q_mat + qp.B.T @ x + x.T @ qp.B, ("T3", "CP3"))):
+        fresh = solve_icqp(ConeQP(form, qp.A, qp.B))
+        shared = copositivity_classify(_reduce(frame, form[None], np.ones((1, 2)))[2][0]).kind
+        got = (fresh.verdict, fresh.diagnostics["cp"])
+        if got != want or shared != want[1]:
+            return f"a shared frame gave {shared}, a fresh one {got}, expected {want}"
     return None
 
 

@@ -25,7 +25,6 @@ from sospcheck.harness import (
 from sospcheck.network import (
     NetworkParams,
     Perturbation,
-    SignPattern,
     SquaredLoss,
     boundary_analysis,
     empirical_risk,
@@ -361,7 +360,7 @@ def test_criterion_7_scale_invariance():
             # all-zero-pattern form has the scaling directions in its null space
             boundary = boundary_analysis(params, data, LOSS, bundle=bundle)
             qp = assemble_so_qp(
-                params, data, LOSS, boundary, SignPattern.all_zero(boundary), bundle=bundle
+                params, data, LOSS, boundary, np.zeros(boundary.total), bundle=bundle
             )
             res = solve_ecqp_pgd(qp.Q, np.zeros((0, qp.Q.shape[0])), seed=diff_checked)
             assert res.verdict != "T1", label

@@ -7,7 +7,7 @@ import pytest
 
 from sospcheck.checker import (
     CheckConfig,
-    enumerate_sign_patterns,
+    _pattern_space,
     sosp_check,
     validate_descent,
 )
@@ -27,7 +27,6 @@ from sospcheck.network import (
     Dataset,
     NetworkParams,
     Perturbation,
-    SignPattern,
     SquaredLoss,
     boundary_analysis,
     empirical_risk,
@@ -210,27 +209,33 @@ class TestEnumerateSignPatterns:
                 ).flat_sets
         return boundary, classify_boundary(flat, boundary)
 
+    @staticmethod
+    def _sign_rows(boundary, cls):
+        """Every sign row of the point, as the checker's sweep takes them."""
+        keys, pinned, free = _pattern_space(cls, boundary, 16)
+        assert keys == [(k, int(i)) for k, idx in enumerate(boundary.boundary_indices) for i in idx]
+        return sign_rows(pinned, free, 0, 2**cls.K)
+
     def test_interior_single_zero_pattern(self):
         boundary, cls = self._classified(construct_boundary_fosp(3, 1, 1, seed=0))
-        patterns = enumerate_sign_patterns(cls, boundary)
-        assert len(patterns) == 1
-        assert all(s == 0 for _, s in patterns[0].entries)
+        rows = self._sign_rows(boundary, cls)
+        assert rows.shape == (1, boundary.total)
+        assert (rows == 0).all()
 
     def test_orthogonal_two_patterns_lexicographic(self):
         boundary, cls = self._classified(
             construct_boundary_fosp(3, 1, 1, seed=2, mode="orthogonal")
         )
-        patterns = enumerate_sign_patterns(cls, boundary)
-        assert len(patterns) == 2
-        signs = [dict(p.entries)[next(iter(dict(p.entries)))] for p in patterns]
-        assert signs == [-1, 1]
+        rows = self._sign_rows(boundary, cls)
+        assert rows.shape == (2, boundary.total)
+        assert rows[:, 0].tolist() == [-1, 1]
 
     def test_mixed_product_structure(self):
         point = construct_boundary_fosp(4, 1, 1, seed=8, mode="orthogonal", n_boundary=2)
         boundary, cls = self._classified(point)
         assert cls.K == 2
-        patterns = enumerate_sign_patterns(cls, boundary)
-        assert len(patterns) == 4
+        rows = self._sign_rows(boundary, cls)
+        assert rows.tolist() == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
 
     def test_sign_rows_are_the_lexicographic_product_in_any_range(self):
         pinned = np.array([1, 0, 0, -1, 0, 1])
@@ -241,11 +246,10 @@ class TestEnumerateSignPatterns:
         assert np.array_equal(sign_rows(pinned, free, 3, 7), want[3:7])
 
     def test_budget_exceeded(self):
-        boundary, cls = self._classified(
-            construct_boundary_fosp(3, 1, 1, seed=2, mode="orthogonal")
-        )
+        point = construct_boundary_fosp(3, 1, 1, seed=2, mode="orthogonal")
+        assert sosp_check(point.params, point.data).diagnostics["K"] == 1
         with pytest.raises(PatternBudgetExceededError):
-            enumerate_sign_patterns(cls, boundary, k_max=0)
+            sosp_check(point.params, point.data, config=CheckConfig(k_max=0))
 
 
 class TestValidateDescent:
@@ -356,8 +360,8 @@ def all_zero_qp(point):
     loss = SquaredLoss()
     bundle = per_sample_derivatives(point.params, point.data, loss)
     boundary = boundary_analysis(point.params, point.data, loss, bundle=bundle)
-    pattern = SignPattern.all_zero(boundary)
-    return assemble_so_qp(point.params, point.data, loss, boundary, pattern, bundle=bundle)
+    signs = np.zeros(boundary.total)
+    return assemble_so_qp(point.params, point.data, loss, boundary, signs, bundle=bundle)
 
 
 class TestEcqpDecision:
@@ -411,9 +415,9 @@ class TestEcqpDecision:
         calls = []
         original = checker_module.verify_witness
 
-        def spy(qp, eta, verdict):
+        def spy(q_mat, a_mat, b_mat, eta, verdict):
             calls.append(verdict)
-            original(qp, eta, verdict)
+            original(q_mat, a_mat, b_mat, eta, verdict)
 
         monkeypatch.setattr(checker_module, "verify_witness", spy)
         point = construct_boundary_fosp(3, 2, 1, seed=1, mode="edge")
@@ -440,10 +444,8 @@ class TestIcqpStage:
         boundary = boundary_analysis(point.params, point.data, loss)
         want = []
         for idx, entry in enumerate(entries):
-            pattern = SignPattern.from_dict(
-                {tuple(int(n) for n in key.split(",")): s for key, s in entry["pattern"].items()}
-            )
-            qp = assemble_so_qp(point.params, point.data, loss, boundary, pattern)
+            signs = list(entry["pattern"].values())  # in the order of a sign row
+            qp = assemble_so_qp(point.params, point.data, loss, boundary, signs)
             res = solve_icqp(qp)
             want.append((res.verdict, res.diagnostics.get("psd"), res.diagnostics.get("cp")))
         assert [(e["verdict"], e["psd"], e["cp"]) for e in entries] == want

@@ -166,3 +166,21 @@ class TestMisc:
 
     def test_selftest_passes(self):
         assert run_cli(["selftest"]) == 0
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize takes most of a cold import; only the solvers that use
+    # it import it, so a CLI start-up that solves nothing does not pay it
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, sospcheck; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"

@@ -234,6 +234,7 @@ class TestSubdiffQP:
             assert (res.s_star[zero] == 0.5 * (lo + hi)).all()
 
     def test_unconverged_solver_raises(self, monkeypatch):
+        import scipy.optimize
         from scipy.optimize import OptimizeResult
 
         import sospcheck.first_order as first_order
@@ -242,7 +243,8 @@ class TestSubdiffQP:
             x = np.full(a.shape[1], bounds[0])
             return OptimizeResult(x=x, status=0, nit=a.shape[1], message="iteration cap")
 
-        monkeypatch.setattr(first_order, "lsq_linear", stalled)
+        # solve_subdiff_qp imports lsq_linear when it is called
+        monkeypatch.setattr(scipy.optimize, "lsq_linear", stalled)
         params, bundle, boundary = synthetic_unit(
             c_k=[[-2.0, 0.0]], grads=[[1.0]], xbar_rows=[[1.0, 0.0]], w2col=[1.0]
         )

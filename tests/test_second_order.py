@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -17,7 +18,6 @@ from sospcheck.harness import construct_boundary_fosp
 from sospcheck.linalg import nullspace_basis, require_finite, sym_eig
 from sospcheck.network import (
     Perturbation,
-    SignPattern,
     SquaredLoss,
     boundary_analysis,
     per_sample_derivatives,
@@ -30,7 +30,6 @@ from sospcheck.second_order import (
     copositivity_classify,
     icqp_reduce,
     pareto_spectrum,
-    pattern_jvals,
     pattern_objective,
     projected_spectrum_oracle,
     solve_ecqp_pgd,
@@ -71,6 +70,20 @@ def random_cone_qp(rng, p, q, r, kind="indefinite"):
     return ConeQP(q_mat, a, b)
 
 
+def boundary_pairs(boundary):
+    """The (unit, sample) boundary pairs in the order of a sign row."""
+    return [(k, int(i)) for k, idx in enumerate(boundary.boundary_indices) for i in idx]
+
+
+def sign_row(boundary, entries):
+    """The sign row with the signs of the pairs in ``entries``, zero elsewhere."""
+    pairs = boundary_pairs(boundary)
+    signs = np.zeros(len(pairs), dtype=int)
+    for pair, sign in entries.items():
+        signs[pairs.index(pair)] = sign
+    return signs
+
+
 class TestConeQP:
     def test_rejects_dependent_constraints(self):
         with pytest.raises(RankDeficientConstraintsError):
@@ -88,26 +101,6 @@ class TestConeQP:
         with pytest.raises(NonSymmetricError):  # a stack of forms is not one form
             ConeQP(np.zeros((2, 3, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
 
-    def test_with_signs_splits_and_signs_the_rows(self):
-        rows = np.random.default_rng(35).standard_normal((4, 6))
-        base = ConeQP(np.zeros((6, 6)), rows, np.zeros((0, 6)))
-        q_mat = np.diag(np.arange(6.0))
-        cone = base.with_signs(q_mat, np.array([0, -1, 0, 1]))
-        assert np.array_equal(cone.Q, q_mat)
-        assert np.array_equal(cone.A, rows[[0, 2]])
-        assert np.array_equal(cone.B, np.vstack([-rows[1], rows[3]]))
-        assert cone.shape == (6, 2, 2)
-        with pytest.raises(NonSymmetricError):
-            base.with_signs(np.triu(np.ones((6, 6))), np.zeros(4))
-        with pytest.raises(ValueError):
-            base.with_signs(np.eye(5), np.zeros(4))
-        with pytest.raises(ValueError):
-            base.with_signs(q_mat, np.array([0, 2, 0, 1]))
-        with pytest.raises(ValueError):
-            base.with_signs(q_mat, np.zeros(3))
-        with pytest.raises(ValueError):  # only equality rows are re-signed
-            cone.with_signs(q_mat, np.zeros(2))
-
 
 class TestAssemble:
     def _fixture(self, mode, seed=0, d_y=1):
@@ -122,7 +115,7 @@ class TestAssemble:
 
         point, loss, bundle, boundary = self._fixture("interior")
         qp = assemble_so_qp(
-            point.params, point.data, loss, boundary, SignPattern.all_zero(boundary), bundle=bundle
+            point.params, point.data, loss, boundary, np.zeros(boundary.total), bundle=bundle
         )
         d_h = point.params.dims[1]
         p, q, r = qp.shape
@@ -135,36 +128,33 @@ class TestAssemble:
 
         point, loss, bundle, boundary = self._fixture("edge", seed=1)
         d_h = point.params.dims[1]
-        pattern = dict(SignPattern.all_zero(boundary).entries)
-        pattern[(point.unit, 0)] = 1  # the single flat index becomes an inequality
-        qp = assemble_so_qp(
-            point.params, point.data, loss, boundary, SignPattern.from_dict(pattern), bundle=bundle
-        )
+        # the single flat index becomes an inequality
+        signs = sign_row(boundary, {(point.unit, 0): 1})
+        qp = assemble_so_qp(point.params, point.data, loss, boundary, signs, bundle=bundle)
         _, q, r = qp.shape
         assert q == d_h + boundary.total - 1
         assert r == 1
 
-    def _assert_form_matches_objective(self, point, loss, pattern, seed, n_directions=100):
+    def _assert_form_matches_objective(self, point, loss, entries, seed, n_directions=100):
         from sospcheck.second_order import assemble_so_qp
 
         rng = np.random.default_rng(seed)
         bundle = per_sample_derivatives(point.params, point.data, loss)
         boundary = boundary_analysis(point.params, point.data, loss, bundle=bundle)
-        if pattern is None:
-            pattern = SignPattern.all_zero(boundary)
-        qp = assemble_so_qp(point.params, point.data, loss, boundary, pattern, bundle=bundle)
+        signs = sign_row(boundary, entries)
+        qp = assemble_so_qp(point.params, point.data, loss, boundary, signs, bundle=bundle)
         assert np.array_equal(qp.Q, qp.Q.T)
         for _ in range(n_directions):
             vec = rng.standard_normal(point.params.n_params)
             eta = Perturbation.unpack(vec, point.params.dims)
-            direct = pattern_objective(point.params, bundle, pattern, eta)
+            direct = pattern_objective(point.params, bundle, signs, eta)
             assert abs(vec @ qp.Q @ vec - 2.0 * direct) <= 1e-9 * max(1.0, abs(direct))
 
     def test_quadratic_form_matches_direct_objective(self):
         point = construct_boundary_fosp(3, 2, 2, seed=2, mode="interior")
         # CoshLoss: per-sample Hessians that differ from each other and from the identity
         for loss in (SquaredLoss(), CoshLoss()):
-            self._assert_form_matches_objective(point, loss, None, seed=3)
+            self._assert_form_matches_objective(point, loss, {}, seed=3)
 
     def test_quadratic_form_matches_direct_objective_beyond_one_block(self):
         from sospcheck.network import Dataset
@@ -179,18 +169,20 @@ class TestAssemble:
         )
         assert data.m > ASSEMBLY_BLOCK
         point = replace(point, data=data)
-        pattern = {(point.unit, 0): -1}
         self._assert_form_matches_objective(
-            point, CoshLoss(), SignPattern.from_dict(pattern), seed=6, n_directions=30
+            point, CoshLoss(), {(point.unit, 0): -1}, seed=6, n_directions=30
         )
 
     @staticmethod
-    def _reference_qp(params, bundle, boundary, pattern):
-        """Q, A and B of one pattern summed over every sample, with no shared base."""
+    def _reference_qp(params, bundle, boundary, signs):
+        """Q, A and B of one sign row summed over every sample, with no shared base."""
         d_x, d_h, d_y = params.dims
         p = params.n_params
         _, sl_u, sl_v = perturbation_layout(params.dims)
-        jvals = pattern_jvals(params, bundle, pattern, np.arange(bundle.m))
+        act = params.activation
+        jvals = act.hprime(bundle.preact)
+        for (k, i), s in zip(boundary_pairs(boundary), signs):
+            jvals[i, k] = act.s_plus if s > 0 else act.s_minus if s < 0 else 0.0
         resp = np.zeros((bundle.m, d_y, p))
         resp[:, :, :d_y] = np.eye(d_y)
         for k in range(d_h):
@@ -209,13 +201,10 @@ class TestAssemble:
             row[sl_u[k]] = params.W2[:, k]
             row[sl_v[k]] = -params.hyperplane_row(k)
             a_rows.append(row)
-        sigma = pattern.as_dict()
-        for k in range(d_h):
-            for i in boundary.boundary_indices[k]:
-                s = sigma[(k, int(i))]
-                row = np.zeros(p)
-                row[sl_v[k]] = bundle.xbar[i] if s >= 0 else -bundle.xbar[i]
-                (a_rows if s == 0 else b_rows).append(row)
+        for (k, i), s in zip(boundary_pairs(boundary), signs):
+            row = np.zeros(p)
+            row[sl_v[k]] = bundle.xbar[i] if s >= 0 else -bundle.xbar[i]
+            (a_rows if s == 0 else b_rows).append(row)
         b_mat = np.vstack(b_rows) if b_rows else np.zeros((0, p))
         return 0.5 * (q_mat + q_mat.T), np.vstack(a_rows), b_mat
 
@@ -235,16 +224,15 @@ class TestAssemble:
         for loss in (SquaredLoss(), CoshLoss()):
             bundle = per_sample_derivatives(point.params, data, loss)
             boundary = boundary_analysis(point.params, data, loss, bundle=bundle)
-            pairs = [(k, int(i)) for k, idx in enumerate(boundary.boundary_indices) for i in idx]
+            pairs = boundary_pairs(boundary)
             assert sorted(i for _, i in pairs) == [7, ASSEMBLY_BLOCK + 3]
             base = assembly_base(point.params, bundle, boundary)
             n_patterns = 0
             for signs in product((-1, 0, 1), repeat=len(pairs)):
-                pattern = SignPattern.from_dict(dict(zip(pairs, signs)))
                 qp = assemble_so_qp(
-                    point.params, data, loss, boundary, pattern, bundle=bundle, base=base
+                    point.params, data, loss, boundary, signs, bundle=bundle, base=base
                 )
-                q_ref, a_ref, b_ref = self._reference_qp(point.params, bundle, boundary, pattern)
+                q_ref, a_ref, b_ref = self._reference_qp(point.params, bundle, boundary, signs)
                 assert np.abs(qp.Q - q_ref).max() <= 1e-12 * np.abs(q_ref).max()
                 assert np.array_equal(qp.A, a_ref) and np.array_equal(qp.B, b_ref)
                 n_patterns += 1
@@ -265,22 +253,42 @@ class TestAssemble:
         loss = SquaredLoss()
         boundary = boundary_analysis(params, data, loss)
         with pytest.raises(RankDeficientConstraintsError):
-            assemble_so_qp(params, data, loss, boundary, SignPattern.all_zero(boundary))
+            assemble_so_qp(params, data, loss, boundary, np.zeros(boundary.total))
 
     def test_signed_pattern_objective_matches_too(self):
         from sospcheck.second_order import assemble_so_qp
 
         rng = np.random.default_rng(4)
         point, loss, bundle, boundary = self._fixture("edge", seed=5)
-        pattern = dict(SignPattern.all_zero(boundary).entries)
-        pattern[(point.unit, 0)] = -1
-        pattern = SignPattern.from_dict(pattern)
-        qp = assemble_so_qp(point.params, point.data, loss, boundary, pattern, bundle=bundle)
+        signs = sign_row(boundary, {(point.unit, 0): -1})
+        qp = assemble_so_qp(point.params, point.data, loss, boundary, signs, bundle=bundle)
         for _ in range(50):
             vec = rng.standard_normal(point.params.n_params)
             eta = Perturbation.unpack(vec, point.params.dims)
-            direct = pattern_objective(point.params, bundle, pattern, eta)
+            direct = pattern_objective(point.params, bundle, signs, eta)
             assert abs(vec @ qp.Q @ vec - 2.0 * direct) <= 1e-9 * max(1.0, abs(direct))
+
+    def test_sign_row_is_checked(self):
+        from sospcheck.second_order import assemble_so_qp, assembly_base
+
+        point = construct_boundary_fosp(4, 2, 1, seed=8, n_boundary=2, units=[0, 1],
+                                        mode="orthogonal")
+        loss = SquaredLoss()
+        bundle = per_sample_derivatives(point.params, point.data, loss)
+        boundary = boundary_analysis(point.params, point.data, loss, bundle=bundle)
+        assert boundary.total == 2
+        base = assembly_base(point.params, bundle, boundary)
+        eta = Perturbation.unpack(np.ones(point.params.n_params), point.params.dims)
+        # a zero entry keeps its row an equality, the others sign theirs into B
+        qp = assemble_so_qp(point.params, point.data, loss, boundary, [0, -1], base=base)
+        d_h = point.params.dims[1]
+        assert np.array_equal(qp.A, base.rows[: d_h + 1])
+        assert np.array_equal(qp.B, -base.rows[d_h + 1 :])
+        for bad in ([0], [0, 0, 0], [0, 2], [0, 0.5], [[0, 1]], [np.nan, 0]):
+            with pytest.raises(ValueError, match="sign row"):
+                assemble_so_qp(point.params, point.data, loss, boundary, bad, base=base)
+            with pytest.raises(ValueError, match="sign row"):
+                pattern_objective(point.params, bundle, bad, eta)
 
 
 class TestEcqpPgd:
@@ -428,23 +436,29 @@ def _reference_psd_kind(r22, r12, tol):
     return "PD3" if coupling > tol else "PD2"
 
 
-def _matches_reference(qp, frame):
-    """Assert that the frame's reduction of ``qp`` matches the double
-    elimination: block shapes, the PSD kind at the reference's zero threshold,
-    and, for a positive definite R22, the Schur complement. Returns the kind."""
+def _matches_reference(qp, frame=None, sigma=None):
+    """Assert that the reduction of ``qp`` matches the double elimination:
+    block shapes, the PSD kind at the reference's zero threshold, and, for a
+    positive definite R22, the Schur complement. The reduction is
+    :func:`icqp_reduce`'s, or the one of the cone with B = diag(sigma) b0 in
+    a shared ``frame``, as the pattern sweep forms it. Returns the kind."""
     p, q, r = qp.shape
-    red = icqp_reduce(qp, frame=frame)
+    if frame is None:
+        frame, red = second_order.icqp_frame(qp), icqp_reduce(qp)
+        new11, new12 = red.r11, red.r12
+    else:
+        new11, new12, _ = (blk[0] for blk in second_order._reduce(frame, qp.Q[None], sigma[None]))
     r11, r12, r22, _ = _reference_icqp_reduce(qp)
-    for new, ref in ((red.r11, r11), (red.r12, r12), (frame.face_pinv, r22)):
+    for new, ref in ((new11, r11), (new12, r12), (frame.face_pinv, r22)):
         assert new.shape == ref.shape
     # the zero threshold of the PD3 test: relative to the largest block entry
     tol = second_order.DEFAULT_ZERO_EIG_TOL * max(
         np.abs(b).max(initial=0.0) for b in (r11, r12, r22)
     )
     psd_kind = _reference_psd_kind(r22, r12, tol)
-    assert classify_psd_block(frame.face, red.r12, tol).kind == psd_kind
+    assert classify_psd_block(frame.face, new12, tol).kind == psd_kind
     if psd_kind == "PD1":
-        schur = red.r11 - red.r12 @ frame.face_pinv @ red.r12.T
+        schur = new11 - new12 @ frame.face_pinv @ new12.T
         ref = r11 - r12 @ np.linalg.solve(r22, r12.T) if p - q - r else r11
         assert np.abs(schur - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
     return psd_kind
@@ -493,7 +507,7 @@ class TestIcqpReduce:
                 qp = self._flat_cone_qp(rng, p, q, r, coupled=kind == "flat_coupled")
             else:
                 qp = random_cone_qp(rng, p, q, r, kind=kind)
-            psd_kind = _matches_reference(qp, second_order.icqp_frame(qp))
+            psd_kind = _matches_reference(qp)
             seen.add(psd_kind)
             n_pd += psd_kind == "PD1"
         assert n_pd >= 50
@@ -519,9 +533,8 @@ class TestIcqpReduce:
     def test_round_trip_feasibility_and_values(self):
         rng = np.random.default_rng(8)
         qp = random_cone_qp(rng, 6, 2, 2, kind="indefinite")
-        frame = second_order.icqp_frame(qp)
-        red = icqp_reduce(qp, frame=frame)
-        r22 = frame.face.decomposition.reconstruct()
+        red = icqp_reduce(qp)
+        r22 = second_order.icqp_frame(qp).face.decomposition.reconstruct()
         for _ in range(1000):
             nu1 = np.abs(rng.standard_normal(2))
             nu2 = rng.standard_normal(2)
@@ -537,9 +550,10 @@ class TestIcqpReduce:
 
 
 def _orthogonal_fixture_cones():
-    """The all-zero pattern's cone, and every sign pattern's cone in
-    lexicographic sign order, at an orthogonal fixture with K = 3 (both rays
-    of three boundary samples flat)."""
+    """The all-zero pattern's cone, the sign rows of every pattern in
+    lexicographic order, and their cones, at an orthogonal fixture with
+    K = 3 (both rays of three boundary samples flat). The last cone, of the
+    all-plus row, has the rows of the pattern sweep's frame."""
     from sospcheck.second_order import assemble_so_qp, assembly_base
 
     point = construct_boundary_fosp(
@@ -548,47 +562,44 @@ def _orthogonal_fixture_cones():
     loss = SquaredLoss()
     bundle = per_sample_derivatives(point.params, point.data, loss)
     boundary = boundary_analysis(point.params, point.data, loss, bundle=bundle)
-    pairs = [(k, int(i)) for k, idx in enumerate(boundary.boundary_indices) for i in idx]
     base = assembly_base(point.params, bundle, boundary)
-    cones = []
-    for signs in product((-1, 1), repeat=len(pairs)):
-        pattern = SignPattern.from_dict(dict(zip(pairs, signs)))
-        cones.append(assemble_so_qp(point.params, point.data, loss, boundary, pattern, base=base))
-    pattern0 = SignPattern.all_zero(boundary)
-    return assemble_so_qp(point.params, point.data, loss, boundary, pattern0, base=base), cones
+    rows = np.array(list(product((-1, 1), repeat=boundary.total)))
+    cones = [assemble_so_qp(point.params, point.data, loss, boundary, row, base=base)
+             for row in rows]
+    zero = np.zeros(boundary.total)
+    return assemble_so_qp(point.params, point.data, loss, boundary, zero, base=base), rows, cones
 
 
 class TestIcqpFrame:
     @staticmethod
-    def _assert_matches_fresh_reduction(qp, frame):
+    def _assert_matches_fresh_reduction(qp, frame, sigma):
         p, q, r = qp.shape
-        red = icqp_reduce(qp, frame=frame)
-        t_norm = np.linalg.norm(red.t)
-        assert np.linalg.norm(qp.A @ red.t) <= 1e-12 * np.linalg.norm(qp.A) * t_norm
+        t = frame.t0 * np.append(sigma, np.ones(p - q - r))  # the map of the cone
+        t_norm = np.linalg.norm(t)
+        assert np.linalg.norm(qp.A @ t) <= 1e-12 * np.linalg.norm(qp.A) * t_norm
         target = np.hstack([np.eye(r), np.zeros((r, p - q - r))])
-        assert np.abs(qp.B @ red.t - target).max() <= 1e-12 * np.linalg.norm(qp.B) * t_norm
-        return _matches_reference(qp, frame)
+        assert np.abs(qp.B @ t - target).max() <= 1e-12 * np.linalg.norm(qp.B) * t_norm
+        return _matches_reference(qp, frame, sigma)
 
     def test_every_pattern_of_an_orthogonal_fixture(self):
-        ecqp, cones = _orthogonal_fixture_cones()
+        ecqp, rows, cones = _orthogonal_fixture_cones()
         assert len(cones) == 8 and cones[0].shape[2] == 3
-        frame = second_order.icqp_frame(cones[0])
-        for qp in cones:
-            assert np.array_equal(qp.A, cones[0].A)
-            assert np.array_equal(np.abs(qp.B), np.abs(cones[0].B))
-            assert self._assert_matches_fresh_reduction(qp, frame) == "PD1"
-        # a frame built from any pattern, or on the equality-constrained QP's
-        # subspace as the checker builds it, serves the others
+        plus = cones[-1]
+        for row, qp in zip(rows, cones):
+            assert np.array_equal(qp.A, plus.A)
+            assert np.array_equal(qp.B, row[:, None] * plus.B)
+        # the frame of the all-plus cone, with its own face or on the
+        # equality-constrained QP's subspace as the pattern sweep builds it,
+        # serves every pattern with the pattern's sign row as its signs
         face = projected_spectrum_oracle(ecqp.Q, ecqp.A)
-        for frame in (second_order.icqp_frame(cones[5]),
-                      second_order.icqp_frame(cones[0], face=face)):
-            for qp in cones:
-                assert self._assert_matches_fresh_reduction(qp, frame) == "PD1"
+        for frame in (second_order.icqp_frame(plus), second_order.icqp_frame(plus, face=face)):
+            for row, qp in zip(rows, cones):
+                assert self._assert_matches_fresh_reduction(qp, frame, row) == "PD1"
 
     def test_r22_of_every_pattern_is_the_equality_constrained_form(self):
         # R22 of the double elimination, in its own basis of the face,
         # against the all-zero pattern's projected form in the same basis
-        ecqp, cones = _orthogonal_fixture_cones()
+        ecqp, _, cones = _orthogonal_fixture_cones()
         face = projected_spectrum_oracle(ecqp.Q, ecqp.A)
         form = face.basis.T @ ecqp.Q @ face.basis
         for qp in cones:
@@ -599,8 +610,9 @@ class TestIcqpFrame:
             assert np.abs(coords.T @ form @ coords - r22).max() <= 1e-12 * np.abs(r22).max()
 
     def test_reduction_and_psd_block_run_no_eigendecomposition(self, monkeypatch):
-        ecqp, cones = _orthogonal_fixture_cones()
-        frame = second_order.icqp_frame(cones[0], face=projected_spectrum_oracle(ecqp.Q, ecqp.A))
+        ecqp, rows, cones = _orthogonal_fixture_cones()
+        frame = second_order.icqp_frame(cones[-1], face=projected_spectrum_oracle(ecqp.Q, ecqp.A))
+        forms = np.stack([qp.Q for qp in cones])
 
         def no_eig(*args, **kwargs):
             raise AssertionError("an eigendecomposition ran")
@@ -608,10 +620,9 @@ class TestIcqpFrame:
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, no_eig)
         monkeypatch.setattr(second_order, "sym_eig", no_eig)
-        for qp in cones:
-            red = icqp_reduce(qp, frame=frame)
-            assert not hasattr(red, "r22")
-            assert classify_psd_block(frame.face, red.r12, 1e-8).kind == "PD1"
+        _, r12, _ = second_order._reduce(frame, forms, rows)
+        for block in r12:
+            assert classify_psd_block(frame.face, block, 1e-8).kind == "PD1"
 
     def test_random_cones_with_random_signs(self):
         # the cones that share a frame agree on its face: their forms differ
@@ -630,27 +641,8 @@ class TestIcqpFrame:
                 x = rng.standard_normal((r, p))
                 form = first.Q + first.B.T @ x + x.T @ first.B
                 qp = ConeQP(form, first.A, sigma[:, None] * first.B)
-                assert np.array_equal(frame.signs(qp), sigma)
-                seen.add(self._assert_matches_fresh_reduction(qp, frame))
+                seen.add(self._assert_matches_fresh_reduction(qp, frame, sigma))
         assert {"PD1", "PD4"} <= seen
-
-    def test_mismatched_rows_raise(self):
-        from sospcheck.errors import InternalInconsistencyError
-
-        rng = np.random.default_rng(34)
-        first = random_cone_qp(rng, 6, 2, 3, kind="pd")
-        frame = second_order.icqp_frame(first)
-        a = first.A.copy()
-        a[1, 2] = np.nextafter(a[1, 2], np.inf)
-        b_scaled = first.B.copy()
-        b_scaled[1] *= 2.0
-        b_mixed = first.B.copy()
-        b_mixed[2, 0] = -b_mixed[2, 0]  # one entry flipped, not the whole row
-        b_swapped = first.B[[1, 0, 2]]
-        for a_mat, b_mat in ((a, first.B), (first.A, b_scaled), (first.A, b_mixed),
-                             (first.A, b_swapped), (first.A, first.B[:2])):
-            with pytest.raises(InternalInconsistencyError):
-                icqp_reduce(ConeQP(first.Q, a_mat, b_mat), frame=frame)
 
     def test_a_face_of_other_rows_is_rejected(self):
         from sospcheck.errors import InternalInconsistencyError
@@ -670,9 +662,8 @@ class TestBatchedReduction:
     forms them, against the double elimination of each cone on its own."""
 
     @staticmethod
-    def _assert_matches_double_elimination(frame, cones):
+    def _assert_matches_double_elimination(frame, cones, signs):
         forms = np.stack([qp.Q for qp in cones])
-        signs = np.stack([frame.signs(qp) for qp in cones])
         r11, r12, schur = second_order._reduce(frame, forms, signs)
         r22 = frame.face.decomposition.reconstruct()
         for j, qp in enumerate(cones):
@@ -692,10 +683,10 @@ class TestBatchedReduction:
                 assert np.abs(schur[j] - ref_schur).max() <= tol
 
     def test_every_pattern_of_an_orthogonal_fixture(self):
-        ecqp, cones = _orthogonal_fixture_cones()
+        ecqp, rows, cones = _orthogonal_fixture_cones()
         face = projected_spectrum_oracle(ecqp.Q, ecqp.A)
-        frame = second_order.icqp_frame(cones[0], face=face)
-        self._assert_matches_double_elimination(frame, cones)
+        frame = second_order.icqp_frame(cones[-1], face=face)
+        self._assert_matches_double_elimination(frame, cones, rows)
 
     def test_random_cones_with_random_signs(self):
         rng = np.random.default_rng(35)
@@ -704,13 +695,67 @@ class TestBatchedReduction:
             q = int(rng.integers(0, p - 1))
             r = int(rng.integers(1, p - q + 1))
             first = random_cone_qp(rng, p, q, r, kind=("indefinite", "pd", "psd_null")[trial % 3])
-            cones = []
+            cones, signs = [], []
             for _ in range(3):
                 sigma = rng.choice((-1.0, 1.0), size=r)
                 x = rng.standard_normal((r, p))
                 form = first.Q + first.B.T @ x + x.T @ first.B
                 cones.append(ConeQP(form, first.A, sigma[:, None] * first.B))
-            self._assert_matches_double_elimination(second_order.icqp_frame(first), cones)
+                signs.append(sigma)
+            frame = second_order.icqp_frame(first)
+            self._assert_matches_double_elimination(frame, cones, np.array(signs))
+
+
+class TestIcqpSweep:
+    """The pattern sweep against a fresh solve of each pattern's own cone."""
+
+    @staticmethod
+    def _assert_matches_fresh_solves(point):
+        loss = SquaredLoss()
+        bundle = per_sample_derivatives(point.params, point.data, loss)
+        boundary = boundary_analysis(point.params, point.data, loss, bundle=bundle)
+        base = second_order.assembly_base(point.params, bundle, boundary)
+        zero = np.zeros(boundary.total)
+        ecqp = second_order.assemble_so_qp(
+            point.params, point.data, loss, boundary, zero, base=base
+        )
+        face = projected_spectrum_oracle(ecqp.Q, ecqp.A)
+        # both rays of every boundary sample are flat at these fixtures
+        free = np.ones(boundary.total, dtype=bool)
+        kinds = []
+        for row, res in second_order.icqp_sweep(base, face, zero.astype(int), free):
+            qp = second_order.assemble_so_qp(
+                point.params, point.data, loss, boundary, row, base=base
+            )
+            fresh = solve_icqp(qp)
+            got, want = (
+                (c.verdict, c.diagnostics["psd"], c.diagnostics.get("cp"),
+                 c.diagnostics.get("copositivity", {}).get("cp_by"))
+                for c in (res, fresh)
+            )
+            assert got == want
+            if res.witness is not None:
+                second_order.verify_witness(qp.Q, qp.A, qp.B, res.witness, res.verdict)
+            kinds.append(got)
+        assert len(kinds) == 2**boundary.total
+        return Counter(kinds)
+
+    def test_every_pattern_of_an_orthogonal_fixture(self):
+        point = construct_boundary_fosp(
+            5, 2, 1, seed=10, n_boundary=3, units=[0, 0, 1], mode="orthogonal"
+        )
+        kinds = self._assert_matches_fresh_solves(point)
+        assert {cp_by for *_, cp_by in kinds} == {"pd_certificate", "simplex_bound"}
+
+    def test_every_pattern_of_a_k7_fixture(self):
+        # the shape of the flat-rays benchmark fixtures: K = 7 on d_x = 10,
+        # with three flat (T2) patterns among the 128
+        point = construct_boundary_fosp(
+            10, 2, 1, seed=1060, n_boundary=7, units=[0] * 4 + [1] * 3, mode="orthogonal",
+            max_attempts=1,
+        )
+        kinds = self._assert_matches_fresh_solves(point)
+        assert kinds[("T2", "PD1", "CP2", "simplex_bound")] == 3
 
 
 def _psd_block(face, r12):
@@ -1183,15 +1228,14 @@ class TestSolveIcqp:
         qp = ConeQP(q_mat, np.zeros((0, r + 2)), np.eye(r + 2)[:r])
         res = solve_icqp(qp)
         assert (res.verdict, res.diagnostics["psd"]) == ("T3", "PD3")
-        frame = second_order.icqp_frame(qp)
-        red = icqp_reduce(qp, frame=frame)
-        psd = classify_psd_block(frame.face, red.r12, tol)
+        red = icqp_reduce(qp)
+        psd = classify_psd_block(second_order.icqp_frame(qp).face, red.r12, tol)
         image = red.r12 @ psd.witness_nu2
         assert np.abs(image).max() <= tol < np.linalg.norm(image)
         assert res.diagnostics["pd3_cross"] == image[np.argmax(np.abs(image))]
         assert abs(res.diagnostics["pd3_cross"]) == pytest.approx(0.6 * tol, rel=1e-9)
         assert np.argmax(np.abs(res.witness[:r])) == 1  # nu1 = e_1
-        second_order.verify_witness(qp, res.witness, "T3")
+        second_order.verify_witness(qp.Q, qp.A, qp.B, res.witness, "T3")
         assert (qp.B @ res.witness).min() >= 0.0
 
     @staticmethod
