@@ -30,7 +30,7 @@ for mode in ("interior", "edge", "orthogonal", "ray_descent", "subdiff_descent")
     bundle = per_sample_derivatives(params, data, loss)
     boundary = boundary_analysis(params, data, loss, bundle=bundle)
     print("=" * 64)
-    print(f"mode {mode!r}: unit {k} has boundary samples {list(boundary.boundary_indices[k])}")
+    print(f"mode {mode!r}: unit {k} has boundary samples {boundary.boundary_indices[k].tolist()}")
     res = solve_subdiff_qp(k, params, boundary, bundle)
     print(f"  box QP: s* = {np.round(res.s_star, 6)}  objective = {res.objective:.2e} "
           f"(zero => the generalized gradient set contains zero)")
@@ -44,10 +44,11 @@ for mode in ("interior", "edge", "orthogonal", "ray_descent", "subdiff_descent")
     if inc.descent_found:
         print(f"  increasing test: STRICT DESCENT along {np.round(inc.descent_v, 4)}")
     else:
-        print(f"  increasing test: pass, flat ray signs per sample: "
-              f"{[sorted(s) for s in inc.flat_sets]}")
+        print(f"  increasing test: pass, sign-row entries per sample: "
+              f"pinned {inc.pinned.tolist()}, free {inc.free.tolist()}")
     print(f"  per-ray products (+ray, -ray): "
           f"{[(f'{a:+.2e}', f'{b:+.2e}') for a, b in inc.products]}")
 print()
-print("flat signs {0}: no inequality constraints downstream; {1} or {-1}: one;")
-print("{-1, 1}: the sample's sign is enumerated in the second-order stage.")
+print("pinned 0: no flat ray, an equality constraint downstream; pinned 1 or -1:")
+print("one flat ray, an inequality of that sign; free: both rays flat, and the")
+print("sample's sign is enumerated in the second-order stage.")

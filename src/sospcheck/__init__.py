@@ -27,10 +27,8 @@ from .errors import (
     SubsetBudgetExceededError,
 )
 from .first_order import (
-    BoundaryClassification,
     IncreasingCheckResult,
     SubdiffQPResult,
-    classify_boundary,
     extreme_ray,
     increasing_check,
     inner_layer_fosp_smooth,

@@ -4,7 +4,11 @@ Runs, in order: the outer-layer gradient test, per-unit zero-in-
 subdifferential and increasing tests, one equality-constrained QP for the
 all-zero sign pattern, and (only when flat extreme rays exist) one
 inequality-constrained QP per enumerated sign pattern, decided in one
-batched sweep (``second_order.icqp_sweep``). The cone QPs share one
+batched sweep (``second_order.icqp_sweep``). Each unit's increasing test
+gives its boundary pairs their sign-row entries (a pinned sign, 0 with no
+flat ray, or free with both rays flat); joined in the order of
+``BoundaryAnalysis.pairs`` they are the sweep's input, with K free entries
+(2^K patterns) and L pinned-nonzero or free ones. The cone QPs share one
 assembly base, so only the boundary samples are summed per pattern.
 The equality-constrained QP is decided exactly by the spectrum of the
 projected form, and every T2/T3 witness is re-verified in the original
@@ -25,14 +29,14 @@ import numpy as np
 
 from .errors import NoDecreaseFoundError, PatternBudgetExceededError
 from .first_order import (
-    classify_boundary,
+    DEFAULT_TOL_ZERO,
     increasing_check,
     inner_layer_fosp_smooth,
     outer_layer_fosp,
     solve_subdiff_qp,
 )
+from .linalg import DEFAULT_RANK_TOL
 from .network import (
-    BoundaryAnalysis,
     Dataset,
     LossModel,
     NetworkParams,
@@ -45,6 +49,7 @@ from .network import (
 )
 # solve_icqp stays bound here: benchmarks/tracer.py wraps it in this namespace
 from .second_order import (  # noqa: F401
+    DEFAULT_ZERO_EIG_TOL,
     assemble_so_qp,
     assembly_base,
     icqp_sweep,
@@ -63,9 +68,9 @@ class CheckConfig:
     """
 
     boundary_tol: float = 0.0
-    tol_zero: float = 1e-8
-    rank_tol: float = 1e-10
-    zero_eig_tol: float = 1e-8
+    tol_zero: float = DEFAULT_TOL_ZERO
+    rank_tol: float = DEFAULT_RANK_TOL
+    zero_eig_tol: float = DEFAULT_ZERO_EIG_TOL
     k_max: int = 16
     r_max: int = 20
     gamma0: float = 1e-2
@@ -115,38 +120,13 @@ class Verdict:
         return out
 
 
-def _pattern_space(classification, boundary: BoundaryAnalysis, k_max: int):
-    """The boundary pairs (k, i) in the order of a sign row, the sign each
-    pair is pinned to, and which pairs take both signs.
-
-    Samples with both ray directions flat take both signs (2^K patterns in
-    all, in the order of ``second_order.sign_rows``), single-flat samples
-    are pinned to their sign, and samples with no flat ray are pinned to
-    zero.
-    """
-    if classification.K > k_max:
-        raise PatternBudgetExceededError(
-            f"2^{classification.K} sign patterns exceed the budget 2^{k_max}"
-        )
-    keys, pinned, free = [], [], []
-    for k, idx in enumerate(boundary.boundary_indices):
-        singles = dict(classification.single.get(k, []))
-        both = set(classification.both.get(k, []))
-        for i in idx:
-            i = int(i)
-            keys.append((k, i))
-            free.append(i in both)
-            pinned.append(singles.get(i, 0))
-    return keys, np.array(pinned, dtype=int), np.array(free, dtype=bool)
-
-
 def validate_descent(
     params: NetworkParams,
     data: Dataset,
     loss: LossModel,
     eta: Perturbation,
-    gamma0: float = 1e-2,
-    halvings: int = 40,
+    gamma0: float = DEFAULT_CONFIG.gamma0,
+    halvings: int = DEFAULT_CONFIG.gamma_halvings,
 ) -> float:
     """Backtracking line search certifying an actual risk decrease along ``eta``.
 
@@ -165,10 +145,6 @@ def validate_descent(
     raise NoDecreaseFoundError(
         f"no decrease along the claimed descent direction (risk {base:.6e})"
     )
-
-
-def _flat_sets_json(flat_sets) -> list:
-    return [sorted(s) for s in flat_sets]
 
 
 def sosp_check(
@@ -245,7 +221,7 @@ def sosp_check(
     if not outer.passed:
         return finish_descent("outer_layer", outer.descent)
 
-    flat_sets_by_unit: dict[int, list] = {}
+    pinned_by_unit, free_by_unit = [], []
     s_stars: dict[int, list] = {}
     for k in range(d_h):
         if boundary.counts[k] > 0:
@@ -274,7 +250,9 @@ def sosp_check(
                     "stage": "increasing",
                     "k": k,
                     "descent": inc.descent_found,
-                    "flat_sets": _flat_sets_json(inc.flat_sets),
+                    "flat_sets": [
+                        [-1, 1] if both else [int(sign)] for sign, both in zip(inc.pinned, inc.free)
+                    ],
                 }
             )
             if inc.descent_found:
@@ -282,7 +260,8 @@ def sosp_check(
                 v[k] = inc.descent_v
                 eta = Perturbation(np.zeros(d_y), np.zeros((d_y, d_h)), v)
                 return finish_descent("increasing", eta)
-            flat_sets_by_unit[k] = inc.flat_sets
+            pinned_by_unit.append(inc.pinned)
+            free_by_unit.append(inc.free)
         else:
             sm = inner_layer_fosp_smooth(k, params, boundary, cfg.tol_zero)
             trace.append(
@@ -296,10 +275,13 @@ def sosp_check(
             if not sm.passed:
                 return finish_descent("smooth_gradient", sm.descent)
 
-    classification = classify_boundary(flat_sets_by_unit, boundary)
+    pinned = np.concatenate([np.zeros(0, dtype=int), *pinned_by_unit])
+    free = np.concatenate([np.zeros(0, dtype=bool), *free_by_unit])
     lap("first_order")
-    diagnostics["K"] = classification.K
-    diagnostics["L"] = classification.L
+    n_free = int(np.count_nonzero(free))
+    n_flat = n_free + int(np.count_nonzero(pinned))
+    diagnostics["K"] = n_free
+    diagnostics["L"] = n_flat
     diagnostics["s_star"] = s_stars
 
     sosp_flag = False
@@ -331,10 +313,13 @@ def sosp_check(
         flat_witness = Perturbation.unpack(ec.witness, params.dims)
     lap("ecqp")
 
-    if boundary.total > 0 and classification.has_flat_rays:
-        keys, pinned, free = _pattern_space(classification, boundary, cfg.k_max)
-        names = [f"{k},{i}" for k, i in keys]
-        diagnostics["n_patterns"] = 2 ** classification.K
+    if n_flat > 0:
+        if n_free > cfg.k_max:
+            raise PatternBudgetExceededError(
+                f"2^{n_free} sign patterns exceed the budget 2^{cfg.k_max}"
+            )
+        names = [f"{k},{i}" for k, i in zip(*boundary.pairs)]
+        diagnostics["n_patterns"] = 2**n_free
         sweep = icqp_sweep(
             base, ec, pinned, free, r_max=cfg.r_max, zero_tol=cfg.zero_eig_tol, rank_tol=cfg.rank_tol
         )

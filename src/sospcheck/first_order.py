@@ -12,8 +12,12 @@ Three layers of tests, in the order the certification pipeline runs them:
   midpoint; a solver that stops short of a KKT point raises a typed error.
 * per-unit increasing test: once zero is in the subdifferential, directional
   growth of the risk along every extreme ray of the per-unit sign cones is
-  checked with one inequality per ray; rays with exactly zero growth are
-  "flat" and recorded for the second-order stage.
+  checked with one inequality per ray, all of a unit's rays from one Gram
+  solve; rays with exactly zero growth are "flat". The flat rays give each
+  boundary sample its entry of the second-order stage's sign row: no flat
+  ray pins it to 0 (an equality), one flat ray pins it to that ray's sign
+  (an inequality), and two flat rays leave it free, one of the K signs
+  enumerated over 2^K cone QPs.
 
 Everything here is a pure function of cached derivatives; per-unit tests are
 independent across units.
@@ -201,15 +205,16 @@ def extreme_ray(k: int, i: int, boundary: BoundaryAnalysis) -> np.ndarray:
     idx = list(boundary.boundary_indices[k])
     if i not in idx:
         raise NotBoundaryError(f"sample {i} is not a boundary sample of unit {k}")
-    return extreme_ray_from_rows(boundary.boundary_xbar[k], idx.index(i))
+    return extreme_rays(boundary.boundary_xbar[k])[idx.index(i)]
 
 
-def extreme_ray_from_rows(xbar_rows: np.ndarray, pos: int) -> np.ndarray:
-    """Core extreme-ray computation from the raw boundary rows.
+def extreme_rays(xbar_rows: np.ndarray) -> np.ndarray:
+    """The extreme rays of all boundary rows of a unit, one row each.
 
-    Solving (Xb Xb^T) c = e_pos and setting v = Xb^T c makes
-    xbar_j . v = delta_{j, pos}, which is exactly the active-constraint
-    geometry of the ray.
+    Taking the columns of Xb^T (Xb Xb^T)^-1 makes xbar_j . v_t = delta_jt,
+    which is exactly the active-constraint geometry of the rays; each is
+    then scaled to unit length and signed so that xbar_t . v_t > 0. Raises
+    DegenerateGeometryError as :func:`extreme_ray` does.
     """
     gram = xbar_rows @ xbar_rows.T
     w = np.linalg.eigvalsh(0.5 * (gram + gram.T))
@@ -217,36 +222,36 @@ def extreme_ray_from_rows(xbar_rows: np.ndarray, pos: int) -> np.ndarray:
         raise DegenerateGeometryError(
             f"boundary Gram matrix nearly singular (eigenvalues {w[0]:.3e}..{w[-1]:.3e})"
         )
-    e = np.zeros(len(xbar_rows))
-    e[pos] = 1.0
-    coeff = np.linalg.solve(gram, e)
-    v = xbar_rows.T @ coeff
-    v = v / np.linalg.norm(v)
-    inner = float(xbar_rows[pos] @ v)
-    if inner < 0:
-        v = -v
-        inner = -inner
-    others = np.delete(xbar_rows @ v, pos)
-    if others.size and np.abs(others).max() > 1e-9 * np.linalg.norm(xbar_rows, axis=1).max():
+    rays = (xbar_rows.T @ np.linalg.inv(gram)).T
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    cross = xbar_rows @ rays.T  # (j, t): xbar_j . v_t
+    inner = cross.diagonal().copy()
+    rays[inner < 0] *= -1.0
+    np.fill_diagonal(cross, 0.0)
+    if np.abs(cross).max() > 1e-9 * np.sqrt(gram.diagonal().max()):
         raise DegenerateGeometryError("extreme ray fails orthogonality to the other boundary rows")
-    if inner <= 1e-12:
+    if np.abs(inner).min() <= 1e-12:
         raise DegenerateGeometryError("extreme ray nearly orthogonal to its own boundary row")
-    return v
+    return rays
 
 
 @dataclass(frozen=True)
 class IncreasingCheckResult:
     """Outcome of the extreme-ray growth test for one unit.
 
-    ``flat_sets[t]`` records which ray signs of boundary sample t are flat:
-    {0} none, {+1} or {-1} one side, {-1, +1} both (the latter exactly when
-    the gradient factor W2[:,k]^T grad_i vanishes).
+    Without a descent, ``pinned`` and ``free`` are the unit's part of the
+    sign row of the second-order stage, one entry per boundary sample:
+    ``pinned[t]`` is the sign of sample t's one flat ray (0 when no ray is
+    flat), and ``free[t]`` is true when both rays are flat, which happens
+    exactly when the gradient factor W2[:,k]^T grad_t vanishes. With a
+    descent both are empty.
     """
 
     descent_found: bool
     descent_v: np.ndarray | None  # (d_x + 1,) ray achieving strict decrease
-    flat_sets: list  # list of frozenset, aligned with boundary indices
-    products: list  # per sample: (product_plus, product_minus) diagnostics
+    pinned: np.ndarray  # (M_k,) int in {-1, 0, 1}
+    free: np.ndarray  # (M_k,) bool
+    products: np.ndarray  # (M_k, 2): growth along the + and the - ray of each sample
 
 
 def increasing_check(
@@ -263,90 +268,25 @@ def increasing_check(
     (slope(sign) - s_star_t) * (W2[:,k]^T grad_t) * (xbar_t . ray): a single
     inequality per ray decides all sign regions sharing it. Strictly
     negative product means descent; zero (within tolerance) marks the ray
-    flat. Borderline values count as flat, never as descent.
+    flat. Borderline values count as flat, never as descent. The descent
+    returned is the first in sample order, the + ray before the - ray.
     """
     idx = boundary.boundary_indices[k]
     if len(idx) == 0:
         raise NotBoundaryError(f"unit {k} has no boundary samples")
     act = params.activation
-    w = params.W2[:, k]
     rows = boundary.boundary_xbar[k]
-    flat_sets = []
-    products = []
-    for pos, i in enumerate(idx):
-        ray = extreme_ray_from_rows(rows, pos)
-        a = float(bundle.grads[i] @ w)
-        c = float(rows[pos] @ ray)  # > 0 by construction
-        prod_plus = (act.s_plus - s_star[pos]) * a * c
-        prod_minus = (act.s_minus - s_star[pos]) * a * (-c)
-        scale = max(1.0, abs(a) * c * abs(act.s_plus - act.s_minus))
-        products.append((prod_plus, prod_minus))
-        flats = set()
-        for sigma, prod, direction in ((1, prod_plus, ray), (-1, prod_minus, -ray)):
-            if prod < -tol_zero * scale:
-                return IncreasingCheckResult(True, direction, [], products)
-            if abs(prod) <= tol_zero * scale:
-                flats.add(sigma)
-        flat_sets.append(frozenset(flats) if flats else frozenset({0}))
-    return IncreasingCheckResult(False, None, flat_sets, products)
-
-
-# ---------------------------------------------------------------------------
-# Boundary classification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundaryClassification:
-    """Partition of each unit's boundary samples by their flat-ray sets.
-
-    ``both[k]``: samples with both ray directions flat (gradient factor
-    zero); ``single[k]``: samples with exactly one flat direction, mapped to
-    that sign; ``none[k]``: samples with no flat ray. K counts the first
-    group, L the first two together, so K <= L <= M.
-    """
-
-    both: dict  # k -> list of sample indices
-    single: dict  # k -> list of (sample index, sigma)
-    none: dict  # k -> list of sample indices
-    K: int
-    L: int
-    M: int
-
-    @property
-    def has_flat_rays(self) -> bool:
-        return self.L > 0
-
-
-def classify_boundary(
-    flat_sets_by_unit: dict, boundary: BoundaryAnalysis
-) -> BoundaryClassification:
-    """Aggregate per-unit flat-ray sets into the K/L classification."""
-    both: dict = {}
-    single: dict = {}
-    none: dict = {}
-    k_count = 0
-    l_count = 0
-    for k, idx in enumerate(boundary.boundary_indices):
-        if len(idx) == 0:
-            continue
-        flat_sets = flat_sets_by_unit[k]
-        both[k] = []
-        single[k] = []
-        none[k] = []
-        for pos, i in enumerate(idx):
-            s = flat_sets[pos]
-            if s == frozenset({-1, 1}):
-                both[k].append(int(i))
-                k_count += 1
-                l_count += 1
-            elif s in (frozenset({1}), frozenset({-1})):
-                single[k].append((int(i), 1 if s == frozenset({1}) else -1))
-                l_count += 1
-            elif s == frozenset({0}):
-                none[k].append(int(i))
-            else:
-                raise ValueError(f"invalid flat set {s} for unit {k}, sample {i}")
-    return BoundaryClassification(
-        both=both, single=single, none=none, K=k_count, L=l_count, M=boundary.total
-    )
+    rays = extreme_rays(rows)
+    a = bundle.grads[idx] @ params.W2[:, k]
+    c = np.einsum("ij,ij->i", rows, rays)  # > 0 by construction
+    products = np.column_stack([(act.s_plus - s_star) * a * c, (act.s_minus - s_star) * a * -c])
+    tol = tol_zero * np.maximum(1.0, np.abs(a) * c * abs(act.s_plus - act.s_minus))[:, None]
+    descends = products < -tol
+    if descends.any():
+        t, minus = divmod(int(np.argmax(descends)), 2)
+        return IncreasingCheckResult(
+            True, -rays[t] if minus else rays[t], np.zeros(0, int), np.zeros(0, bool), products
+        )
+    flat = np.abs(products) <= tol
+    pinned = flat[:, 0].astype(int) - flat[:, 1]
+    return IncreasingCheckResult(False, None, pinned, flat.all(axis=1), products)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConstructionFailedError, GeneralPositionViolationError
 from .first_order import increasing_check, solve_subdiff_qp
-from .linalg import nullspace_basis
+from .linalg import matrix_rank, nullspace_basis
 from .network import (
     RELU,
     ActivationSpec,
@@ -231,8 +231,8 @@ def boundary_statistics(
         params, data, loss, thr.boundary, bundle=bundle, enforce_general_position=False
     )
     gp_ok = all(  # the rule an enforcing boundary_analysis raises on
-        count <= params.dims[0] and basis.shape[1] == count
-        for count, basis in zip(boundary.counts, boundary.span_bases)
+        len(rows) <= params.dims[0] and matrix_rank(rows) == len(rows)
+        for rows in boundary.boundary_xbar
     )
 
     act = params.activation
@@ -659,12 +659,8 @@ def _verify_construction(params, data, loss, pairs, s_presc, mode) -> bool:
             continue
         if inc.descent_found:
             return False
-        expect = {
-            "interior": frozenset({0}),
-            "edge": frozenset({1}),
-            "orthogonal": frozenset({-1, 1}),
-        }[mode]
-        if any(s != expect for s in inc.flat_sets):
+        pinned, free = {"interior": (0, False), "edge": (1, False), "orthogonal": (0, True)}[mode]
+        if (inc.pinned != pinned).any() or (inc.free != free).any():
             return False
     return True
 

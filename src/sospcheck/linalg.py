@@ -97,21 +97,6 @@ def sym_eig(m: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(w, canonicalize_columns(v))
 
 
-def orthonormal_basis(vectors, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (as columns) of the span of the given vectors.
-
-    Accepts a nonempty iterable of equal-length vectors (a 2-D array counts
-    as its rows). The number of returned columns equals the numerical rank.
-    """
-    rows = np.vstack([np.asarray(v, dtype=float).ravel() for v in vectors])
-    cols = require_finite(rows.T, "vectors")
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((cols.shape[0], 0))
-    rank = int(np.sum(s > rank_tol * s[0]))
-    return canonicalize_columns(u[:, :rank])
-
-
 def nullspace_basis(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis (as columns) of the null space of ``m``."""
     m = require_finite(m, "matrix")

@@ -34,7 +34,7 @@ from .errors import (
     NonPSDHessianError,
     ShapeMismatchError,
 )
-from .linalg import DEFAULT_RANK_TOL, orthonormal_basis, require_finite
+from .linalg import DEFAULT_RANK_TOL, matrix_rank, require_finite
 
 
 @dataclass(frozen=True)
@@ -402,16 +402,15 @@ class BoundaryAnalysis:
     """Per-unit boundary index sets and the constant first-order matrices.
 
     For hidden unit k, ``boundary_indices[k]`` lists samples whose (snapped)
-    preactivation at k is exactly zero, ``span_bases[k]`` is an orthonormal
-    basis of the span of their augmented inputs, and ``C[k]`` collects the
-    gradient contributions of all *non*-boundary samples:
+    preactivation at k is exactly zero, ``boundary_xbar[k]`` holds their
+    augmented inputs, and ``C[k]`` collects the gradient contributions of
+    all *non*-boundary samples:
 
         C_k = sum_{i not on boundary of k} h'(preact_ik) grad_i xbar_i^T.
     """
 
     boundary_indices: list  # list of int arrays, one per unit
     boundary_xbar: list  # list of (M_k, d_x+1) arrays of augmented boundary inputs
-    span_bases: list  # list of (d_x+1, M_k) orthonormal matrices
     C: list  # list of (d_y, d_x+1) matrices
     boundary_tol: float
     dims: tuple[int, int, int] = field(default=(0, 0, 0))
@@ -423,6 +422,13 @@ class BoundaryAnalysis:
     @property
     def total(self) -> int:
         return int(sum(self.counts))
+
+    @property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden unit and sample of every boundary pair (k, i), unit-major
+        in the order of ``boundary_indices``: the order of a sign row."""
+        units = np.repeat(np.arange(len(self.boundary_indices)), self.counts)
+        return units, np.concatenate([np.asarray(ix, dtype=int) for ix in self.boundary_indices])
 
 
 def boundary_analysis(
@@ -444,7 +450,7 @@ def boundary_analysis(
         bundle = per_sample_derivatives(params, data, loss, boundary_tol)
     d_x, d_h, d_y = params.dims
     act = params.activation
-    indices, rows, bases, cmats = [], [], [], []
+    indices, rows, cmats = [], [], []
     for k in range(d_h):
         mask = bundle.boundary_mask[:, k]
         idx = np.flatnonzero(mask)
@@ -453,24 +459,18 @@ def boundary_analysis(
             raise GeneralPositionViolationError(
                 f"unit {k} has {m_k} boundary samples but d_x={d_x}"
             )
-        if m_k:
-            basis = orthonormal_basis(bundle.xbar[idx], rank_tol=rank_tol)
-            if enforce_general_position and basis.shape[1] < m_k:
-                raise GeneralPositionViolationError(
-                    f"boundary inputs of unit {k} are linearly dependent "
-                    f"(rank {basis.shape[1]} < {m_k})"
-                )
-        else:
-            basis = np.zeros((d_x + 1, 0))
+        rank = matrix_rank(bundle.xbar[idx], rank_tol) if enforce_general_position else m_k
+        if rank < m_k:
+            raise GeneralPositionViolationError(
+                f"boundary inputs of unit {k} are linearly dependent (rank {rank} < {m_k})"
+            )
         weights = np.where(mask, 0.0, act.hprime(bundle.preact[:, k]))
         cmats.append((bundle.grads * weights[:, None]).T @ bundle.xbar)
         indices.append(idx)
         rows.append(bundle.xbar[idx].copy())
-        bases.append(basis)
     return BoundaryAnalysis(
         boundary_indices=indices,
         boundary_xbar=rows,
-        span_bases=bases,
         C=cmats,
         boundary_tol=boundary_tol,
         dims=(d_x, d_h, d_y),

@@ -32,7 +32,7 @@ CP2); and only for the rest, indefinite S among it, the Pareto spectrum, at
 cost O(r^3 2^r). Only the PGD cross-check draws random numbers.
 
 A sign pattern is a sign row: one entry in {-1, 0, 1} per boundary pair
-(k, i), unit-major and in the order of ``boundary.boundary_indices``. A
+(k, i), in the order of ``BoundaryAnalysis.pairs``. A
 zero pins the direction to the pair's boundary hyperplane (an equality
 row); -1 and 1 pick a side (an inequality row signed by the entry). The
 cone QPs of all sign patterns at one point share an :class:`AssemblyBase`:
@@ -299,7 +299,7 @@ class AssemblyBase:
     A pattern also only signs and sorts the same constraint rows, so they
     are built and rank-checked once, as ``rows``: one homogeneity row per
     hidden unit, then one row per boundary pair in the order of
-    ``boundary.boundary_indices``, the order of the entries of a sign row.
+    ``boundary.pairs``, the order of the entries of a sign row.
     """
 
     params: NetworkParams
@@ -338,8 +338,7 @@ def assembly_base(
     for k in range(d_h):
         rows[k, sl_u[k]] = params.W2[:, k]
         rows[k, sl_v[k]] = -params.hyperplane_row(k)
-    pair_unit = np.repeat(np.arange(d_h), boundary.counts)
-    pair_samples = np.concatenate([np.asarray(idx, dtype=int) for idx in boundary.boundary_indices])
+    pair_unit, pair_samples = boundary.pairs
     for at, (k, i) in enumerate(zip(pair_unit, pair_samples), start=d_h):
         rows[at, sl_v[k]] = bundle.xbar[i]
     if matrix_rank(rows) != len(rows):

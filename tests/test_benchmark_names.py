@@ -1,0 +1,74 @@
+"""Every library name the frozen benchmark under ``benchmarks/`` uses still exists.
+
+``benchmarks/tracer.py`` looks up each of its ``TARGETS`` with ``getattr``
+when it installs its wrappers, and the benchmark modules import names from
+``sospcheck``, so deleting one of them breaks the benchmark run rather than
+a test. The benchmark files are only parsed here, never imported or edited.
+"""
+
+import ast
+import importlib
+import types
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _tree(name):
+    return ast.parse((BENCH / name).read_text(encoding="utf-8"))
+
+
+def _library_imports(tree):
+    """(module, name, bound name) of every ``from sospcheck... import name``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sospcheck":
+            for alias in node.names:
+                yield node.module, alias.name, alias.asname or alias.name
+
+
+def test_tracer_targets_resolve():
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in _tree("tracer.py").body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    ]
+    assert targets
+    missing = [
+        f"{module}.{fn}"
+        for module, fn in targets
+        if not callable(getattr(importlib.import_module(f"sospcheck.{module}"), fn, None))
+    ]
+    assert missing == []
+
+
+def test_benchmark_test_imports_exist():
+    imports = list(_library_imports(_tree("test_benchmarks.py")))
+    assert imports
+    missing = [
+        f"{module}.{name}"
+        for module, name, _ in imports
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
+
+
+def test_benchmark_module_attributes_exist():
+    # e.g. ``checker.sosp_check`` after ``from sospcheck import checker``
+    seen, missing = 0, []
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {"sospcheck": importlib.import_module("sospcheck")}
+        for module, name, bound in _library_imports(tree):
+            value = getattr(importlib.import_module(module), name, None)
+            if isinstance(value, types.ModuleType):
+                modules[bound] = value
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                seen += 1
+                if not hasattr(modules[node.value.id], node.attr):
+                    missing.append(f"{path.name}: {node.value.id}.{node.attr}")
+    assert seen and missing == []

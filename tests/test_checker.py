@@ -5,18 +5,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from sospcheck.checker import (
-    CheckConfig,
-    _pattern_space,
-    sosp_check,
-    validate_descent,
-)
+from sospcheck.checker import CheckConfig, sosp_check, validate_descent
 from sospcheck.errors import (
     ConstructionFailedError,
     InternalInconsistencyError,
     PatternBudgetExceededError,
 )
-from sospcheck.first_order import classify_boundary
 from sospcheck.harness import (
     construct_boundary_fosp,
     construct_indefinite_fosp,
@@ -193,48 +187,47 @@ class TestLeakyActivations:
 
 
 class TestEnumerateSignPatterns:
-    def _classified(self, point):
+    @staticmethod
+    def _sign_rows(point):
+        """The point's boundary pairs and every sign row of the point, as the
+        checker's sweep takes them: each unit's increasing-test entries,
+        joined in pair order."""
         from sospcheck.first_order import increasing_check, solve_subdiff_qp
         from sospcheck.network import per_sample_derivatives
 
         loss = SquaredLoss()
         bundle = per_sample_derivatives(point.params, point.data, loss)
         boundary = boundary_analysis(point.params, point.data, loss, bundle=bundle)
-        flat = {}
+        pinned, free = [], []
         for k, idx in enumerate(boundary.boundary_indices):
             if len(idx):
                 res = solve_subdiff_qp(k, point.params, boundary, bundle)
-                flat[k] = increasing_check(
-                    k, point.params, boundary, bundle, res.s_star
-                ).flat_sets
-        return boundary, classify_boundary(flat, boundary)
-
-    @staticmethod
-    def _sign_rows(boundary, cls):
-        """Every sign row of the point, as the checker's sweep takes them."""
-        keys, pinned, free = _pattern_space(cls, boundary, 16)
-        assert keys == [(k, int(i)) for k, idx in enumerate(boundary.boundary_indices) for i in idx]
-        return sign_rows(pinned, free, 0, 2**cls.K)
+                inc = increasing_check(k, point.params, boundary, bundle, res.s_star)
+                pinned.append(inc.pinned)
+                free.append(inc.free)
+        pinned, free = np.concatenate(pinned), np.concatenate(free)
+        units, samples = boundary.pairs
+        assert list(zip(units.tolist(), samples.tolist())) == [
+            (k, int(i)) for k, idx in enumerate(boundary.boundary_indices) for i in idx
+        ]
+        return boundary, sign_rows(pinned, free, 0, 2 ** int(free.sum()))
 
     def test_interior_single_zero_pattern(self):
-        boundary, cls = self._classified(construct_boundary_fosp(3, 1, 1, seed=0))
-        rows = self._sign_rows(boundary, cls)
+        boundary, rows = self._sign_rows(construct_boundary_fosp(3, 1, 1, seed=0))
         assert rows.shape == (1, boundary.total)
         assert (rows == 0).all()
 
     def test_orthogonal_two_patterns_lexicographic(self):
-        boundary, cls = self._classified(
+        boundary, rows = self._sign_rows(
             construct_boundary_fosp(3, 1, 1, seed=2, mode="orthogonal")
         )
-        rows = self._sign_rows(boundary, cls)
         assert rows.shape == (2, boundary.total)
         assert rows[:, 0].tolist() == [-1, 1]
 
     def test_mixed_product_structure(self):
         point = construct_boundary_fosp(4, 1, 1, seed=8, mode="orthogonal", n_boundary=2)
-        boundary, cls = self._classified(point)
-        assert cls.K == 2
-        rows = self._sign_rows(boundary, cls)
+        _, rows = self._sign_rows(point)
+        assert len(rows) == 2**2
         assert rows.tolist() == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
 
     def test_sign_rows_are_the_lexicographic_product_in_any_range(self):

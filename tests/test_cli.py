@@ -87,6 +87,30 @@ class TestCheck:
         assert code == 2
 
 
+class TestReportJson:
+    @pytest.mark.parametrize(
+        "mode, flat_sets, k, l",
+        [("orthogonal", [[-1, 1]], 1, 1), ("edge", [[1]], 0, 1), ("interior", [[0]], 0, 0)],
+    )
+    def test_flat_boundary_report_loads(self, tmp_path, mode, flat_sets, k, l):
+        params, data, out = (tmp_path / name for name in ("p.json", "d.json", "r.json"))
+        synth = ["synth", "--dx", "3", "--dh", "2", "--dy", "1", "--mode", mode, "--seed", "3"]
+        assert run_cli(synth + ["--out-params", str(params), "--out-data", str(data)]) == 0
+        argv = ["check", "--params", str(params), "--data", str(data), "--out", str(out)]
+        assert run_cli(argv) == 0
+        with open(out, encoding="utf-8") as fh:
+            report = json.load(fh)
+        diag = report["diagnostics"]
+        assert (diag["K"], diag["L"]) == (k, l)
+        assert type(diag["K"]) is int and type(diag["L"]) is int
+        increasing = [e for e in diag["trace"] if e["stage"] == "increasing"]
+        assert [e["flat_sets"] for e in increasing] == [flat_sets]
+        icqps = [e for e in diag["trace"] if e["stage"] == "icqp"]
+        assert len(icqps) == (2**k if l else 0)
+        for entry in icqps:
+            assert all(type(sign) is int for sign in entry["pattern"].values())
+
+
 class TestTrainAndStats:
     def test_train_then_check_pipeline(self, tmp_path):
         params = tmp_path / "trained.json"

@@ -4,7 +4,6 @@ import pytest
 from sospcheck.checker import validate_descent
 from sospcheck.errors import DegenerateGeometryError, InternalInconsistencyError, NotBoundaryError
 from sospcheck.first_order import (
-    classify_boundary,
     extreme_ray,
     increasing_check,
     inner_layer_fosp_smooth,
@@ -13,7 +12,6 @@ from sospcheck.first_order import (
     subdiff_scale,
 )
 from sospcheck.harness import construct_boundary_fosp, generate_dataset, init_params
-from sospcheck.linalg import orthonormal_basis
 from sospcheck.network import (
     RELU,
     ActivationSpec,
@@ -64,7 +62,6 @@ def synthetic_unit(c_k, grads, xbar_rows, w2col, act=RELU):
     boundary = BoundaryAnalysis(
         boundary_indices=[np.arange(n)],
         boundary_xbar=[xbar_rows],
-        span_bases=[orthonormal_basis(xbar_rows)],
         C=[c_k],
         boundary_tol=0.0,
         dims=(d_x, 1, d_y),
@@ -279,14 +276,14 @@ class TestExtremeRay:
             _, _, boundary = synthetic_unit(
                 np.zeros((1, d_x + 1)), np.ones((m_k, 1)), xbar, [1.0]
             )
-            basis = orthonormal_basis(xbar)
             for pos in range(m_k):
                 ray = extreme_ray(0, boundary.boundary_indices[0][pos], boundary)
                 others = np.delete(xbar @ ray, pos)
                 assert np.abs(others).max(initial=0.0) <= 1e-12
                 assert xbar[pos] @ ray > 0
                 # stays inside the boundary span
-                assert np.linalg.norm(basis @ (basis.T @ ray) - ray) <= 1e-10
+                coeff = np.linalg.lstsq(xbar.T, ray, rcond=None)[0]
+                assert np.linalg.norm(xbar.T @ coeff - ray) <= 1e-10
 
     def test_degenerate_rows_raise(self):
         _, _, boundary = synthetic_unit(
@@ -324,7 +321,7 @@ class TestIncreasingCheck:
         )
         res = increasing_check(0, params, boundary, bundle, np.array([0.5]))
         assert not res.descent_found
-        assert res.flat_sets[0] == frozenset({-1, 1})
+        assert res.pinned.tolist() == [0] and res.free.tolist() == [True]
 
     def test_edge_solution_single_flat_sign(self):
         params, bundle, boundary = synthetic_unit(
@@ -332,7 +329,7 @@ class TestIncreasingCheck:
         )
         res = increasing_check(0, params, boundary, bundle, np.array([1.0]))  # s* = s_plus
         assert not res.descent_found
-        assert res.flat_sets[0] == frozenset({1})
+        assert res.pinned.tolist() == [1] and res.free.tolist() == [False]
 
     def test_interior_solution_sign_determines_outcome(self):
         # positive gradient factor: both rays strictly increase, no flat signs
@@ -341,7 +338,7 @@ class TestIncreasingCheck:
         )
         res = increasing_check(0, params, boundary, bundle, np.array([0.5]))
         assert not res.descent_found
-        assert res.flat_sets[0] == frozenset({0})
+        assert res.pinned.tolist() == [0] and res.free.tolist() == [False]
         # negative gradient factor: both products negative, strict descent
         params, bundle, boundary = synthetic_unit(
             c_k=np.zeros((1, 3)), grads=[[-1.0]], xbar_rows=[[1.0, 0.0, 1.0]], w2col=[1.0]
@@ -356,33 +353,107 @@ class TestIncreasingCheck:
         )
         res = increasing_check(0, params, boundary, bundle, np.array([1.0 + 1e-12]))
         assert not res.descent_found  # tiny negative product is flat, never descent
-        assert res.flat_sets[0] == frozenset({1})
+        assert res.pinned.tolist() == [1] and res.free.tolist() == [False]
 
 
 class TestClassifyBoundary:
-    def _boundary(self, n):
-        _, _, boundary = synthetic_unit(
+    """A unit's pairs get their sign-row states side by side; the checker's
+    K counts the free entries and L adds the nonzero pinned ones."""
+
+    @staticmethod
+    def _unit(grad_factors):
+        n = len(grad_factors)
+        return synthetic_unit(
             np.zeros((1, n + 2)),
-            np.ones((n, 1)),
+            np.array(grad_factors, dtype=float)[:, None],
             np.hstack([np.eye(n), np.zeros((n, 1)), np.ones((n, 1))]),
             [1.0],
         )
-        return boundary
 
     def test_all_zero_sets(self):
-        boundary = self._boundary(2)
-        cls = classify_boundary({0: [frozenset({0}), frozenset({0})]}, boundary)
-        assert cls.K == 0 and cls.L == 0 and not cls.has_flat_rays
+        params, bundle, boundary = self._unit([1.0, 2.0])
+        res = increasing_check(0, params, boundary, bundle, np.array([0.5, 0.25]))
+        assert not res.descent_found
+        assert res.pinned.tolist() == [0, 0] and res.free.tolist() == [False, False]
 
     def test_one_single_flat(self):
-        boundary = self._boundary(1)
-        cls = classify_boundary({0: [frozenset({1})]}, boundary)
-        assert cls.K == 0 and cls.L == 1
+        params, bundle, boundary = self._unit([1.0])
+        res = increasing_check(0, params, boundary, bundle, np.array([0.0]))  # s* = s_minus
+        assert res.pinned.tolist() == [-1] and not res.free.any()
 
     def test_mixed_counts(self):
-        boundary = self._boundary(2)
-        cls = classify_boundary({0: [frozenset({-1, 1}), frozenset({1})]}, boundary)
-        assert cls.K == 1 and cls.L == 2 and cls.M == 2
+        params, bundle, boundary = self._unit([0.0, 1.0, 1.0])
+        res = increasing_check(0, params, boundary, bundle, np.array([0.5, 1.0, 0.5]))
+        assert not res.descent_found
+        assert res.pinned.tolist() == [0, 1, 0]
+        assert res.free.tolist() == [True, False, False]
+        assert res.pinned.dtype.kind == "i" and res.free.dtype == bool
+
+
+class TestDescentOrder:
+    @staticmethod
+    def _by_pair(params, bundle, boundary, s_star, tol_zero=1e-8):
+        """The pair-by-pair reading of the test: pairs in order, the + ray
+        before the - ray, one ray at a time. Returns (descent, pinned, free)."""
+        act = params.activation
+        pinned, free = [], []
+        for pos, i in enumerate(boundary.boundary_indices[0]):
+            ray = extreme_ray(0, i, boundary)
+            a = float(bundle.grads[i] @ params.W2[:, 0])
+            c = float(boundary.boundary_xbar[0][pos] @ ray)
+            tol = tol_zero * max(1.0, abs(a) * c * abs(act.s_plus - act.s_minus))
+            flat = []
+            for sign, slope in ((1, act.s_plus), (-1, act.s_minus)):
+                product = (slope - s_star[pos]) * a * sign * c
+                if product < -tol:
+                    return sign * ray, None, None
+                if abs(product) <= tol:
+                    flat.append(sign)
+            free.append(len(flat) == 2)
+            pinned.append(flat[0] if len(flat) == 1 else 0)
+        return None, pinned, free
+
+    def test_matches_the_pair_by_pair_loop(self):
+        rng = np.random.default_rng(5)
+        for act in (RELU, ActivationSpec(1.0, 0.25)):
+            lo, hi = act.box
+            for _ in range(200):
+                m_k = int(rng.integers(1, 5))
+                xbar = np.hstack([rng.standard_normal((m_k, 4)), np.ones((m_k, 1))])
+                factors = rng.choice([-1.0, 0.0, 1.0, rng.standard_normal()], m_k)
+                params, bundle, boundary = synthetic_unit(
+                    np.zeros((1, 5)), factors[:, None], xbar, [1.0], act
+                )
+                s_star = rng.choice([lo, hi, lo - 1e-3, hi + 1e-3, rng.uniform(lo, hi)], m_k)
+                res = increasing_check(0, params, boundary, bundle, s_star)
+                descent, pinned, free = self._by_pair(params, bundle, boundary, s_star)
+                assert res.descent_found == (descent is not None)
+                if descent is None:
+                    assert res.pinned.tolist() == pinned and res.free.tolist() == free
+                else:
+                    np.testing.assert_allclose(res.descent_v, descent, rtol=1e-12, atol=1e-15)
+
+    def test_first_descent_in_pair_order_plus_before_minus(self):
+        # pair 0 increases; pairs 1 and 2 descend, pair 1 along its - ray
+        # only and pair 2 along both: the - ray of pair 1 is returned
+        params, bundle, boundary = TestClassifyBoundary._unit([1.0, 1.0, -1.0])
+        s_star = np.array([0.5, -1e-3, 0.5])
+        res = increasing_check(0, params, boundary, bundle, s_star)
+        assert res.descent_found
+        assert (res.products[0] > 0).all()
+        assert res.products[1, 0] > 0 > res.products[1, 1]
+        assert (res.products[2] < 0).all()
+        want = self._by_pair(params, bundle, boundary, s_star)[0]
+        np.testing.assert_allclose(want, -extreme_ray(0, 1, boundary), rtol=0, atol=0)
+        np.testing.assert_allclose(res.descent_v, want, rtol=1e-12, atol=0)
+        # with pair 1's + ray descending too, + comes before -
+        params, bundle, boundary = TestClassifyBoundary._unit([1.0, -1.0, -1.0])
+        s_star = np.array([0.5, 0.5, 0.5])
+        res = increasing_check(0, params, boundary, bundle, s_star)
+        assert (res.products[1:] < 0).all()
+        want = self._by_pair(params, bundle, boundary, s_star)[0]
+        np.testing.assert_allclose(want, extreme_ray(0, 1, boundary), rtol=0, atol=0)
+        np.testing.assert_allclose(res.descent_v, want, rtol=1e-12, atol=0)
 
 
 class TestDescentSoundness:

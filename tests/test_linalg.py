@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from sospcheck.errors import NonFiniteError, NonSymmetricError
-from sospcheck.linalg import (
-    matrix_rank,
-    nullspace_basis,
-    orthonormal_basis,
-    sym_eig,
-)
+from sospcheck.linalg import matrix_rank, nullspace_basis, sym_eig
 
 
 class TestSymEig:
@@ -53,26 +48,6 @@ class TestSymEig:
             assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-10
 
 
-class TestOrthonormalBasis:
-    def test_single_unit_vector(self):
-        b = orthonormal_basis([np.array([1.0, 0.0, 0.0])])
-        assert b.shape == (3, 1)
-        assert np.allclose(np.abs(b[:, 0]), [1.0, 0.0, 0.0])
-
-    def test_rank_one_pair(self):
-        b = orthonormal_basis([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
-        assert b.shape == (2, 1)
-        assert np.allclose(np.abs(b[:, 0]), [1.0, 0.0])
-
-    def test_gram_identity(self):
-        b = orthonormal_basis([np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0])])
-        assert b.shape == (3, 2)
-        assert np.abs(b.T @ b - np.eye(2)).max() <= 1e-12
-        # spans the same subspace: original vectors project onto the basis exactly
-        for v in (np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0])):
-            assert np.linalg.norm(b @ (b.T @ v) - v) <= 1e-12
-
-
 class TestNullspaceBasis:
     def test_full_rank_empty(self):
         assert nullspace_basis(np.eye(2)).shape == (2, 0)
@@ -92,7 +67,7 @@ class TestNullspaceBasis:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((3, 7))
         n = nullspace_basis(a)
-        r = orthonormal_basis(a)  # rows of a as the spanning vectors
+        r = np.linalg.qr(a.T)[0]  # orthonormal basis of the row space of a
         combined = np.hstack([n, r])
         assert combined.shape == (7, 7)
         assert np.linalg.norm(combined.T @ combined - np.eye(7)) <= 1e-10
