@@ -44,7 +44,6 @@ from .harness import (
     boundary_statistics,
     construct_boundary_fosp,
     construct_indefinite_fosp,
-    construct_smooth_fosp,
     generate_dataset,
     init_params,
     run_boundary_trend,

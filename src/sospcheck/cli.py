@@ -9,15 +9,13 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 internal inconsistency
 (for example a descent direction that fails its own line-search validation).
-The environment variable SOSP_SEED, when set, overrides the seed argument of
-train, stats and synth; check draws no random numbers and takes no seed.
+check draws no random numbers and takes no seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import harness
@@ -47,13 +45,6 @@ from .harness import (
 from .network import SquaredLoss
 
 
-def _seed(args) -> int:
-    env = os.environ.get("SOSP_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
-
-
 def _cmd_check(args) -> int:
     try:
         params = params_from_dict(load_json(args.params))
@@ -74,7 +65,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    seed = _seed(args)
     if args.data:
         try:
             data = dataset_from_dict(load_json(args.data))
@@ -82,8 +72,8 @@ def _cmd_train(args) -> int:
             print(f"error: could not load data: {exc}", file=sys.stderr)
             return 2
     else:
-        data = generate_dataset(args.dx, args.dy, args.m, seed=seed)
-    params0 = init_params(data.d_x, args.dh, data.d_y, seed=seed + 10_000)
+        data = generate_dataset(args.dx, args.dy, args.m, seed=args.seed)
+    params0 = init_params(data.d_x, args.dh, data.d_y, seed=args.seed + 10_000)
     cfg = AdamConfig(lr=args.lr, iters=args.iters, decay_every=args.decay_every)
     params, trace = adam_train(params0, data, config=cfg)
     save_json(args.out, params_to_dict(params))
@@ -94,7 +84,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    seed = _seed(args)
     iters = 200_000 if args.full_budget else args.iters
     decay = 20_000 if args.full_budget else args.decay_every
     runs = 40 if args.full_budget else args.runs
@@ -104,7 +93,7 @@ def _cmd_stats(args) -> int:
         d_y=args.dy,
         m=args.m,
         runs=runs,
-        seed=seed,
+        seed=args.seed,
         adam=AdamConfig(iters=iters, decay_every=decay),
         thresholds=StatThresholds(boundary=args.boundary_tol),
     )
@@ -125,15 +114,14 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    seed = _seed(args)
     if args.mode == "indefinite":
-        point = construct_indefinite_fosp(args.dx, args.dh, args.dy, seed=seed)
+        point = construct_indefinite_fosp(args.dx, args.dh, args.dy, seed=args.seed)
     else:
         point = construct_boundary_fosp(
             args.dx,
             args.dh,
             args.dy,
-            seed=seed,
+            seed=args.seed,
             n_boundary=args.boundary,
             mode=args.mode,
         )

@@ -8,8 +8,9 @@ Three layers of tests, in the order the certification pipeline runs them:
   samples, membership of zero in the (projected) generalized gradient set is
   decided by a small box-constrained convex QP over one slope variable per
   boundary sample: bounded-variable least squares, solved exactly by one
-  active-set call. Slopes with a zero gradient factor stay at the box
-  midpoint; a solver that stops short of a KKT point raises a typed error.
+  active-set call. Slopes whose gradient factor is zero up to rounding stay
+  at the box midpoint; a solver that stops short of a KKT point raises a
+  typed error.
 * per-unit increasing test: once zero is in the subdifferential, directional
   growth of the risk along every extreme ray of the per-unit sign cones is
   checked with one inequality per ray, all of a unit's rays from one Gram
@@ -33,6 +34,11 @@ from .errors import DegenerateGeometryError, InternalInconsistencyError, NotBoun
 from .network import BoundaryAnalysis, DerivativeBundle, NetworkParams, Perturbation
 
 DEFAULT_TOL_ZERO = 1e-8
+# A gradient factor a_t = W2[:,k]^T grad_t is rounding noise when |a_t| is at most
+# this multiple of ||W2[:,k]|| (||grad_t|| + ||output_t||): the rounding scale of
+# the product and of grad_t itself, which at d_y = 1 is all that is left of an
+# output_t - label_t orthogonal to W2[:,k].
+FACTOR_ROUNDING_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +152,9 @@ def solve_subdiff_qp(
 
     Bounded-variable least squares, solved exactly by one active-set call
     (``lsq_linear``, ``method="bvls"``); ``iterations`` counts its steps.
-    Slopes whose gradient factor W2[:,k]^T grad_t is exactly zero stay at the
-    box midpoint. A stalled solver raises InternalInconsistencyError.
+    Slopes whose gradient factor W2[:,k]^T grad_t is zero up to rounding
+    (``FACTOR_ROUNDING_RTOL``) stay at the box midpoint.
+    A stalled solver raises InternalInconsistencyError.
     """
     from scipy.optimize import lsq_linear
 
@@ -162,7 +169,10 @@ def solve_subdiff_qp(
     cols = bundle.xbar[idx].T * a  # (d_x+1, m_k), column t = a_t * xbar_t
 
     s = np.full(m_k, 0.5 * (lo + hi))
-    live = a != 0.0
+    a_scale = np.linalg.norm(w) * (
+        np.linalg.norm(bundle.grads[idx], axis=1) + np.linalg.norm(bundle.outputs[idx], axis=1)
+    )
+    live = np.abs(a) > FACTOR_ROUNDING_RTOL * a_scale
     iterations = 0
     if live.any():
         sol = lsq_linear(cols[:, live], -c0, bounds=(lo, hi), method="bvls")

@@ -9,23 +9,30 @@ statistics pass then counts approximate boundary samples, solves the
 per-unit box QP, and estimates how many boundary samples would contribute
 inequality constraints to the second-order stage.
 
-The fixture constructors work backwards: fix random parameters, place
-selected samples exactly on chosen units' hyperplanes, and solve a linear
-system for label residuals that makes every first-order test pass with a
-prescribed box-QP solution. They are the source of exact, certifiable
-stationary points for the test suite.
+The fixture constructor works backwards: fix random parameters, place
+selected samples exactly on chosen units' hyperplanes (none, for a
+differentiable point), and solve a linear system for label residuals that
+makes every first-order test pass with a prescribed box-QP solution. Each
+fixture is accepted only once the certifier's own first-order tests pass on
+it. It is the source of exact, certifiable stationary points for the test
+suite.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConstructionFailedError, GeneralPositionViolationError
-from .first_order import increasing_check, solve_subdiff_qp
+from .first_order import (
+    increasing_check,
+    inner_layer_fosp_smooth,
+    outer_layer_fosp,
+    solve_subdiff_qp,
+)
 from .linalg import matrix_rank, nullspace_basis
 from .network import (
     RELU,
@@ -192,18 +199,7 @@ class RunReport:
     verdict: dict | None = None  # populated when the full check is requested
 
     def as_dict(self) -> dict:
-        return {
-            "final_risk": self.final_risk,
-            "m_hat": self.m_hat,
-            "l_hat": self.l_hat,
-            "k_hat": self.k_hat,
-            "edge_count": self.edge_count,
-            "qp_objectives": self.qp_objectives,
-            "per_unit": self.per_unit,
-            "general_position_ok": self.general_position_ok,
-            "elapsed": self.elapsed,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def boundary_statistics(
@@ -468,8 +464,10 @@ def construct_boundary_fosp(
 
     ``n_boundary`` samples are placed exactly on hidden-unit hyperplanes
     (sample b on ``units[b]``, defaulting to all on ``unit``) and the labels
-    are solved for so that every first-order test passes. ``mode`` controls
-    the character of the boundary samples:
+    are solved for so that every first-order test passes. With
+    ``n_boundary=0`` the point is differentiable: no preactivation is near
+    zero, only mode "interior" is accepted, and the returned ``unit`` is -1.
+    ``mode`` controls the character of the boundary samples:
 
     * "interior": box-QP solution strictly inside the slope box; the
       boundary samples add equality constraints only (L = 0).
@@ -489,6 +487,8 @@ def construct_boundary_fosp(
     """
     if mode not in ("interior", "edge", "orthogonal", "ray_descent", "subdiff_descent"):
         raise ValueError(f"unknown mode {mode!r}")
+    if n_boundary == 0 and mode != "interior":
+        raise ValueError(f"mode {mode!r} needs boundary samples")
     if units is None:
         units = [unit] * n_boundary
     units = [int(u) for u in units]
@@ -585,7 +585,7 @@ def construct_boundary_fosp(
             if mode == "orthogonal":
                 resid = cand
                 break
-            if np.abs(a_vals).min() < 1e-3 * np.linalg.norm(cand) / np.sqrt(m):
+            if np.abs(a_vals).min(initial=np.inf) < 1e-3 * np.linalg.norm(cand) / np.sqrt(m):
                 continue
             if mode == "subdiff_descent":  # any sign: the box QP fails regardless
                 resid = cand
@@ -611,7 +611,7 @@ def construct_boundary_fosp(
                 params=params,
                 data=data,
                 mode=mode,
-                unit=units[0],
+                unit=units[0] if units else -1,
                 boundary_samples=list(range(n_boundary)),
                 s_prescribed=[s_presc[p] for p in pairs],
                 residual_scale=residual_scale,
@@ -622,7 +622,8 @@ def construct_boundary_fosp(
 
 
 def _verify_construction(params, data, loss, pairs, s_presc, mode) -> bool:
-    """Check the constructed point has the intended first-order structure."""
+    """Check the constructed point has the intended first-order structure,
+    with the certifier's own first-order tests on every unit."""
     try:
         bundle = per_sample_derivatives(params, data, loss)
         boundary = boundary_analysis(params, data, loss, bundle=bundle)
@@ -636,12 +637,13 @@ def _verify_construction(params, data, loss, pairs, s_presc, mode) -> bool:
         for k, idx in enumerate(boundary.boundary_indices)
         if len(idx)
     }
-    if got != want:
+    if got != want or not outer_layer_fosp(params, bundle).passed:
         return False
-    aug = np.hstack([bundle.hidden, np.ones((bundle.m, 1))])
-    if np.linalg.norm(bundle.grads.T @ aug) > 1e-9 * max(1.0, np.abs(bundle.grads).sum()):
-        return False
-    for k in got:
+    for k in range(params.dims[1]):
+        if k not in got:
+            if not inner_layer_fosp_smooth(k, params, boundary).passed:
+                return False
+            continue
         res = solve_subdiff_qp(k, params, boundary, bundle)
         if mode == "subdiff_descent":
             if res.certifies_zero(res.scale):  # must land strictly outside the box
@@ -663,69 +665,6 @@ def _verify_construction(params, data, loss, pairs, s_presc, mode) -> bool:
         if (inc.pinned != pinned).any() or (inc.free != free).any():
             return False
     return True
-
-
-def construct_smooth_fosp(
-    d_x: int,
-    d_h: int,
-    d_y: int,
-    seed: int = 0,
-    m: int | None = None,
-    activation: ActivationSpec = RELU,
-    residual_scale: float = 0.5,
-    max_attempts: int = 40,
-) -> ConstructedPoint:
-    """A differentiable first-order stationary point (no boundary samples)."""
-    loss = SquaredLoss()
-    n_constraints = d_y * (d_h + 1) + d_h * (d_x + 1)
-    if m is None:
-        m = int(np.ceil(n_constraints / d_y)) + 4
-    margin = 0.05
-    for attempt in range(max_attempts):
-        rng = np.random.default_rng((seed, 7, attempt))
-        params = NetworkParams(
-            W1=rng.standard_normal((d_h, d_x)) / np.sqrt(d_x),
-            b1=0.3 * rng.standard_normal(d_h),
-            W2=rng.standard_normal((d_y, d_h)) / np.sqrt(d_h),
-            b2=0.3 * rng.standard_normal(d_y),
-            activation=activation,
-        )
-        inputs = rng.standard_normal((m, d_x))
-        outputs, preact, _ = forward_batch(params, inputs)
-        if np.abs(preact).min() < margin:
-            continue
-        phi = _fosp_constraint_matrix(params, inputs, [], {}, [])
-        null = nullspace_basis(phi)
-        if null.shape[1] == 0:
-            continue
-        resid = (null @ rng.standard_normal(null.shape[1])).reshape(m, d_y)
-        norm = np.linalg.norm(resid)
-        if norm == 0.0:
-            continue
-        resid = resid * (residual_scale * np.sqrt(m * d_y) / norm)
-        data = Dataset(inputs, outputs - resid)
-        bundle = per_sample_derivatives(params, data, loss)
-        if bundle.boundary_mask.any():
-            continue
-        aug = np.hstack([bundle.hidden, np.ones((m, 1))])
-        if np.linalg.norm(bundle.grads.T @ aug) > 1e-9 * max(1.0, np.abs(bundle.grads).sum()):
-            continue
-        boundary = boundary_analysis(params, data, loss, bundle=bundle)
-        grad_norms = [
-            np.linalg.norm(boundary.C[k].T @ params.W2[:, k]) for k in range(d_h)
-        ]
-        if max(grad_norms) > 1e-9 * max(1.0, np.abs(bundle.grads).sum()):
-            continue
-        return ConstructedPoint(
-            params=params,
-            data=data,
-            mode="smooth",
-            unit=-1,
-            boundary_samples=[],
-            s_prescribed=[],
-            residual_scale=residual_scale,
-        )
-    raise ConstructionFailedError(f"no smooth stationary point found (seed {seed})")
 
 
 def construct_indefinite_fosp(

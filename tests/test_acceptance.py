@@ -17,7 +17,6 @@ from sospcheck.harness import (
     adam_train,
     construct_boundary_fosp,
     construct_indefinite_fosp,
-    construct_smooth_fosp,
     generate_dataset,
     init_params,
     run_boundary_trend,
@@ -325,14 +324,14 @@ def _certified_fosp_pool():
             pool.append(("trained", params, data))
             trained += 1
     for seed in range(6):
-        point = construct_smooth_fosp(3, 2, 1, seed=seed)
+        point = construct_boundary_fosp(3, 2, 1, seed=seed, n_boundary=0)
         pool.append(("constructed-smooth", point.params, point.data))
     modes = ["interior", "interior", "interior", "edge", "edge", "orthogonal", "orthogonal"]
     for seed, mode in enumerate(modes):
         point = construct_boundary_fosp(3, 2, 1 + seed % 2, seed=seed + 100, mode=mode)
         pool.append((f"constructed-{mode}", point.params, point.data))
     for seed in range(4):
-        point = construct_smooth_fosp(4, 2, 2, seed=seed + 40)
+        point = construct_boundary_fosp(4, 2, 2, seed=seed + 40, n_boundary=0)
         pool.append(("constructed-smooth", point.params, point.data))
     return pool[:20]
 

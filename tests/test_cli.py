@@ -8,22 +8,11 @@ from sospcheck.cli import main
 from sospcheck.harness import dataset_from_dict, load_json, params_from_dict
 
 
-def run_cli(argv, monkeypatch=None, env_seed=None):
-    if env_seed is not None:
-        os.environ["SOSP_SEED"] = str(env_seed)
-    else:
-        os.environ.pop("SOSP_SEED", None)
-    try:
-        return main(argv)
-    finally:
-        os.environ.pop("SOSP_SEED", None)
-
-
 @pytest.fixture
 def fixture_files(tmp_path):
     params = tmp_path / "params.json"
     data = tmp_path / "data.json"
-    code = run_cli(
+    code = main(
         [
             "synth",
             "--dx", "3", "--dh", "2", "--dy", "1",
@@ -41,7 +30,7 @@ class TestCheck:
     def test_check_constructed_fixture(self, fixture_files, tmp_path):
         params, data = fixture_files
         out = tmp_path / "report.json"
-        code = run_cli(
+        code = main(
             ["check", "--params", str(params), "--data", str(data), "--out", str(out)]
         )
         assert code == 0
@@ -55,7 +44,7 @@ class TestCheck:
         params, data = fixture_files
         out = tmp_path / "report.json"
         argv = ["check", "--params", str(params), "--data", str(data), "--out", str(out)]
-        assert run_cli(argv + ["--boundary-tol", "1e-6"]) == 0
+        assert main(argv + ["--boundary-tol", "1e-6"]) == 0
         report = load_json(out)
         config = report["diagnostics"]["config"]
         assert config["boundary_tol"] == 1e-6
@@ -65,7 +54,7 @@ class TestCheck:
             config=CheckConfig(**config),
         )
         assert (verdict.kind, verdict.stage) == (report["kind"], report["stage"])
-        assert run_cli(argv + ["--seed", "0"]) == 1  # check takes no seed
+        assert main(argv + ["--seed", "0"]) == 1  # check takes no seed
 
     def test_check_perturbed_labels_descent(self, fixture_files, tmp_path):
         params, data = fixture_files
@@ -74,14 +63,14 @@ class TestCheck:
         data2 = tmp_path / "data2.json"
         data2.write_text(json.dumps(obj))
         out = tmp_path / "report2.json"
-        code = run_cli(
+        code = main(
             ["check", "--params", str(params), "--data", str(data2), "--out", str(out)]
         )
         assert code == 0
         assert load_json(out)["kind"] == "descent"
 
     def test_missing_input_file(self, tmp_path):
-        code = run_cli(
+        code = main(
             ["check", "--params", str(tmp_path / "nope.json"), "--data", str(tmp_path / "d.json")]
         )
         assert code == 2
@@ -95,9 +84,9 @@ class TestReportJson:
     def test_flat_boundary_report_loads(self, tmp_path, mode, flat_sets, k, l):
         params, data, out = (tmp_path / name for name in ("p.json", "d.json", "r.json"))
         synth = ["synth", "--dx", "3", "--dh", "2", "--dy", "1", "--mode", mode, "--seed", "3"]
-        assert run_cli(synth + ["--out-params", str(params), "--out-data", str(data)]) == 0
+        assert main(synth + ["--out-params", str(params), "--out-data", str(data)]) == 0
         argv = ["check", "--params", str(params), "--data", str(data), "--out", str(out)]
-        assert run_cli(argv) == 0
+        assert main(argv) == 0
         with open(out, encoding="utf-8") as fh:
             report = json.load(fh)
         diag = report["diagnostics"]
@@ -115,7 +104,7 @@ class TestTrainAndStats:
     def test_train_then_check_pipeline(self, tmp_path):
         params = tmp_path / "trained.json"
         data = tmp_path / "data.json"
-        code = run_cli(
+        code = main(
             [
                 "train",
                 "--dx", "2", "--dh", "1", "--m", "30",
@@ -126,12 +115,12 @@ class TestTrainAndStats:
             ]
         )
         assert code == 0
-        code = run_cli(["check", "--params", str(params), "--data", str(data)])
+        code = main(["check", "--params", str(params), "--data", str(data)])
         assert code == 0
 
     def test_stats_table(self, tmp_path, capsys):
         out = tmp_path / "agg.json"
-        code = run_cli(
+        code = main(
             [
                 "stats",
                 "--dx", "3", "--dh", "1", "--m", "40",
@@ -148,22 +137,18 @@ class TestTrainAndStats:
 
 
 class TestSynth:
-    def test_env_seed_override(self, tmp_path):
-        files = []
-        for j, seed in enumerate((1, 99)):
-            p = tmp_path / f"p{j}.json"
-            d = tmp_path / f"d{j}.json"
-            code = run_cli(
-                [
-                    "synth", "--dx", "3", "--dh", "1",
-                    "--seed", str(seed),
-                    "--out-params", str(p), "--out-data", str(d),
-                ],
-                env_seed=42,
-            )
-            assert code == 0
-            files.append(load_json(p))
-        assert files[0] == files[1]  # SOSP_SEED overrode both --seed values
+    def test_smooth_fixture_certifies(self, tmp_path):
+        params, data, out = (tmp_path / name for name in ("p.json", "d.json", "r.json"))
+        synth = ["synth", "--dx", "3", "--dh", "2", "--dy", "1", "--boundary", "0", "--seed", "0"]
+        assert main(synth + ["--out-params", str(params), "--out-data", str(data)]) == 0
+        point = params_from_dict(load_json(params))
+        inputs = dataset_from_dict(load_json(data)).inputs
+        assert (inputs @ point.W1.T + point.b1 != 0.0).all()
+        argv = ["check", "--params", str(params), "--data", str(data), "--out", str(out)]
+        assert main(argv) == 0
+        report = load_json(out)
+        assert report["kind"] in ("local_minimum", "sosp")
+        assert report["diagnostics"]["M"] == 0
 
 
 class TestMisc:
@@ -180,16 +165,16 @@ class TestMisc:
         d = tmp_path / "d.json"
         p.write_text(json.dumps(params))
         d.write_text(json.dumps(data))
-        assert run_cli(["check", "--params", str(p), "--data", str(d)]) == 3
+        assert main(["check", "--params", str(p), "--data", str(d)]) == 3
 
     def test_no_command_is_usage_error(self):
-        assert run_cli([]) == 1
+        assert main([]) == 1
 
     def test_unknown_flag_is_usage_error(self):
-        assert run_cli(["check", "--bogus"]) == 1
+        assert main(["check", "--bogus"]) == 1
 
     def test_selftest_passes(self):
-        assert run_cli(["selftest"]) == 0
+        assert main(["selftest"]) == 0
 
 
 def test_import_leaves_scipy_optimize_unloaded():

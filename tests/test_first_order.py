@@ -169,6 +169,22 @@ class TestSubdiffQP:
         assert res.objective <= 1e-15
         assert res.s_star[0] == 0.5  # untouched box midpoint
 
+    @pytest.mark.parametrize("d_y", [1, 2])
+    def test_rounding_noise_factors_stay_at_the_midpoint(self, d_y):
+        # at an orthogonal fixture every factor W2[:,k]^T grad_t is zero in exact
+        # arithmetic and about 1e-17 in floats: no slope is live
+        loss = SquaredLoss()
+        for seed in range(4):
+            point = construct_boundary_fosp(
+                6, 2, d_y, seed=seed, n_boundary=2, units=[0, 1], mode="orthogonal"
+            )
+            bundle = per_sample_derivatives(point.params, point.data, loss)
+            boundary = boundary_analysis(point.params, point.data, loss, bundle=bundle)
+            for k in (0, 1):
+                res = solve_subdiff_qp(k, point.params, boundary, bundle)
+                assert res.s_star.tolist() == [0.5], (seed, k)
+                assert res.iterations == 0
+
     def test_raises_without_boundary_samples(self):
         params = init_params(2, 1, 1, seed=0)
         data = generate_dataset(2, 1, 4, seed=0)

@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from sospcheck.errors import ConstructionFailedError
+from sospcheck.first_order import (
+    increasing_check,
+    inner_layer_fosp_smooth,
+    outer_layer_fosp,
+    solve_subdiff_qp,
+)
 from sospcheck.harness import (
     AdamConfig,
     adam_train,
     boundary_statistics,
     construct_boundary_fosp,
-    construct_smooth_fosp,
     dataset_from_dict,
     dataset_to_dict,
     generate_dataset,
@@ -207,8 +212,6 @@ class TestConstructors:
         bundle = per_sample_derivatives(point.params, point.data, loss)
         boundary = boundary_analysis(point.params, point.data, loss, bundle=bundle)
         assert boundary.total == 1
-        from sospcheck.first_order import solve_subdiff_qp
-
         res = solve_subdiff_qp(point.unit, point.params, boundary, bundle)
         assert res.objective <= 1e-12
         assert abs(res.s_star[0] - point.s_prescribed[0]) <= 1e-6
@@ -226,9 +229,42 @@ class TestConstructors:
         assert np.array_equal(a.data.labels, b.data.labels)
 
     def test_smooth_fixture_has_no_boundary(self):
-        point = construct_smooth_fosp(3, 2, 1, seed=1)
+        point = construct_boundary_fosp(3, 2, 1, seed=1, n_boundary=0)
         bundle = per_sample_derivatives(point.params, point.data, SquaredLoss())
         assert not bundle.boundary_mask.any()
+
+    def test_verifier_rejects_a_nonstationary_unit_without_boundary_samples(self):
+        from sospcheck.harness import _fosp_constraint_matrix, _verify_construction
+        from sospcheck.linalg import nullspace_basis
+
+        point = construct_boundary_fosp(4, 2, 1, seed=11, mode="interior")
+        params, data, loss = point.params, point.data, SquaredLoss()
+        assert point.unit == 0
+        pairs = [(0, 0)]
+        s_presc = {(0, 0): point.s_prescribed[0]}
+        assert _verify_construction(params, data, loss, pairs, s_presc, "interior")
+        # shift the labels inside the null space of every stationarity row but unit 1's
+        d_x, d_h, d_y = params.dims
+        phi = _fosp_constraint_matrix(params, data.inputs, pairs, s_presc, [])
+        start = d_y * (d_h + 1) + (d_x + 1)
+        keep = np.ones(len(phi), dtype=bool)
+        keep[start : start + d_x + 1] = False
+        null = nullspace_basis(phi[keep])
+        shift = null @ np.random.default_rng(0).standard_normal(null.shape[1])
+        shifted = Dataset(data.inputs, data.labels + 1e-3 * shift.reshape(data.labels.shape))
+        bundle = per_sample_derivatives(params, shifted, loss)
+        boundary = boundary_analysis(params, shifted, loss, bundle=bundle)
+        assert outer_layer_fosp(params, bundle).passed
+        res = solve_subdiff_qp(0, params, boundary, bundle)
+        assert res.certifies_zero(res.scale)
+        assert not increasing_check(0, params, boundary, bundle, res.s_star).descent_found
+        assert not inner_layer_fosp_smooth(1, params, boundary).passed
+        assert not _verify_construction(params, shifted, loss, pairs, s_presc, "interior")
+
+    def test_smooth_mode_needs_interior(self):
+        for mode in ("edge", "orthogonal", "ray_descent", "subdiff_descent"):
+            with pytest.raises(ValueError):
+                construct_boundary_fosp(3, 2, 1, n_boundary=0, mode=mode)
 
     def test_attempts_failing_the_margin_are_not_pinned(self, monkeypatch):
         import sospcheck.harness as harness_module
