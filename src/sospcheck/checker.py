@@ -339,6 +339,7 @@ def sosp_check(
                     "cp_by": cp_diag.get("cp_by"),
                     "lam_min_s": cp_diag.get("lam_min_s"),
                     "tol": cp_diag.get("tol"),
+                    "witness": ic.diagnostics.get("witness"),
                 }
             )
             if ic.verdict == "T3":

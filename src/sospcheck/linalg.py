@@ -76,11 +76,21 @@ class EigenDecomposition:
         Eigenvalues with ``|lambda| <= tol`` are treated as exact zeros;
         ``tol`` is absolute, the zero threshold of the caller's decision.
         """
+        w, v = self.eigenvalues, self.eigenvectors
+        keep = self._kept(tol)
+        return (v * np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)) @ v.T
+
+    def pseudoinverse_factor(self, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """L and signs s with ``pseudoinverse(tol) = L diag(s) L^T``: the
+        eigenvectors of the eigenvalues it keeps, each divided by
+        sqrt(|lambda|), and the signs of those eigenvalues."""
+        w, keep = self.eigenvalues, self._kept(tol)
+        return self.eigenvectors[:, keep] / np.sqrt(np.abs(w[keep])), np.sign(w[keep])
+
+    def _kept(self, tol: float) -> np.ndarray:
         if tol <= 0:
             raise ValueError("tol must be positive")
-        w, v = self.eigenvalues, self.eigenvectors
-        keep = np.abs(w) > tol
-        return (v * np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)) @ v.T
+        return np.abs(self.eigenvalues) > tol
 
 
 def sym_eig(m: np.ndarray) -> EigenDecomposition:

@@ -44,12 +44,19 @@ elimination of the constraints, built with every signed row at +1, so that
 the signs of a cone's inequality rows are its own sign row. Every term a
 pattern changes carries a factor ``xbar_i . v_k`` that vanishes on the
 face, so R22 is the projected form of the point's equality-constrained QP,
-decided once. ``icqp_sweep`` decides the patterns of a point a chunk at a
-time: one stacked assembly of their forms, one contraction with the frame
-for R11 and R12, one batched PSD-block test, and one stacked
-eigendecomposition of the Schur complements for the positive definite
-certificate; only what that leaves open, and the witnesses, are handled
-pattern by pattern. Each pattern costs O(p^2 r + r^3) beyond its assembly.
+decided once. For the same reason the form of a pattern is one form plus a
+rank-two correction per free pair (and a constant for two free pairs of
+one sample), each of which lives in one row and column of the frame's
+coordinates: a :class:`PatternCalculus` holds them, built once per point at
+O(p^2 K), and gives R11, R12 and the Schur complement of any pattern at
+O(r^2 p). ``icqp_sweep`` decides the patterns of a point a chunk at a time
+from it: one batched PSD-block test and one stacked eigendecomposition of
+the Schur complements for the positive definite certificate, and the
+simplex rule on the stack of the complements it is left to; only the
+Pareto spectra are handled pattern by pattern. A pattern's own p x p form
+is assembled only to verify its witness, when the pattern is consumed, and
+``verify_witness`` settles most witnesses with a bound on ||Q||_2. Each
+pattern costs O(r^2 p + r^3) beyond the point's O(p^2 K).
 """
 
 from __future__ import annotations
@@ -98,8 +105,8 @@ WITNESS_CURV_TOL = 1e-10
 # samples per block when summing the per-sample curvature terms of a cone QP;
 # bounds the working memory of the assembly at O(ASSEMBLY_BLOCK * p)
 ASSEMBLY_BLOCK = 1024
-# form entries per stack of the pattern sweep (one pattern at least); bounds
-# its working memory at O(PATTERN_CHUNK) floats
+# entries of the reduced rows [R11 R12] per stack of the pattern sweep (one
+# pattern at least); bounds its working memory at O(PATTERN_CHUNK) floats
 PATTERN_CHUNK = 1 << 18
 # principal subsets per batched eigendecomposition in the Pareto spectrum;
 # bounds its working memory at O(SPECTRUM_CHUNK * r^2)
@@ -182,24 +189,60 @@ def _spectral_norm(q_mat: np.ndarray) -> float:
 
 def verify_witness(
     q_mat: np.ndarray, a_mat: np.ndarray, b_mat: np.ndarray, eta: np.ndarray, verdict: str
-) -> None:
-    """Re-check a witness of the form ``q_mat`` on the cone {a_mat eta = 0,
-    b_mat eta >= 0} in the original coordinates; raise if it fails."""
-    n = float(np.linalg.norm(eta))
+) -> dict:
+    """Re-check a T2 or T3 witness of the form ``q_mat`` on the cone
+    {a_mat eta = 0, b_mat eta >= 0} in the original coordinates; raise if it
+    fails.
+
+    A T3 witness needs curvature eta^T Q eta / ||eta||^2 at most
+    ``-WITNESS_CURV_TOL * ||Q||_2``, a T2 witness at most
+    ``WITNESS_FEAS_TOL * max(||Q||_2, 1)`` in absolute value. A screen
+    settles most witnesses without ||Q||_2: U = 2 max_i sum_j |Q_ij| bounds
+    it from above and L = max_j ||Q e_j|| / 2 from below, so a T3 curvature
+    at most ``-WITNESS_CURV_TOL * U`` and a T2 one within
+    ``WITNESS_FEAS_TOL * max(L, 1)`` pass the exact test too. Only the rest
+    pays for the eigenvalues of Q, so the check accepts and rejects exactly
+    the witnesses that the exact thresholds do. Returns the record
+    ``{"curvature", "threshold", "by"}`` of the test that settled the
+    witness: with ``by`` "bound" the threshold is the screen's, from U or L,
+    which is stricter than the exact one; with "exact" it is the exact
+    threshold from ||Q||_2.
+    """
+    if verdict not in ("T2", "T3"):
+        raise ValueError(f"no witness test for verdict {verdict!r}")
+    n = float(np.sqrt(eta @ eta))
     if n == 0.0:
-        raise InternalInconsistencyError(f"{verdict} witness is the zero vector")
-    qnorm = _spectral_norm(q_mat)
-    quad = float(eta @ q_mat @ eta)
-    if a_mat.shape[0] and np.linalg.norm(a_mat @ eta) > WITNESS_FEAS_TOL * n:
-        raise InternalInconsistencyError(f"{verdict} witness violates equality constraints")
-    if b_mat.shape[0] and float(np.min(b_mat @ eta)) < -WITNESS_FEAS_TOL * n:
-        raise InternalInconsistencyError(f"{verdict} witness violates inequality constraints")
-    if verdict == "T3" and quad > -WITNESS_CURV_TOL * qnorm * n * n:
-        raise InternalInconsistencyError(
-            f"T3 witness curvature {quad:.3e} not sufficiently negative"
-        )
-    if verdict == "T2" and abs(quad) > WITNESS_FEAS_TOL * max(qnorm, 1.0) * n * n:
-        raise InternalInconsistencyError(f"T2 witness curvature {quad:.3e} not flat")
+        failure = "is the zero vector"
+    elif a_mat.shape[0] and np.linalg.norm(a_mat @ eta) > WITNESS_FEAS_TOL * n:
+        failure = "violates equality constraints"
+    elif b_mat.shape[0] and (b_mat @ eta).min() < -WITNESS_FEAS_TOL * n:
+        failure = "violates inequality constraints"
+    else:
+        quad = float(eta @ q_mat @ eta)
+        if verdict == "T3":
+            by, norm = "bound", 2.0 * float(np.abs(q_mat).sum(axis=1).max(initial=0.0))
+        else:
+            by, norm = "bound", 0.5 * float(np.sqrt((q_mat * q_mat).sum(axis=0).max(initial=0.0)))
+        if not _passes(verdict, quad, n, norm):
+            by, norm = "exact", _spectral_norm(q_mat)
+        if _passes(verdict, quad, n, norm):
+            limit = _curvature_limit(verdict, norm)
+            return {"curvature": quad / (n * n), "threshold": limit, "by": by}
+        failure = "not sufficiently negative" if verdict == "T3" else "not flat"
+        failure = f"curvature {quad:.3e} {failure}"
+    raise InternalInconsistencyError(f"{verdict} witness {failure}")
+
+
+def _curvature_limit(verdict: str, norm: float) -> float:
+    """The curvature eta^T Q eta / ||eta||^2 allowed to a witness of a form
+    of 2-norm ``norm``: an upper bound for T3, a bound on its size for T2."""
+    return -WITNESS_CURV_TOL * norm if verdict == "T3" else WITNESS_FEAS_TOL * max(norm, 1.0)
+
+
+def _passes(verdict: str, quad: float, n: float, norm: float) -> bool:
+    """Whether ``quad`` = eta^T Q eta, ||eta|| = n, is within the limit."""
+    limit = _curvature_limit(verdict, norm) * n * n
+    return quad <= limit if verdict == "T3" else abs(quad) <= limit
 
 
 # ---------------------------------------------------------------------------
@@ -556,15 +599,17 @@ class IcqpFrame:
     signs: B = diag(sigma) b0, sigma in {-1, 1}^r. The map of a cone is
     ``t0 diag(sigma, 1)``, ``t0 = [T_r | face.basis]``, T_r the minimum-norm
     map with A T_r = 0 and b0 T_r = I. ``face`` is the form on the face
-    {A eta = 0, b0 eta = 0}, R22 of every cone of the frame; ``face_pinv``
-    drops the eigenvalues it calls zero.
+    {A eta = 0, b0 eta = 0}, R22 of every cone of the frame. Its
+    pseudo-inverse, without the eigenvalues ``face`` calls zero, is
+    R22^+ = face_root diag(face_sign) face_root^T.
     """
 
     a: np.ndarray  # (q, p) equality rows
     b0: np.ndarray  # (r, p) inequality rows at sigma = 1
     t0: np.ndarray  # (p, p - q) map at sigma = 1
     face: SpectrumOracle
-    face_pinv: np.ndarray  # (p - q - r, p - q - r)
+    face_root: np.ndarray  # (p - q - r, k), k the rank of R22^+
+    face_sign: np.ndarray  # (k,) in {-1, 1}
 
 
 def _frame(a: np.ndarray, b0: np.ndarray, face: SpectrumOracle, rank_tol: float) -> IcqpFrame:
@@ -585,8 +630,8 @@ def _frame(a: np.ndarray, b0: np.ndarray, face: SpectrumOracle, rank_tol: float)
         raise InternalInconsistencyError("the face basis does not span null of the cone's rows")
     t0 = np.hstack([basis @ (vt.T @ (u.T / s[:, None])), face.basis])
     # the tol of a zero form is 0, and every eigenvalue of it is zero
-    face_pinv = face.decomposition.pseudoinverse(max(face.tol, np.finfo(float).tiny))
-    return IcqpFrame(a, b0, t0, face, face_pinv)
+    root, sign = face.decomposition.pseudoinverse_factor(max(face.tol, np.finfo(float).tiny))
+    return IcqpFrame(a, b0, t0, face, root, sign)
 
 
 def icqp_frame(
@@ -607,35 +652,126 @@ def icqp_frame(
     return _frame(qp.A, qp.B, face, rank_tol)
 
 
-def _reduce(
-    frame: IcqpFrame, forms: np.ndarray, signs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """R11, R12 and the Schur complement S = R11 - R12 R22^+ R12^T of n cones
-    of ``frame``: forms (n, p, p), and B of cone j equal to
-    diag(signs[j]) b0.
+@dataclass(frozen=True)
+class PatternCalculus:
+    """The reduced forms of every sign pattern of an :class:`IcqpFrame` from
+    one form and K rank-two corrections.
 
-    The map of cone j is ``t0 diag(sigma, 1)``, so with D = diag(sigma) and
-    H = T_r^T Q t0 (T_r the first r columns of t0), R11 = D H11 D and
-    R12 = D H12: one contraction of the stack with t0 serves every sign.
-    R11 and S are made exactly symmetric.
+    The form of pattern sigma is Q = C + sum_i sigma_i E_i + sum_ab
+    sigma_a sigma_b F_ab, over the free pairs i and the couples a, b of free
+    pairs of one sample. Every term a free pair's sign changes carries the
+    factor b_i . eta, and ``b0 t0 = [I 0]``, so in the frame's coordinates
+    E_i lives in row and column i only, t0^T E_i t0 = e_i h_i^T + h_i e_i^T,
+    and F_ab in entries (a, b) and (b, a), as c_ab. With D = diag(sigma),
+    H = T_r^T C t0 = [H11 H12], G the nu_2 part of the rows h_i and
+    R22^+ = L diag(s) L^T the frame's factor:
+
+        R11 = D H11 D + V + V^T + [c_ab],  V = [h_i on nu_1] D,
+        R12 = D H12 + G,
+        S   = R11 - Y diag(s) Y^T,  Y = R12 L = D (H12 L) + G L,
+
+    with H12 L and G L formed once (sigma squared is 1, so the couples' term
+    is a constant of R11). A pattern then costs O(r^2 p) to reduce. S comes
+    from Y, not from its expansion in H12 and G, so where R12 is small it
+    keeps the absolute accuracy that a fresh reduction has. The rows h_i of
+    pinned pairs are zero: their slopes are part of C.
     """
+
+    frame: IcqpFrame
+    h11: np.ndarray  # (r, r) T_r^T C T_r, exactly symmetric
+    h12: np.ndarray  # (r, p - q - r) T_r^T C W_f
+    h_rows: np.ndarray  # (r, p - q) the row h_i of each free pair i, zero for the others
+    pair: np.ndarray  # (r, r) c_ab of the couples of free pairs, exactly symmetric
+    h12_root: np.ndarray  # (r, k) H12 L
+    g_root: np.ndarray  # (r, k) G L
+
+    def reduce(self, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """R11, R12 and S = R11 - R12 R22^+ R12^T of n patterns, from their
+        signs (n, r) on the rows of b0. R11 and S are exactly symmetric."""
+        r = self.h11.shape[0]
+        d = signs[:, :, None]
+        v = self.h_rows[:, :r] * signs[:, None, :]
+        r11 = d * self.h11 * signs[:, None, :] + (v + v.transpose(0, 2, 1)) + self.pair
+        r12 = d * self.h12 + self.h_rows[:, r:]
+        y = d * self.h12_root + self.g_root
+        schur = r11 - (y * self.frame.face_sign) @ y.transpose(0, 2, 1)
+        return r11, r12, 0.5 * (schur + schur.transpose(0, 2, 1))
+
+
+def _calculus(
+    frame: IcqpFrame,
+    c_mat: np.ndarray,
+    h_rows: np.ndarray | None = None,
+    pair: np.ndarray | None = None,
+) -> PatternCalculus:
+    """The :class:`PatternCalculus` of the symmetric form ``c_mat`` and the
+    corrections of the free pairs in the frame's coordinates; with none, that
+    of one form under every sign of the rows of b0 (K = 0). O(p^2 r)."""
     r = frame.b0.shape[0]
-    head = (frame.t0[:, :r].T @ forms) @ frame.t0
-    head *= signs[:, :, None]
-    r11 = head[:, :, :r] * signs[:, None, :]
-    r11 = 0.5 * (r11 + r11.transpose(0, 2, 1))
-    r12 = head[:, :, r:]
-    # an empty R22 gives an empty pseudo-inverse
-    schur = r11 - r12 @ frame.face_pinv @ r12.transpose(0, 2, 1)
-    return r11, r12, 0.5 * (schur + schur.transpose(0, 2, 1))
+    head = (frame.t0[:, :r].T @ c_mat) @ frame.t0
+    if h_rows is None:
+        h_rows, pair = np.zeros_like(head), np.zeros((r, r))
+    h11, h12 = 0.5 * (head[:, :r] + head[:, :r].T), head[:, r:]
+    root = frame.face_root
+    return PatternCalculus(frame, h11, h12, h_rows, pair, h12 @ root, h_rows[:, r:] @ root)
+
+
+def _pattern_calculus(
+    base: AssemblyBase, frame: IcqpFrame, pinned: np.ndarray, free: np.ndarray
+) -> PatternCalculus:
+    """The :class:`PatternCalculus` of the sign patterns of a point: ``pinned``
+    and ``free`` hold one entry per boundary pair, and the frame's b0 has the
+    rows of the signed ones.
+
+    C, E_i and F_ab follow by polarization from the pattern with every free
+    pair at +1: flipping pair i alone changes Q by -2 E_i - 2 sum_b F_ib, and
+    flipping a and b of one sample by the sum of both less 4 F_ab. Only the
+    touched samples' terms change, so they are summed once per flip, in one
+    stacked product, and no pattern's form is assembled; the rows of the
+    corrections in the frame cost O(p^2) each.
+    """
+    params, t0 = base.params, frame.t0
+    signed = (np.asarray(pinned) != 0) | free
+    col = np.cumsum(signed) - 1  # the row of b0 of each signed pair
+    free_pairs = np.flatnonzero(free)
+    by_sample: dict[int, list[int]] = {}
+    for i in free_pairs.tolist():
+        by_sample.setdefault(int(base.pair_at[i]), []).append(i)
+    couples = [list(ab) for pairs in by_sample.values() for ab in combinations(pairs, 2)]
+    flips = [[i] for i in free_pairs] + couples
+    slopes = base.slopes.copy()
+    slopes[base.pair_at, base.pair_unit] = _pair_slopes(params, np.where(free, 1, pinned))
+    jvals = np.repeat(slopes[None], 1 + len(flips), axis=0)
+    for row, flip in enumerate(flips, start=1):
+        jvals[row, base.pair_at[flip], base.pair_unit[flip]] = params.activation.s_minus
+    terms = _sample_terms(params, base.bundle, base.touched, jvals)
+    flipped = terms[1:] - terms[0]
+    c_mat = base.q_fixed + terms[0]
+    k = len(free_pairs)
+    corr = -0.5 * flipped[:k]  # E_i, once the couples' terms are taken out
+    place = {int(i): j for j, i in enumerate(free_pairs)}
+    r = frame.b0.shape[0]
+    pair = np.zeros((r, r))
+    for (a, b), both in zip(couples, flipped[k:]):
+        f_ab = 0.25 * (both - flipped[place[a]] - flipped[place[b]])
+        corr[place[a]] -= f_ab
+        corr[place[b]] -= f_ab
+        c_mat -= f_ab
+        pair[col[a], col[b]] = pair[col[b], col[a]] = t0[:, col[a]] @ f_ab @ t0[:, col[b]]
+    c_mat -= corr.sum(axis=0)
+    cols = col[free_pairs]
+    h_rows = np.zeros((r, t0.shape[1]))
+    h_rows[cols] = np.einsum("kp,kpq->kq", t0[:, cols].T, corr) @ t0
+    h_rows[cols, cols] *= 0.5  # e_i h_i^T + h_i e_i^T holds h_i[i] twice
+    return _calculus(frame, 0.5 * (c_mat + c_mat.T), h_rows, pair)
 
 
 def icqp_reduce(qp: ConeQP, rank_tol: float = DEFAULT_RANK_TOL) -> IcqpReduction:
     """Form R11 and R12 of an inequality-constrained QP in its own
     :func:`icqp_frame`, at cost O(p^2 r) beyond the frame."""
     frame = icqp_frame(qp, rank_tol)
-    r11, r12, _ = _reduce(frame, qp.Q[None], np.ones((1, qp.shape[2])))
-    return IcqpReduction(t=frame.t0, r11=r11[0], r12=r12[0], shape=qp.shape)
+    calc = _calculus(frame, qp.Q)
+    return IcqpReduction(t=frame.t0, r11=calc.h11, r12=calc.h12, shape=qp.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -719,16 +855,33 @@ def _require_symmetric_pairs(s_mat: np.ndarray) -> None:
         raise NonSymmetricError(f"S is not symmetric at entry ({i}, {j})")
 
 
+def _positive_in_span(basis: np.ndarray) -> np.ndarray | None:
+    """A vector x = basis c with every entry at least 1, by one feasibility
+    LP (the one of least sum); None if the span holds no positive vector."""
+    from scipy.optimize import linprog
+
+    res = linprog(
+        basis.sum(axis=0),
+        A_ub=-basis,
+        b_ub=-np.ones(len(basis)),
+        bounds=(None, None),
+        method="highs",
+    )
+    return basis @ res.x if res.status == 0 else None
+
+
 def _subset_candidates(
     sym: np.ndarray, chunk: list, offset: int, degen_tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Candidate Pareto eigenpairs of the principal submatrices on ``chunk``
     (subsets of one size), by one stacked eigendecomposition.
 
-    The candidates are every eigenvector, then for each near-repeated
-    eigenvalue the normalized sum and difference of its two neighbouring
-    eigenvectors; at most one of a sum and a difference of orthonormal
-    vectors is positive, so the eigenvector signs cannot change the result.
+    The candidates are every eigenvector, then for each run of numerically
+    repeated eigenvalues (neighbours within ``degen_tol``) a positive vector
+    of the span of its eigenvectors, if there is one (:func:`_positive_in_span`),
+    with the run's smallest eigenvalue. The eigenvectors of a repeated
+    eigenvalue are not well defined, and none of them, nor any sum of two,
+    need be positive when a positive vector of their span exists.
     Returns the vectors zero-padded to the rows of S, their eigenvalues, the
     index of their subset (``offset`` plus its place in ``chunk``), and
     whether some subset has a numerically repeated eigenvalue.
@@ -736,20 +889,23 @@ def _subset_candidates(
     idx = np.array(chunk)
     n, size = idx.shape
     lam, vecs = np.linalg.eigh(sym[idx[:, :, None], idx[:, None, :]])
-    sub = np.repeat(np.arange(n), size)
-    val = lam.ravel()
-    vec = vecs.transpose(0, 2, 1).reshape(-1, size)
-    sub_d, j_d = np.nonzero(np.abs(np.diff(lam, axis=1)) <= degen_tol)
-    if len(sub_d):
-        a, b = vecs[sub_d, :, j_d], vecs[sub_d, :, j_d + 1]
-        combos = np.stack([a + b, a - b], axis=1).reshape(-1, size)
-        combos /= np.linalg.norm(combos, axis=1)[:, None]
-        sub = np.concatenate([sub, np.repeat(sub_d, 2)])
-        val = np.concatenate([val, np.repeat(lam[sub_d, j_d], 2)])
-        vec = np.concatenate([vec, combos])
+    sub = [np.repeat(np.arange(n), size)]
+    val = [lam.ravel()]
+    vec = [vecs.transpose(0, 2, 1).reshape(-1, size)]
+    repeated = np.abs(np.diff(lam, axis=1)) <= degen_tol
+    for s in np.flatnonzero(repeated.any(axis=1)):
+        # runs of repeated eigenvalues: each starts where a repeat follows a non-repeat
+        edges = np.diff(np.concatenate([[0], repeated[s].astype(int), [0]]))
+        for lo, hi in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
+            x = _positive_in_span(vecs[s, :, lo : hi + 1])
+            if x is not None:
+                sub.append([s])
+                val.append([lam[s, lo]])
+                vec.append(x[None] / np.linalg.norm(x))
+    sub, val, vec = np.concatenate(sub), np.concatenate(val), np.concatenate(vec)
     padded = np.zeros((len(vec), sym.shape[0]))
     padded[np.arange(len(vec))[:, None], idx[sub]] = vec
-    return padded, val, sub + offset, bool(len(sub_d))
+    return padded, val, sub + offset, bool(repeated.any())
 
 
 def _keep_pareto(
@@ -764,7 +920,7 @@ def _keep_pareto(
     A candidate is kept when, signed so that its largest entry is positive,
     it is above ``DEFAULT_POS_TOL`` on its subset J (zero off J) and
     ``S x >= -comp_tol`` on the rows outside J. Pairs are appended by
-    subset, eigenvectors before sums and differences.
+    subset, eigenvectors before the vectors of repeated eigenvalues.
     """
     vec = np.concatenate([part[0] for part in parts])
     val = np.concatenate([part[1] for part in parts])
@@ -788,19 +944,19 @@ def pareto_spectrum(s_mat: np.ndarray, r_max: int = 20) -> tuple[list[ParetoEige
     Every nonempty principal submatrix S^J is eigendecomposed; eigenpairs
     whose eigenvector can be signed strictly positive (componentwise above
     ``DEFAULT_POS_TOL`` after unit normalization) and whose excluded rows
-    satisfy the complementarity inequalities are kept. For numerically
-    repeated eigenvalues the candidate set additionally includes normalized
-    sums and differences of same-eigenvalue eigenvector pairs, and a
-    diagnostic flag is raised, since the eigenvectors themselves are then
-    not well defined.
+    satisfy the complementarity inequalities are kept. For each run of
+    numerically repeated eigenvalues the candidate set additionally holds a
+    positive vector of the span of their eigenvectors, found by an exact
+    feasibility LP, and a diagnostic flag is raised, since the eigenvectors
+    themselves are then not well defined.
 
     The enumeration is batched: the submatrices of one size are stacked, up
     to ``SPECTRUM_CHUNK`` at a time, into one eigendecomposition, and the
     positivity, sign and complementarity tests run on the candidates of
     about ``SPECTRUM_CHUNK`` subsets at once, across sizes. The candidate
     set, and the order of the returned pairs (by subset size, then
-    lexicographic subset, then eigenvectors before sums and differences),
-    are those of one eigendecomposition per subset.
+    lexicographic subset, then eigenvectors before the vectors of repeated
+    eigenvalues), are those of one eigendecomposition per subset.
     """
     s_mat = require_finite(np.atleast_2d(s_mat), "S")
     r = s_mat.shape[0]
@@ -836,10 +992,10 @@ class CopositivityResult:
     diagnostics: dict
 
 
-def _simplex_bound(s_mat: np.ndarray) -> tuple[float, np.ndarray]:
-    """A point x of the simplex {x >= 0, sum x = 1} near the minimum of
-    x^T S x there, and a lower bound on that minimum, for S with
-    lambda_min(S) near zero.
+def _simplex_bounds(s_mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each S of a stack (n, r, r) with lambda_min(S) near zero: a point
+    x of the simplex {x >= 0, sum x = 1} near the minimum of x^T S x there, a
+    lower bound on that minimum, and x^T S x.
 
     With mu = max(0, -lambda_min(S)) the form of M = S + mu I is convex, and
     for any x of the simplex the Frank-Wolfe gap bounds its minimum from
@@ -847,46 +1003,30 @@ def _simplex_bound(s_mat: np.ndarray) -> tuple[float, np.ndarray]:
     least that minus mu, as ||x|| <= 1. x minimizes ||L x||^2 + rho (1^T x - 1)^2
     over x >= 0, L^T L = M, by one nonnegative least-squares solve: the
     penalty only scales the minimizer of the simplex, which x is once
-    normalized.
+    normalized. The eigendecompositions and the rest run on the stack; only
+    the solves run one S at a time.
     """
     from scipy.optimize import nnls
 
-    sym = 0.5 * (s_mat + s_mat.T)
+    sym = 0.5 * (s_mats + s_mats.transpose(0, 2, 1))
     w, v = np.linalg.eigh(sym)
-    mu = max(0.0, -float(w[0]))
-    root = np.sqrt(np.maximum(w + mu, 0.0))[:, None] * v.T
-    weight = np.sqrt(max(1.0, float(np.abs(sym).max()) + mu))
-    rhs = np.zeros(len(sym) + 1)
-    rhs[-1] = weight
-    x = nnls(np.vstack([root, np.full(len(sym), weight)]), rhs)[0]
-    x /= x.sum()
-    grad = sym @ x + mu * x
-    return float(2.0 * grad.min() - x @ grad - mu), x
+    mu = np.maximum(0.0, -w[:, 0])
+    root = np.sqrt(np.maximum(w + mu[:, None], 0.0))[:, :, None] * v.transpose(0, 2, 1)
+    weight = np.sqrt(np.maximum(1.0, np.abs(sym).max(axis=(1, 2)) + mu))
+    r = sym.shape[-1]
+    x = np.empty((len(sym), r))
+    rhs = np.zeros(r + 1)
+    for j in range(len(sym)):
+        rhs[-1] = weight[j]
+        x[j] = nnls(np.vstack([root[j], np.full(r, weight[j])]), rhs)[0]
+    x /= x.sum(axis=1, keepdims=True)
+    grad = (sym @ x[:, :, None])[:, :, 0] + mu[:, None] * x
+    lower = 2.0 * grad.min(axis=1) - (x * grad).sum(axis=1) - mu
+    return lower, x, np.einsum("ni,nij,nj->n", x, s_mats, x)
 
 
-def _copositivity(
-    s_mat: np.ndarray, lam_min_s: float, tol: float, r_max: int
-) -> CopositivityResult:
-    """Decide copositivity of S given lambda_min(S) and the zero threshold,
-    by the first of these rules that applies; see
-    :func:`copositivity_classify`."""
-    diag = {"lam_min_s": lam_min_s, "tol": tol}
-    if lam_min_s > tol:
-        return CopositivityResult("CP1", None, None, None, {"cp_by": "pd_certificate", **diag})
-    if lam_min_s >= -tol:
-        flat = np.flatnonzero(np.diag(s_mat) <= tol)
-        if flat.size:
-            witness = np.zeros(len(s_mat))
-            witness[flat[0]] = 1.0
-            return CopositivityResult("CP2", witness, None, None, {"cp_by": "zero_diagonal", **diag})
-        lower, x = _simplex_bound(s_mat)
-        value = float(x @ s_mat @ x)
-        diag.update(simplex_lower=lower, simplex_value=value)
-        if lower > tol:
-            return CopositivityResult("CP1", None, None, None, {"cp_by": "simplex_bound", **diag})
-        if value <= tol * float(x @ x):
-            witness = x / np.linalg.norm(x)
-            return CopositivityResult("CP2", witness, None, None, {"cp_by": "simplex_bound", **diag})
+def _pareto_decision(s_mat: np.ndarray, tol: float, r_max: int, diag: dict) -> CopositivityResult:
+    """Decide copositivity of S from its minimal Pareto eigenvalue."""
     pairs, pareto_diag = pareto_spectrum(s_mat, r_max=r_max)
     diag = {"cp_by": "pareto", **diag, **pareto_diag}
     if not pairs:
@@ -900,6 +1040,39 @@ def _copositivity(
         return CopositivityResult("CP3", pairs[best].vector, lam_min, pairs, diag)
     flat = next(pair for pair in pairs if abs(pair.value) <= tol)
     return CopositivityResult("CP2", flat.vector, lam_min, pairs, diag)
+
+
+def _copositivities(
+    s_mats: np.ndarray, lam_min: np.ndarray, tols: np.ndarray, r_max: int
+) -> list[CopositivityResult]:
+    """Decide copositivity of a stack of S (n, r, r), given lambda_min and the
+    zero threshold of each, by the first of the rules of
+    :func:`copositivity_classify` that applies. The simplex rule runs on the
+    stack of the S that it is left to at once."""
+    diags = [{"lam_min_s": lam, "tol": tol} for lam, tol in zip(lam_min.tolist(), tols.tolist())]
+    results: list[CopositivityResult | None] = [None] * len(s_mats)
+
+    def decide(j: int, kind: str, witness: np.ndarray | None, by: str) -> None:
+        results[j] = CopositivityResult(kind, witness, None, None, {"cp_by": by, **diags[j]})
+
+    flat = np.diagonal(s_mats, axis1=1, axis2=2) <= tols[:, None]
+    within = (lam_min <= tols) & (lam_min >= -tols)
+    for j in np.flatnonzero(lam_min > tols):
+        decide(j, "CP1", None, "pd_certificate")
+    for j in np.flatnonzero(within & flat.any(axis=1)):
+        decide(j, "CP2", np.eye(s_mats.shape[-1])[np.argmax(flat[j])], "zero_diagonal")
+    simplex = np.flatnonzero(within & ~flat.any(axis=1))
+    if simplex.size:
+        for j, lower, x, value in zip(simplex, *_simplex_bounds(s_mats[simplex])):
+            diags[j].update(simplex_lower=float(lower), simplex_value=float(value))
+            if lower > tols[j]:
+                decide(j, "CP1", None, "simplex_bound")
+            elif value <= tols[j] * float(x @ x):
+                decide(j, "CP2", x / np.linalg.norm(x), "simplex_bound")
+    return [
+        res if res is not None else _pareto_decision(s_mats[j], float(tols[j]), r_max, diags[j])
+        for j, res in enumerate(results)
+    ]
 
 
 def copositivity_classify(s_mat: np.ndarray, r_max: int = 20) -> CopositivityResult:
@@ -936,7 +1109,7 @@ def copositivity_classify(s_mat: np.ndarray, r_max: int = 20) -> CopositivityRes
     _require_symmetric_pairs(s_mat)
     tol = DEFAULT_CP_TOL * max(1.0, float(np.abs(s_mat).max(initial=0.0)))
     lam_min_s = float(np.linalg.eigvalsh(0.5 * (s_mat + s_mat.T))[0]) if r else float("nan")
-    return _copositivity(s_mat, lam_min_s, tol, r_max)
+    return _copositivities(s_mat[None], np.array([lam_min_s]), np.array([tol]), r_max)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -960,20 +1133,26 @@ def _pd3_ray(q_mat: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _decide_icqps(
-    frame: IcqpFrame, forms: np.ndarray, signs: np.ndarray, r_max: int, zero_tol: float
+    calc: PatternCalculus, signs: np.ndarray, forms_of, r_max: int, zero_tol: float
 ) -> Iterator[QPClassification]:
-    """Decide n cones of ``frame`` in order: forms (n, p, p), and B of cone
-    j equal to diag(signs[j]) b0.
+    """Decide n cones of ``calc``'s frame in order: B of cone j is
+    diag(signs[j]) b0, and ``forms_of(idx)`` assembles the forms Q of the
+    cones ``idx``, shape (len(idx), p, p).
 
-    The reduction, the PSD blocks, the Schur complements and their positive
-    definite certificate run on the whole stack at once. The rest (the
-    other copositivity rules, and lifting and verifying witnesses) runs per
-    cone as the results are consumed, so that a consumer that stops at a T3
-    does none of it for later cones.
+    R11, R12 and S, the scale, the PSD blocks and lambda_min(S) are formed
+    for the whole stack at once, from the calculus. The rest runs a segment
+    at a time, each ending at the next cone that can be T3 (PD3, PD4, or
+    lambda_min(S) below -tol): the other copositivity rules, with the
+    simplex rule on the segment's stack, and the forms of the cones with a
+    witness, ``PATTERN_CHUNK`` form entries at a time (one cone at least),
+    the first time one of them is needed. No other form is assembled. Each
+    witness is verified when its cone is consumed, so a consumer that stops
+    at a T3 pays for nothing after it, and no cone after it can raise.
     """
-    p, q, r = frame.t0.shape[0], frame.a.shape[0], frame.b0.shape[0]
-    face = frame.face
-    r11, r12, schur = _reduce(frame, forms, signs)
+    frame = calc.frame
+    face, t0 = frame.face, frame.t0
+    p, q, r = t0.shape[0], frame.a.shape[0], frame.b0.shape[0]
+    r11, r12, schur = calc.reduce(signs)
     scale = np.maximum(
         np.maximum(np.abs(r11).max(axis=(1, 2)), np.abs(r12).max(axis=(1, 2), initial=0.0)),
         np.abs(face.decomposition.eigenvalues).max(initial=0.0),
@@ -982,39 +1161,54 @@ def _decide_icqps(
     # S decides only where R22 is PD1 or PD2
     lam_min = np.linalg.eigvalsh(schur)[:, 0]
     cp_tol = DEFAULT_CP_TOL * np.maximum(1.0, np.abs(schur).max(axis=(1, 2)))
-    for j, psd in enumerate(psds):
-        diag = {"psd": psd.kind, "reduction": (p, q, r)}
-        sigma = signs[j]
-        if psd.kind == "PD3":
-            z = psd.witness_nu2
-            image = r12[j] @ z
-            i = int(np.argmax(np.abs(image)))
-            diag["pd3_cross"] = float(image[i])
-            verdict = "T3"
-            eta = _pd3_ray(forms[j], sigma[i] * frame.t0[:, i], face.basis @ z)
-        else:
-            if psd.kind == "PD4":
-                verdict, nu1, nu2 = "T3", np.zeros(r), psd.witness_nu2
-            else:
-                if r > r_max:
-                    raise SubsetBudgetExceededError(
-                        f"r={r} exceeds the subset budget r_max={r_max}"
-                    )
-                cp = _copositivity(schur[j], float(lam_min[j]), float(cp_tol[j]), r_max)
+    ray = np.array([psd.kind in ("PD3", "PD4") for psd in psds])
+    ends = np.flatnonzero(ray | (lam_min < -cp_tol)) + 1
+    form_step = max(1, PATTERN_CHUNK // (p * p))
+    start = 0
+    for stop in sorted({*ends.tolist(), len(psds)}):
+        open_ = [j for j in range(start, stop) if not ray[j]]
+        if open_ and r > r_max:
+            raise SubsetBudgetExceededError(f"r={r} exceeds the subset budget r_max={r_max}")
+        cps = dict(zip(open_, _copositivities(schur[open_], lam_min[open_], cp_tol[open_], r_max)))
+        verdicts = {
+            j: "T3" if j not in cps or cps[j].kind == "CP3"
+            else "T1" if psds[j].kind == "PD1" and cps[j].kind == "CP1" else "T2"
+            for j in range(start, stop)
+        }
+        witnessed = [j for j, verdict in verdicts.items() if verdict != "T1"]
+        forms: dict = {}
+        for j, verdict in verdicts.items():
+            psd, cp, sigma = psds[j], cps.get(j), signs[j]
+            diag = {"psd": psd.kind, "reduction": (p, q, r)}
+            if cp is not None:
                 diag.update(cp=cp.kind, min_pareto=cp.min_pareto, copositivity=cp.diagnostics)
-                if psd.kind == "PD1" and cp.kind == "CP1":
-                    yield QPClassification("T1", None, diag)
-                    continue
-                verdict = "T3" if cp.kind == "CP3" else "T2"
-                if cp.kind == "CP3" or psd.kind == "PD1":  # lift the Schur witness nu1
-                    nu1 = cp.witness
-                    nu2 = -(frame.face_pinv @ (r12[j].T @ nu1))
-                else:  # PD2 with CP1 or CP2: the null vector of R22 is flat
+            if verdict == "T1":
+                yield QPClassification("T1", None, diag)
+                continue
+            if j not in forms:
+                at = witnessed.index(j)
+                idx = witnessed[at : at + form_step]
+                forms = dict(zip(idx, forms_of(idx)))
+            form = forms[j]
+            if psd.kind == "PD3":
+                z = psd.witness_nu2
+                image = r12[j] @ z
+                i = int(np.argmax(np.abs(image)))
+                diag["pd3_cross"] = float(image[i])
+                eta = _pd3_ray(form, sigma[i] * t0[:, i], face.basis @ z)
+            else:
+                if cp is not None and (cp.kind == "CP3" or psd.kind == "PD1"):
+                    nu1 = cp.witness  # lift the Schur witness
+                    root = frame.face_root
+                    nu2 = -(root @ (frame.face_sign * (root.T @ (r12[j].T @ nu1))))
+                else:  # PD4's negative direction, or a flat null vector of a PD2 R22
                     nu1, nu2 = np.zeros(r), psd.witness_nu2
-            eta = frame.t0 @ np.concatenate([sigma * nu1, nu2])
-        eta = eta / np.linalg.norm(eta)
-        verify_witness(forms[j], frame.a, sigma[:, None] * frame.b0, eta, verdict)
-        yield QPClassification(verdict, eta, diag)
+                eta = t0 @ np.concatenate([sigma * nu1, nu2])
+            eta = eta / np.linalg.norm(eta)
+            b_mat = sigma[:, None] * frame.b0
+            diag["witness"] = verify_witness(form, frame.a, b_mat, eta, verdict)
+            yield QPClassification(verdict, eta, diag)
+        start = stop
 
 
 def solve_icqp(
@@ -1034,15 +1228,17 @@ def solve_icqp(
     max |R12| and max |lambda(R22)|. Otherwise copositivity of the Schur
     complement R11 - R12 R22^+ R12^T (:func:`copositivity_classify`'s rules)
     decides between T1 (strict, with R22 positive definite), T3 (CP3) and
-    T2. Witnesses are re-verified in original coordinates. This is the
-    pattern sweep's decision (:func:`icqp_sweep`) on a stack of one cone.
+    T2. Witnesses are re-verified in original coordinates, and the record of
+    that test is kept as ``diagnostics["witness"]``. This is the pattern
+    sweep's decision (:func:`icqp_sweep`) on the stack of one cone, with no
+    free pair (K = 0).
     """
     r = qp.shape[2]
     if r == 0:
         raise ValueError("no inequality rows; use the equality-constrained path")
     face = projected_spectrum_oracle(qp.Q, np.vstack([qp.A, qp.B]), zero_tol)
-    frame = icqp_frame(qp, rank_tol, face)
-    return next(_decide_icqps(frame, qp.Q[None], np.ones((1, r)), r_max, zero_tol))
+    calc = _calculus(icqp_frame(qp, rank_tol, face), qp.Q)
+    return next(_decide_icqps(calc, np.ones((1, r)), lambda idx: qp.Q[None], r_max, zero_tol))
 
 
 def sign_rows(pinned: np.ndarray, free: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -1075,19 +1271,26 @@ def icqp_sweep(
     point's equality-constrained QP, which is the form on the face of every
     pattern's cone, so one :func:`icqp_frame` serves them all. It takes the
     row of every signed pair at +1, so the signs of a pattern's inequality
-    rows are its sign row's entries on those pairs. The patterns are assembled and
-    decided a chunk at a time, on stacks of at most ``PATTERN_CHUNK`` form
-    entries (one pattern at least), so the working memory does not grow with
-    the number of patterns. A consumer that stops at a T3 skips the rest.
+    rows are its sign row's entries on those pairs. One
+    :class:`PatternCalculus` per point gives the reduced forms of every
+    pattern, at O(p^2 K) for the point; a pattern's own form is assembled
+    only to verify its witness. The patterns are decided a chunk at a time,
+    on stacks of at most ``PATTERN_CHUNK`` entries of their reduced rows
+    [R11 R12], r x (p - q) each (one pattern at least), so the working
+    memory does not grow with the number of patterns. A consumer that stops
+    at a T3 skips the rest.
     """
     d_h = base.params.dims[1]
-    p = base.params.n_params
     signed = (np.asarray(pinned) != 0) | free
     pairs = base.rows[d_h:]
     frame = _frame(np.vstack([base.rows[:d_h], pairs[~signed]]), pairs[signed], face, rank_tol)
+    calc = _pattern_calculus(base, frame, pinned, free)
     n_patterns = 2 ** int(np.count_nonzero(free))
-    step = max(1, PATTERN_CHUNK // (p * p))
+    step = max(1, PATTERN_CHUNK // (frame.b0.shape[0] * frame.t0.shape[1]))
     for start in range(0, n_patterns, step):
         rows = sign_rows(pinned, free, start, min(start + step, n_patterns))
-        forms = _symmetric_form(base.forms(rows))
-        yield from zip(rows, _decide_icqps(frame, forms, rows[:, signed], r_max, zero_tol))
+
+        def forms_of(idx, rows=rows):
+            return _symmetric_form(base.forms(rows[idx]))
+
+        yield from zip(rows, _decide_icqps(calc, rows[:, signed], forms_of, r_max, zero_tol))

@@ -24,7 +24,7 @@ from .network import (
 )
 from .second_order import (
     ConeQP,
-    _reduce,
+    _calculus,
     copositivity_classify,
     icqp_frame,
     pareto_spectrum,
@@ -140,7 +140,7 @@ def _check_icqp() -> str | None:
     frame = icqp_frame(qp)
     for form, want in ((q_mat, ("T1", "CP1")), (q_mat + qp.B.T @ x + x.T @ qp.B, ("T3", "CP3"))):
         fresh = solve_icqp(ConeQP(form, qp.A, qp.B))
-        shared = copositivity_classify(_reduce(frame, form[None], np.ones((1, 2)))[2][0]).kind
+        shared = copositivity_classify(_calculus(frame, form).reduce(np.ones((1, 2)))[2][0]).kind
         got = (fresh.verdict, fresh.diagnostics["cp"])
         if got != want or shared != want[1]:
             return f"a shared frame gave {shared}, a fresh one {got}, expected {want}"

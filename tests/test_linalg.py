@@ -107,6 +107,23 @@ class TestPseudoinverse:
                 want = (v * np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)) @ v.T
                 assert np.array_equal(dec.pseudoinverse(tol), want)
 
+    def test_factor(self):
+        # L diag(s) L^T is the pseudo-inverse, on indefinite matrices too
+        rng = np.random.default_rng(7)
+        for n in (1, 3, 6):
+            g = rng.standard_normal((n, n))
+            w = np.array([-2.0, 1e-12, 3.0, -1e-3, 5e-9, 1.0])[:n]
+            q = np.linalg.qr(g)[0]
+            dec = sym_eig((q * w) @ q.T)
+            for tol in (1e-10, 1e-8, 1e-1):
+                root, sign = dec.pseudoinverse_factor(tol)
+                assert root.shape[1] == sign.size == np.count_nonzero(np.abs(dec.eigenvalues) > tol)
+                assert set(sign.tolist()) <= {-1.0, 1.0}
+                want = dec.pseudoinverse(tol)
+                assert np.abs((root * sign) @ root.T - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        with pytest.raises(ValueError):
+            sym_eig(np.eye(2)).pseudoinverse_factor(tol=0.0)
+
 
 def test_matrix_rank_threshold():
     assert matrix_rank(np.diag([1.0, 1e-14])) == 1

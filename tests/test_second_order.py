@@ -6,6 +6,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from sospcheck import second_order
 from sospcheck.errors import (
@@ -17,6 +18,8 @@ from sospcheck.errors import (
 from sospcheck.harness import construct_boundary_fosp
 from sospcheck.linalg import nullspace_basis, require_finite, sym_eig
 from sospcheck.network import (
+    RELU,
+    ActivationSpec,
     Perturbation,
     SquaredLoss,
     boundary_analysis,
@@ -382,6 +385,83 @@ class TestSpectrumOracle:
         assert fallbacks < 10
 
 
+def _exact_witness_rule(q_mat, eta, verdict):
+    """Whether a witness passes the curvature test measured against the
+    exact 2-norm of Q: the oracle for the screen of verify_witness."""
+    n = float(np.linalg.norm(eta))
+    quad = float(eta @ q_mat @ eta)
+    w = np.linalg.eigvalsh(q_mat)
+    qnorm = float(max(abs(w[0]), abs(w[-1])))
+    if verdict == "T3":
+        return not quad > -second_order.WITNESS_CURV_TOL * qnorm * n * n
+    return not abs(quad) > second_order.WITNESS_FEAS_TOL * max(qnorm, 1.0) * n * n
+
+
+class TestVerifyWitness:
+    @staticmethod
+    def _forms(rng):
+        for _ in range(40):
+            p = int(rng.integers(2, 30))
+            g = rng.standard_normal((p, p)) * 10.0 ** rng.uniform(-3, 3)
+            yield g + g.T
+            u = rng.standard_normal(p) * 10.0 ** rng.uniform(-2, 2)
+            yield np.outer(u, u) * rng.choice((-1.0, 1.0))
+
+    def test_screen_accepts_and_rejects_as_the_exact_norm_does(self):
+        # curvatures at (1 +- 1e-3) times each threshold the screen or the
+        # exact rule can use: the exact norm, and the screen's upper bound
+        # 2 max row-sum |Q| and lower bound max column norm / 2
+        from sospcheck.errors import InternalInconsistencyError
+
+        rng = np.random.default_rng(41)
+        outcomes = Counter()
+        for q_mat in self._forms(rng):
+            p = len(q_mat)
+            w, v = np.linalg.eigh(q_mat)
+            norms = (
+                max(abs(w[0]), abs(w[-1])),
+                2.0 * np.abs(q_mat).sum(axis=1).max(),
+                0.5 * np.linalg.norm(q_mat, axis=0).max(),
+            )
+            for norm, factor, sign in product(norms, (1 - 1e-3, 1 + 1e-3), (-1.0, 1.0)):
+                for verdict in ("T2", "T3"):
+                    if verdict == "T3":
+                        target = -second_order.WITNESS_CURV_TOL * norm * factor
+                    else:
+                        target = sign * second_order.WITNESS_FEAS_TOL * max(norm, 1.0) * factor
+                    if not w[0] < target < w[-1]:
+                        continue
+                    # a direction with curvature ``target``, of norm 3
+                    c = (target - w[0]) / (w[-1] - w[0])
+                    eta = 3.0 * (np.sqrt(1.0 - c) * v[:, 0] + np.sqrt(c) * v[:, -1])
+                    want = _exact_witness_rule(q_mat, eta, verdict)
+                    empty = np.zeros((0, p))
+                    try:
+                        record = second_order.verify_witness(q_mat, empty, empty, eta, verdict)
+                        got = True
+                    except InternalInconsistencyError:
+                        record, got = None, False
+                    assert got == want
+                    outcomes[verdict, got, record and record["by"]] += 1
+                    if record:
+                        curvature = float(eta @ q_mat @ eta) / 9.0
+                        assert record["curvature"] == pytest.approx(curvature, rel=1e-12)
+        for verdict in ("T2", "T3"):
+            assert outcomes[verdict, True, "bound"] and outcomes[verdict, True, "exact"]
+            assert outcomes[verdict, False, None]
+
+    def test_record_of_a_screened_witness(self):
+        q_mat = np.diag([-2.0, 1.0])
+        record = second_order.verify_witness(q_mat, np.zeros((0, 2)), np.zeros((0, 2)),
+                                             np.array([2.0, 0.0]), "T3")
+        # U = 2 max row-sum |Q| = 4
+        assert record == {"curvature": -2.0, "threshold": -4.0 * second_order.WITNESS_CURV_TOL,
+                          "by": "bound"}
+        with pytest.raises(ValueError):
+            second_order.verify_witness(q_mat, np.zeros((0, 2)), np.zeros((0, 2)),
+                                        np.array([2.0, 0.0]), "T1")
+
+
 def _pivot_permutation(mat):
     _, _, piv = scipy.linalg.qr(mat, mode="economic", pivoting=True)
     return piv
@@ -421,6 +501,28 @@ def _reference_icqp_reduce(qp):
     return r_bar[:r, :r], r_bar[:r, r:], r_bar[r:, r:], map_a @ map_b
 
 
+def _face_pinv(frame):
+    """R22^+ of a frame, the pseudo-inverse of its face's decomposition at
+    the face's zero threshold."""
+    return frame.face.decomposition.pseudoinverse(max(frame.face.tol, np.finfo(float).tiny))
+
+
+def _reference_reduce(frame, forms, signs):
+    """R11, R12 and the Schur complement S = R11 - R12 R22^+ R12^T of n cones
+    of ``frame`` by contracting each assembled form with the frame's map:
+    the oracle for the pattern calculus. forms (n, p, p), and B of cone j
+    equal to diag(signs[j]) b0. The map of cone j is ``t0 diag(sigma, 1)``,
+    so with D = diag(sigma) and H = T_r^T Q t0, R11 = D H11 D and R12 = D H12."""
+    r = frame.b0.shape[0]
+    head = (frame.t0[:, :r].T @ forms) @ frame.t0
+    head *= signs[:, :, None]
+    r11 = head[:, :, :r] * signs[:, None, :]
+    r11 = 0.5 * (r11 + r11.transpose(0, 2, 1))
+    r12 = head[:, :, r:]
+    schur = r11 - r12 @ _face_pinv(frame) @ r12.transpose(0, 2, 1)
+    return r11, r12, 0.5 * (schur + schur.transpose(0, 2, 1))
+
+
 def _reference_psd_kind(r22, r12, tol):
     """Eigenvalue trichotomy of R22 by its own eigendecomposition, with one
     zero threshold ``tol``: the oracle for classify_psd_block."""
@@ -447,9 +549,10 @@ def _matches_reference(qp, frame=None, sigma=None):
         frame, red = second_order.icqp_frame(qp), icqp_reduce(qp)
         new11, new12 = red.r11, red.r12
     else:
-        new11, new12, _ = (blk[0] for blk in second_order._reduce(frame, qp.Q[None], sigma[None]))
+        calc = second_order._calculus(frame, qp.Q)
+        new11, new12, _ = (blk[0] for blk in calc.reduce(sigma[None]))
     r11, r12, r22, _ = _reference_icqp_reduce(qp)
-    for new, ref in ((new11, r11), (new12, r12), (frame.face_pinv, r22)):
+    for new, ref in ((new11, r11), (new12, r12), (_face_pinv(frame), r22)):
         assert new.shape == ref.shape
     # the zero threshold of the PD3 test: relative to the largest block entry
     tol = second_order.DEFAULT_ZERO_EIG_TOL * max(
@@ -458,7 +561,7 @@ def _matches_reference(qp, frame=None, sigma=None):
     psd_kind = _reference_psd_kind(r22, r12, tol)
     assert classify_psd_block(frame.face, new12, tol).kind == psd_kind
     if psd_kind == "PD1":
-        schur = new11 - new12 @ frame.face_pinv @ new12.T
+        schur = new11 - new12 @ _face_pinv(frame) @ new12.T
         ref = r11 - r12 @ np.linalg.solve(r22, r12.T) if p - q - r else r11
         assert np.abs(schur - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
     return psd_kind
@@ -570,6 +673,74 @@ def _orthogonal_fixture_cones():
     return assemble_so_qp(point.params, point.data, loss, boundary, zero, base=base), rows, cones
 
 
+def _k3_point():
+    """An orthogonal fixture with K = 3: both rays of three boundary samples
+    flat, two of them on unit 0."""
+    return construct_boundary_fosp(
+        5, 2, 1, seed=10, n_boundary=3, units=[0, 0, 1], mode="orthogonal"
+    )
+
+
+def _k7_point():
+    """The shape of the flat-rays benchmark fixtures: K = 7 on d_x = 10."""
+    return construct_boundary_fosp(
+        10, 2, 1, seed=1060, n_boundary=7, units=[0] * 4 + [1] * 3, mode="orthogonal",
+        max_attempts=1,
+    )
+
+
+def _two_hyperplane_point(activation):
+    """A point with sample 0 on the hyperplanes of units 0 and 1 and sample 1
+    on that of unit 2, so that the form of a pattern is bilinear in the signs
+    of sample 0's two pairs. Not stationary: only the algebra is tested."""
+    from types import SimpleNamespace
+
+    from sospcheck.harness import generate_dataset, init_params
+
+    params = init_params(4, 3, 2, seed=5, activation=activation)
+    data = generate_dataset(4, 2, 12, seed=6)
+    x = data.inputs
+    b1 = params.b1.copy()
+    b1[:2] = -(params.W1[:2] @ x[0])
+    b1[2] = -(params.W1[2] @ x[1])
+    return SimpleNamespace(params=replace(params, b1=b1), data=data)
+
+
+def _sweep_setup(point, pinned=None, free=None):
+    """The pieces of the pattern sweep at ``point``: its assembly base, face
+    and frame, the pattern calculus, the sign rows of every pattern, their
+    signs on the rows of b0, and each pattern's own cone. Every pair is free
+    by default."""
+    from types import SimpleNamespace
+
+    loss = SquaredLoss()
+    bundle = per_sample_derivatives(point.params, point.data, loss, 1e-12)
+    boundary = boundary_analysis(point.params, point.data, loss, 1e-12, bundle=bundle)
+    base = second_order.assembly_base(point.params, bundle, boundary)
+    zero = np.zeros(boundary.total, dtype=int)
+    pinned = zero if pinned is None else np.asarray(pinned)
+    free = np.ones(boundary.total, dtype=bool) if free is None else np.asarray(free)
+    ecqp = second_order.assemble_so_qp(point.params, point.data, loss, boundary, zero, base=base)
+    face = projected_spectrum_oracle(ecqp.Q, ecqp.A)
+    signed = (pinned != 0) | free
+    d_h = point.params.dims[1]
+    pairs = base.rows[d_h:]
+    frame = second_order._frame(
+        np.vstack([base.rows[:d_h], pairs[~signed]]), pairs[signed], face,
+        second_order.DEFAULT_RANK_TOL,
+    )
+    rows = second_order.sign_rows(pinned, free, 0, 2 ** int(free.sum()))
+    cones = [
+        second_order.assemble_so_qp(point.params, point.data, loss, boundary, row, base=base)
+        for row in rows
+    ]
+    calc = second_order._pattern_calculus(base, frame, pinned, free)
+    return SimpleNamespace(
+        base=base, pinned=pinned, free=free, frame=frame, calc=calc, rows=rows,
+        signs=rows[:, signed].astype(float), cones=cones,
+    )
+
+
 class TestIcqpFrame:
     @staticmethod
     def _assert_matches_fresh_reduction(qp, frame, sigma):
@@ -610,9 +781,7 @@ class TestIcqpFrame:
             assert np.abs(coords.T @ form @ coords - r22).max() <= 1e-12 * np.abs(r22).max()
 
     def test_reduction_and_psd_block_run_no_eigendecomposition(self, monkeypatch):
-        ecqp, rows, cones = _orthogonal_fixture_cones()
-        frame = second_order.icqp_frame(cones[-1], face=projected_spectrum_oracle(ecqp.Q, ecqp.A))
-        forms = np.stack([qp.Q for qp in cones])
+        setup = _sweep_setup(_k3_point())
 
         def no_eig(*args, **kwargs):
             raise AssertionError("an eigendecomposition ran")
@@ -620,9 +789,10 @@ class TestIcqpFrame:
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, no_eig)
         monkeypatch.setattr(second_order, "sym_eig", no_eig)
-        _, r12, _ = second_order._reduce(frame, forms, rows)
+        calc = second_order._pattern_calculus(setup.base, setup.frame, setup.pinned, setup.free)
+        _, r12, _ = calc.reduce(setup.signs)
         for block in r12:
-            assert classify_psd_block(frame.face, block, 1e-8).kind == "PD1"
+            assert classify_psd_block(setup.frame.face, block, 1e-8).kind == "PD1"
 
     def test_random_cones_with_random_signs(self):
         # the cones that share a frame agree on its face: their forms differ
@@ -662,9 +832,8 @@ class TestBatchedReduction:
     forms them, against the double elimination of each cone on its own."""
 
     @staticmethod
-    def _assert_matches_double_elimination(frame, cones, signs):
-        forms = np.stack([qp.Q for qp in cones])
-        r11, r12, schur = second_order._reduce(frame, forms, signs)
+    def _assert_matches_double_elimination(frame, cones, signs, blocks):
+        r11, r12, schur = blocks
         r22 = frame.face.decomposition.reconstruct()
         for j, qp in enumerate(cones):
             p, q, r = qp.shape
@@ -683,10 +852,9 @@ class TestBatchedReduction:
                 assert np.abs(schur[j] - ref_schur).max() <= tol
 
     def test_every_pattern_of_an_orthogonal_fixture(self):
-        ecqp, rows, cones = _orthogonal_fixture_cones()
-        face = projected_spectrum_oracle(ecqp.Q, ecqp.A)
-        frame = second_order.icqp_frame(cones[-1], face=face)
-        self._assert_matches_double_elimination(frame, cones, rows)
+        setup = _sweep_setup(_k3_point())
+        blocks = setup.calc.reduce(setup.signs)
+        self._assert_matches_double_elimination(setup.frame, setup.cones, setup.signs, blocks)
 
     def test_random_cones_with_random_signs(self):
         rng = np.random.default_rng(35)
@@ -695,15 +863,64 @@ class TestBatchedReduction:
             q = int(rng.integers(0, p - 1))
             r = int(rng.integers(1, p - q + 1))
             first = random_cone_qp(rng, p, q, r, kind=("indefinite", "pd", "psd_null")[trial % 3])
-            cones, signs = [], []
+            frame = second_order.icqp_frame(first)
+            cones, signs, blocks = [], [], []
             for _ in range(3):
                 sigma = rng.choice((-1.0, 1.0), size=r)
                 x = rng.standard_normal((r, p))
                 form = first.Q + first.B.T @ x + x.T @ first.B
                 cones.append(ConeQP(form, first.A, sigma[:, None] * first.B))
                 signs.append(sigma)
-            frame = second_order.icqp_frame(first)
-            self._assert_matches_double_elimination(frame, cones, np.array(signs))
+                calc = second_order._calculus(frame, cones[-1].Q)
+                blocks.append(calc.reduce(sigma[None]))
+            blocks = [np.concatenate(parts) for parts in zip(*blocks)]
+            self._assert_matches_double_elimination(frame, cones, np.array(signs), blocks)
+
+
+class TestPatternCalculus:
+    """The reduced forms of every pattern from one form and K rank-two
+    corrections, against the contraction of each pattern's assembled form
+    (the oracle) and the double elimination of its cone."""
+
+    @staticmethod
+    def _assert_matches_the_oracles(setup):
+        forms = np.stack([qp.Q for qp in setup.cones])
+        got = setup.calc.reduce(setup.signs)
+        want = _reference_reduce(setup.frame, forms, setup.signs)
+        for new, ref in zip(got, want):
+            assert new.shape == ref.shape
+            assert np.abs(new - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
+        r11, _, schur = got
+        assert np.array_equal(r11, r11.transpose(0, 2, 1))
+        assert np.array_equal(schur, schur.transpose(0, 2, 1))
+        TestBatchedReduction._assert_matches_double_elimination(
+            setup.frame, setup.cones, setup.signs, got
+        )
+
+    def test_k3_fixture(self):
+        self._assert_matches_the_oracles(_sweep_setup(_k3_point()))
+
+    def test_k7_fixture(self):
+        setup = _sweep_setup(_k7_point())
+        assert len(setup.cones) == 128
+        self._assert_matches_the_oracles(setup)
+
+    @pytest.mark.parametrize("activation", [RELU, ActivationSpec(1.0, 0.25)])
+    def test_sample_on_two_hyperplanes(self, activation):
+        setup = _sweep_setup(_two_hyperplane_point(activation))
+        units, samples = setup.base.boundary.pairs
+        assert units.tolist() == [0, 1, 2] and samples.tolist() == [0, 0, 1]
+        # the bilinear term of sample 0's two free pairs is a constant of R11
+        assert setup.calc.pair[0, 1] == setup.calc.pair[1, 0] != 0.0
+        assert np.count_nonzero(setup.calc.pair) == 2
+        self._assert_matches_the_oracles(setup)
+
+    @pytest.mark.parametrize("pinned, free", [([1, 0, -1], [0, 1, 0]), ([-1, 0, 0], [0, 1, 1])])
+    def test_pinned_pairs(self, pinned, free):
+        setup = _sweep_setup(_k3_point(), np.array(pinned), np.array(free, dtype=bool))
+        signed = (setup.pinned != 0) | setup.free
+        assert not setup.calc.h_rows[~setup.free[signed]].any()
+        self._assert_matches_the_oracles(setup)
 
 
 class TestIcqpSweep:
@@ -757,6 +974,85 @@ class TestIcqpSweep:
         kinds = self._assert_matches_fresh_solves(point)
         assert kinds[("T2", "PD1", "CP2", "simplex_bound")] == 3
 
+    @staticmethod
+    def _count_forms(monkeypatch):
+        """Record the sign row of every pattern whose form is assembled."""
+        rows = []
+        original = second_order.AssemblyBase.forms
+
+        def counting(self, signs):
+            rows.extend(tuple(row) for row in np.asarray(signs).tolist())
+            return original(self, signs)
+
+        monkeypatch.setattr(second_order.AssemblyBase, "forms", counting)
+        return rows
+
+    @pytest.mark.parametrize("seed, n_witnesses", [(1057, 0), (1060, 3)])
+    def test_forms_are_assembled_only_for_witnesses(self, monkeypatch, seed, n_witnesses):
+        # construction seed 1057 is a local minimum, 1060 an SOSP with three
+        # flat patterns; the calculus decides every pattern without its form
+        point = construct_boundary_fosp(
+            10, 2, 1, seed=seed, n_boundary=7, units=[0] * 4 + [1] * 3, mode="orthogonal",
+            max_attempts=1,
+        )
+        setup = _sweep_setup(point)
+        assembled = self._count_forms(monkeypatch)
+        sweep = list(
+            second_order.icqp_sweep(setup.base, setup.frame.face, setup.pinned, setup.free)
+        )
+        witnessed = [tuple(row.tolist()) for row, res in sweep if res.witness is not None]
+        assert len(sweep) == 128 and len(witnessed) == n_witnesses
+        assert assembled == witnessed
+
+    @staticmethod
+    def _failing(monkeypatch, fails):
+        """Make the verification of every witness for which ``fails(verdict)``
+        is true, in the order verified, come out as a failure."""
+        from sospcheck.errors import InternalInconsistencyError
+
+        original = second_order.verify_witness
+
+        def spy(q_mat, a_mat, b_mat, eta, verdict):
+            record = original(q_mat, a_mat, b_mat, eta, verdict)
+            if fails(verdict):
+                raise InternalInconsistencyError("planted failure")
+            return record
+
+        monkeypatch.setattr(second_order, "verify_witness", spy)
+
+    def test_a_failing_witness_raises_when_its_pattern_is_reached(self, monkeypatch):
+        from sospcheck.errors import InternalInconsistencyError
+
+        setup = _sweep_setup(_k7_point())
+        args = (setup.base, setup.frame.face, setup.pinned, setup.free)
+        want = [res.witness is not None for _, res in second_order.icqp_sweep(*args)]
+        seen = []
+        self._failing(monkeypatch, lambda verdict: seen.append(verdict) or len(seen) == 2)
+        reached = []
+        with pytest.raises(InternalInconsistencyError, match="planted failure"):
+            for _, res in second_order.icqp_sweep(*args):
+                reached.append(res.witness is not None)
+        # every pattern before the second witnessed one was yielded
+        assert reached == want[: [i for i, w in enumerate(want) if w][1]]
+
+    def test_no_witness_after_the_first_t3_is_verified(self, monkeypatch):
+        from sospcheck.checker import sosp_check
+
+        # K = 1: the first pattern is T3, and the second one follows it
+        point = construct_boundary_fosp(3, 2, 2, seed=1, mode="orthogonal", residual_scale=3.0)
+        setup = _sweep_setup(point)
+        seen = []
+        self._failing(monkeypatch, lambda verdict: "T3" in seen or seen.append(verdict))
+        sweep = second_order.icqp_sweep(setup.base, setup.frame.face, setup.pinned, setup.free)
+        _, first = next(sweep)
+        assert first.verdict == "T3" and len(setup.rows) == 2
+        seen.clear()
+        verdict = sosp_check(point.params, point.data)
+        diag = verdict.diagnostics
+        assert (verdict.kind, verdict.stage, diag["n_icqp"]) == ("descent", "icqp", 1)
+        assert seen == ["T3"]
+
+
 
 def _psd_block(face, r12):
     """classify_psd_block with the PD3 threshold relative to the larger of
@@ -793,8 +1089,22 @@ class TestPsdBlock:
         assert _psd_block(face, np.zeros((2, 0))).kind == "PD1"
 
 
+def _positive_vector_of_span(basis):
+    """A vector of the span of ``basis`` with every entry at least 1, or None
+    if the span holds no positive vector: one nonnegative least-squares
+    solve of [basis, -basis, -I] z = 1, whose residual is zero exactly when
+    basis c = 1 + s has a solution with s >= 0."""
+    n, k = basis.shape
+    z, residual = scipy.optimize.nnls(np.hstack([basis, -basis, -np.eye(n)]), np.ones(n))
+    return basis @ (z[:k] - z[k : 2 * k]) if residual <= 1e-9 else None
+
+
 def _reference_pareto_spectrum(s_mat, r_max=20, pos_tol=1e-9, comp_tol_factor=1e-10):
-    """One eigendecomposition per principal subset: the oracle for pareto_spectrum."""
+    """One eigendecomposition per principal subset: the oracle for
+    pareto_spectrum. Also returns, for each pair, None, or for a pair of a
+    run of repeated eigenvalues the orthonormal basis of its eigenspace
+    (zero-padded to the rows of S): any positive unit vector of it is as
+    good as the one the oracle found."""
     s_mat = require_finite(np.atleast_2d(s_mat), "S")
     r = s_mat.shape[0]
     if r > r_max:
@@ -802,24 +1112,31 @@ def _reference_pareto_spectrum(s_mat, r_max=20, pos_tol=1e-9, comp_tol_factor=1e
     scale = max(1.0, float(np.abs(s_mat).max(initial=0.0)))
     comp_tol = comp_tol_factor * scale
     degen_tol = 1e-9 * scale
-    pairs = []
+    pairs, spans = [], []
     degenerate = False
     for size in range(1, r + 1):
         for subset in combinations(range(r), size):
             idx = np.array(subset)
             dec = sym_eig(s_mat[np.ix_(idx, idx)])
-            candidates = [(float(lam), dec.eigenvectors[:, j]) for j, lam in enumerate(dec.eigenvalues)]
-            for j in range(len(dec.eigenvalues) - 1):
-                if abs(dec.eigenvalues[j + 1] - dec.eigenvalues[j]) <= degen_tol:
+            candidates = [
+                (float(lam), dec.eigenvectors[:, j], None) for j, lam in enumerate(dec.eigenvalues)
+            ]
+            # each run of repeated eigenvalues adds a positive vector of its
+            # eigenvectors' span, if there is one
+            values, lo = dec.eigenvalues, 0
+            for j in range(1, len(values) + 1):
+                if j < len(values) and values[j] - values[j - 1] <= degen_tol:
                     degenerate = True
-                    a = dec.eigenvectors[:, j]
-                    b = dec.eigenvectors[:, j + 1]
-                    for combo in (a + b, a - b):
-                        nrm = np.linalg.norm(combo)
-                        if nrm > 0:
-                            candidates.append((float(dec.eigenvalues[j]), combo / nrm))
+                    continue
+                if j - lo > 1:
+                    x = _positive_vector_of_span(dec.eigenvectors[:, lo:j])
+                    if x is not None:
+                        span = np.zeros((r, j - lo))
+                        span[idx] = dec.eigenvectors[:, lo:j]
+                        candidates.append((float(values[lo]), x / np.linalg.norm(x), span))
+                lo = j
             other = np.setdiff1d(np.arange(r), idx)
-            for lam, xi in candidates:
+            for lam, xi, span in candidates:
                 flip = xi[np.abs(xi).argmax()]
                 if flip < 0:
                     xi = -xi
@@ -830,17 +1147,24 @@ def _reference_pareto_spectrum(s_mat, r_max=20, pos_tol=1e-9, comp_tol_factor=1e
                 vec = np.zeros(r)
                 vec[idx] = xi
                 pairs.append(ParetoEigenpair(lam, vec, subset))
-    return pairs, {"degenerate_multiplicity": degenerate, "subsets": 2**r - 1}
+                spans.append(span)
+    return pairs, {"degenerate_multiplicity": degenerate, "subsets": 2**r - 1}, spans
 
 
 def _assert_matches_reference(s_mat):
     got, got_diag = pareto_spectrum(s_mat)
-    want, want_diag = _reference_pareto_spectrum(s_mat)
+    want, want_diag, spans = _reference_pareto_spectrum(s_mat)
     assert got_diag == want_diag
     assert [p.subset for p in got] == [p.subset for p in want]
-    for g, w in zip(got, want):
+    for g, w, span in zip(got, want, spans):
         assert abs(g.value - w.value) <= 1e-12
-        assert np.abs(g.vector - w.vector).max() <= 1e-12
+        if span is None:
+            assert np.abs(g.vector - w.vector).max() <= 1e-12
+            continue
+        # a positive unit vector of the eigenspace, supported on the subset
+        assert g.vector[list(g.subset)].min() > 0.0
+        assert abs(np.linalg.norm(g.vector) - 1.0) <= 1e-12
+        assert np.abs(g.vector - span @ (span.T @ g.vector)).max() <= 1e-12
 
 
 def _repeated_eigenvalue_matrix():
@@ -898,6 +1222,40 @@ class TestParetoSpectrum:
         for s_mat in (np.eye(3), np.diag([1.0, 1.0, 2.0]), _repeated_eigenvalue_matrix(), coupled):
             _assert_matches_reference(s_mat)
         assert pareto_spectrum(_repeated_eigenvalue_matrix())[1]["degenerate_multiplicity"]
+
+    def test_matches_reference_on_random_eigenspaces(self):
+        # a repeated eigenvalue in a random rotation. Its eigenspace holds
+        # the positive first column of the basis in even trials, and most
+        # bases that eigh returns for it need coefficients of both signs to
+        # reach a positive vector; in odd trials it is orthogonal to that
+        # column, so it holds no positive vector
+        rng = np.random.default_rng(16)
+        for trial in range(40):
+            n = int(rng.integers(3, 6))
+            k = min(int(rng.integers(2, 4)), n - 1)
+            g = rng.standard_normal((n, n))
+            g[:, 0] = rng.uniform(0.5, 1.5, n)
+            basis = np.linalg.qr(g)[0]
+            w = rng.uniform(0.5, 3.0, n)
+            w[trial % 2 : trial % 2 + k] = -1.0
+            _assert_matches_reference((basis * w) @ basis.T)
+
+    def test_positive_vector_of_a_three_dimensional_eigenspace(self):
+        # S = 2 I - 3 P, P the projector onto the span E of three integer
+        # vectors, the first positive: lambda = -1 has the eigenspace E, and
+        # E holds positive vectors, but neither the eigenvectors that eigh
+        # returns for it nor the sum or difference of two of them is one
+        v = np.array([[2, 1, 3, 1, 2], [-2, 2, 2, 1, 3], [3, -2, -3, -3, 2]], dtype=float)
+        basis = np.linalg.qr(v.T)[0]
+        s_mat = 2.0 * np.eye(5) - 3.0 * basis @ basis.T
+        pairs, diag = pareto_spectrum(s_mat)
+        assert diag["degenerate_multiplicity"]
+        full = [pair for pair in pairs if pair.subset == (0, 1, 2, 3, 4)]
+        assert len(full) == 1
+        x = full[0].vector
+        assert abs(full[0].value + 1.0) <= 1e-12
+        assert x.min() > 0.0 and abs(np.linalg.norm(x) - 1.0) <= 1e-12
+        assert np.abs(s_mat @ x + x).max() <= 1e-12
 
     def test_matches_reference_across_chunks(self, monkeypatch):
         # C(7, 3) = 35 subsets of size 3 span seven chunks of 5
