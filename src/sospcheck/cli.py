@@ -65,6 +65,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    try:
+        cfg = AdamConfig(lr=args.lr, iters=args.iters, decay_every=args.decay_every)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.data:
         try:
             data = dataset_from_dict(load_json(args.data))
@@ -74,7 +79,6 @@ def _cmd_train(args) -> int:
     else:
         data = generate_dataset(args.dx, args.dy, args.m, seed=args.seed)
     params0 = init_params(data.d_x, args.dh, data.d_y, seed=args.seed + 10_000)
-    cfg = AdamConfig(lr=args.lr, iters=args.iters, decay_every=args.decay_every)
     params, trace = adam_train(params0, data, config=cfg)
     save_json(args.out, params_to_dict(params))
     if args.save_data:
@@ -87,16 +91,20 @@ def _cmd_stats(args) -> int:
     iters = 200_000 if args.full_budget else args.iters
     decay = 20_000 if args.full_budget else args.decay_every
     runs = 40 if args.full_budget else args.runs
-    cfg = TrendConfig(
-        d_x=args.dx,
-        d_h=args.dh,
-        d_y=args.dy,
-        m=args.m,
-        runs=runs,
-        seed=args.seed,
-        adam=AdamConfig(iters=iters, decay_every=decay),
-        thresholds=StatThresholds(boundary=args.boundary_tol),
-    )
+    try:
+        cfg = TrendConfig(
+            d_x=args.dx,
+            d_h=args.dh,
+            d_y=args.dy,
+            m=args.m,
+            runs=runs,
+            seed=args.seed,
+            adam=AdamConfig(iters=iters, decay_every=decay),
+            thresholds=StatThresholds(boundary=args.boundary_tol),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     agg = run_boundary_trend(cfg)
     header = f"({args.dx},{args.dh},{args.m})"
     print(f"{'config':>15} {'runs':>5} {'Sum M (Avg.)':>16} {'Sum L (Avg.)':>16} "

@@ -21,12 +21,13 @@ suite.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionFailedError, GeneralPositionViolationError
+from .errors import ConstructionFailedError, GeneralPositionViolationError, NonFiniteError
 from .first_order import (
     increasing_check,
     inner_layer_fosp_smooth,
@@ -44,6 +45,7 @@ from .network import (
     boundary_analysis,
     empirical_risk,
     forward_batch,
+    forward_slopes,
     per_sample_derivatives,
 )
 
@@ -81,8 +83,16 @@ def init_params(
 # ---------------------------------------------------------------------------
 
 
+def _require_counts(config, *names: str) -> None:
+    for name in names:
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(config, name)}")
+
+
 @dataclass(frozen=True)
 class AdamConfig:
+    """Full-batch Adam settings; invalid values raise ValueError."""
+
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -92,6 +102,16 @@ class AdamConfig:
     decay_every: int = 2_000
     record_every: int = 200
 
+    def __post_init__(self):
+        _require_counts(self, "iters", "decay_every", "record_every")
+        for name in ("lr", "eps", "decay_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+
 
 def risk_gradient(params: NetworkParams, data: Dataset, loss: LossModel):
     """Exact full-batch gradient of the risk with respect to all parameters.
@@ -100,11 +120,11 @@ def risk_gradient(params: NetworkParams, data: Dataset, loss: LossModel):
     positive-side slope, a subgradient choice that matters only on a
     measure-zero set of parameters.
     """
-    outputs, preact, hidden = forward_batch(params, data.inputs)
+    outputs, _, hidden, slopes = forward_slopes(params, data.inputs)
     grads = loss.gradient(outputs, data.labels)
     g_w2 = grads.T @ hidden
     g_b2 = grads.sum(axis=0)
-    back = (grads @ params.W2) * params.activation.hprime(preact)
+    back = (grads @ params.W2) * slopes
     g_w1 = back.T @ data.inputs
     g_b1 = back.sum(axis=0)
     return g_w1, g_b1, g_w2, g_b2
@@ -121,38 +141,41 @@ def adam_train(
     The trace records (iteration, risk) every ``record_every`` steps plus
     the final point. Standard bias-corrected moment updates; the step size
     at iteration t (1-based) is lr * decay_factor ** ((t - 1) // decay_every).
+    The parameters and both moments are one flat vector each, raveled as
+    W1, b1, W2, b2, so every step is a few whole-vector operations; each
+    entry sees the same float64 operations as a blockwise update. The
+    returned parameters own their arrays, and ``params0`` is not modified.
     """
     loss = loss if loss is not None else SquaredLoss()
     cfg = config if config is not None else AdamConfig()
-    w1, b1 = params0.W1.copy(), params0.b1.copy()
-    w2, b2 = params0.W2.copy(), params0.b2.copy()
-    act = params0.activation
-    blocks = [w1, b1, w2, b2]
-    mom = [np.zeros_like(b) for b in blocks]
-    vel = [np.zeros_like(b) for b in blocks]
+    blocks = (params0.W1, params0.b1, params0.W2, params0.b2)
+    theta = np.concatenate([b.ravel() for b in blocks])
+    ends = np.cumsum([b.size for b in blocks])
+    views = [theta[e - b.size : e].reshape(b.shape) for b, e in zip(blocks, ends)]
+    # built once: require_finite hands a float64 array back as itself, so
+    # these views follow every in-place update of theta
+    current = NetworkParams(*views, params0.activation)
+    grad = np.empty_like(theta)
+    mom = np.zeros_like(theta)
+    vel = np.zeros_like(theta)
+    beta1, beta2, eps = cfg.beta1, cfg.beta2, cfg.eps
     trace = []
-
-    def current() -> NetworkParams:
-        return NetworkParams(blocks[0], blocks[1], blocks[2], blocks[3], act)
-
-    for t in range(1, cfg.iters + 1):
+    for start in range(0, cfg.iters, cfg.record_every):
+        end = min(start + cfg.record_every, cfg.iters)
         # divergence is detected explicitly, so transient overflow is expected
         with np.errstate(over="ignore", invalid="ignore"):
-            grads = risk_gradient(current(), data, loss)
-            lr = cfg.lr * cfg.decay_factor ** ((t - 1) // cfg.decay_every)
-            bc1 = 1.0 - cfg.beta1**t
-            bc2 = 1.0 - cfg.beta2**t
-            for j, g in enumerate(grads):
-                mom[j] = cfg.beta1 * mom[j] + (1.0 - cfg.beta1) * g
-                vel[j] = cfg.beta2 * vel[j] + (1.0 - cfg.beta2) * g * g
-                blocks[j] = blocks[j] - lr * (mom[j] / bc1) / (np.sqrt(vel[j] / bc2) + cfg.eps)
-        if not all(np.isfinite(b).all() for b in blocks):
-            from .errors import NonFiniteError
-
-            raise NonFiniteError(f"training diverged at iteration {t}")
-        if t % cfg.record_every == 0 or t == cfg.iters:
-            trace.append((t, empirical_risk(current(), data, loss)))
-    return current(), trace
+            for t in range(start + 1, end + 1):
+                np.concatenate([g.ravel() for g in risk_gradient(current, data, loss)], out=grad)
+                lr = cfg.lr * cfg.decay_factor ** ((t - 1) // cfg.decay_every)
+                mom *= beta1
+                mom += (1.0 - beta1) * grad
+                vel *= beta2
+                vel += (1.0 - beta2) * grad * grad
+                theta -= lr * (mom / (1.0 - beta1**t)) / (np.sqrt(vel / (1.0 - beta2**t)) + eps)
+                if not np.isfinite(theta).all():
+                    raise NonFiniteError(f"training diverged at iteration {t}")
+        trace.append((end, empirical_risk(current, data, loss)))
+    return NetworkParams(*(v.copy() for v in views), params0.activation), trace
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +337,9 @@ class TrendConfig:
     seed: int = 0
     adam: AdamConfig = field(default_factory=AdamConfig)
     thresholds: StatThresholds = field(default_factory=StatThresholds)
+
+    def __post_init__(self):
+        _require_counts(self, "runs")
 
 
 def run_boundary_trend(config: TrendConfig) -> dict:

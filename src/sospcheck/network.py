@@ -303,6 +303,15 @@ def forward_batch(params: NetworkParams, inputs: np.ndarray, boundary_tol: float
 
     Preactivations within ``boundary_tol`` of zero are snapped to exactly zero.
     """
+    return forward_slopes(params, inputs, boundary_tol)[:3]
+
+
+def forward_slopes(params: NetworkParams, inputs: np.ndarray, boundary_tol: float = 0.0):
+    """``forward_batch`` plus the activation slopes ``hprime(preactivation)``.
+
+    The hidden output is formed as slope times preactivation, which equals
+    ``activation.h`` entry for entry, signed zeros included.
+    """
     if inputs.shape[1] != params.dims[0]:
         raise ShapeMismatchError(
             f"input dimension {inputs.shape[1]} does not match network d_x={params.dims[0]}"
@@ -310,9 +319,10 @@ def forward_batch(params: NetworkParams, inputs: np.ndarray, boundary_tol: float
     preact = inputs @ params.W1.T + params.b1  # (m, d_h)
     if boundary_tol > 0.0:
         preact = np.where(np.abs(preact) <= boundary_tol, 0.0, preact)
-    hidden = params.activation.h(preact)
+    slopes = params.activation.hprime(preact)
+    hidden = slopes * preact
     outputs = hidden @ params.W2.T + params.b2
-    return outputs, preact, hidden
+    return outputs, preact, hidden, slopes
 
 
 def forward(params: NetworkParams, x: np.ndarray):

@@ -72,3 +72,46 @@ def test_benchmark_module_attributes_exist():
                 if not hasattr(modules[node.value.id], node.attr):
                     missing.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert seen and missing == []
+
+
+def _constant(name, file):
+    (value,) = [
+        ast.literal_eval(node.value)
+        for node in _tree(file).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]
+    ]
+    return value
+
+
+def test_benchmark_training_settings_stay_valid():
+    from sospcheck.harness import AdamConfig
+
+    AdamConfig()  # desk_trained trains on the defaults
+    for name, file in [
+        ("LARGE_M_TRAIN_ITERS", "workloads.py"),
+        ("FLAT_RAYS_TRAIN_ITERS", "workloads.py"),
+        ("MEMORY_PASS_TRAIN_ITERS", "measure.py"),
+    ]:
+        iters = _constant(name, file)
+        assert AdamConfig(iters=iters, record_every=iters).iters == iters
+
+
+def test_one_risk_gradient_call_per_adam_iteration(monkeypatch):
+    # the traced benchmark counts harness.risk_gradient calls per training run
+    from sospcheck import harness
+
+    calls = []
+    original = harness.risk_gradient
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "risk_gradient", counting)
+    params = harness.init_params(3, 2, 1, seed=0)
+    data = harness.generate_dataset(3, 1, 20, seed=1)
+    for iters, record_every in [(1, 1), (37, 10), (50, 200)]:
+        calls.clear()
+        config = harness.AdamConfig(iters=iters, record_every=record_every)
+        harness.adam_train(params, data, config=config)
+        assert len(calls) == iters

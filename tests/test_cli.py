@@ -136,6 +136,26 @@ class TestTrainAndStats:
         assert agg["sum_k"] <= agg["sum_l"] <= agg["sum_m"]
 
 
+class TestInvalidTrainingSettings:
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["train", "--decay-every", "0"], "decay_every"),
+            (["train", "--iters", "0"], "iters"),
+            (["train", "--iters", "-3"], "iters"),
+            (["train", "--lr", "-1"], "lr"),
+            (["stats", "--runs", "0"], "runs"),
+            (["stats", "--iters", "0"], "iters"),
+        ],
+    )
+    def test_rejected_with_input_error(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
+
 class TestSynth:
     def test_smooth_fixture_certifies(self, tmp_path):
         params, data, out = (tmp_path / name for name in ("p.json", "d.json", "r.json"))

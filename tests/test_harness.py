@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from sospcheck.first_order import (
 )
 from sospcheck.harness import (
     AdamConfig,
+    TrendConfig,
     adam_train,
     boundary_statistics,
     construct_boundary_fosp,
@@ -22,6 +25,8 @@ from sospcheck.harness import (
     risk_gradient,
 )
 from sospcheck.network import (
+    RELU,
+    ActivationSpec,
     Dataset,
     NetworkParams,
     SquaredLoss,
@@ -51,6 +56,63 @@ class TestGenerateDataset:
         assert validate_general_position(generate_dataset(3, 1, 40, seed=2)).passed
 
 
+def _blocks(params):
+    return [params.W1, params.b1, params.W2, params.b2]
+
+
+def _reference_forward(blocks, activation, inputs):
+    w1, b1, w2, b2 = blocks
+    preact = inputs @ w1.T + b1
+    hidden = activation.h(preact)
+    return hidden @ w2.T + b2, preact, hidden
+
+
+def _reference_adam(params, data, loss, cfg):
+    """Blockwise Adam with the gradient written out; (blocks, risk trace)."""
+    from sospcheck.errors import NonFiniteError
+
+    act = params.activation
+    blocks = [b.copy() for b in _blocks(params)]
+    mom = [np.zeros_like(b) for b in blocks]
+    vel = [np.zeros_like(b) for b in blocks]
+    trace = []
+    for t in range(1, cfg.iters + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            outputs, preact, hidden = _reference_forward(blocks, act, data.inputs)
+            out_grads = loss.gradient(outputs, data.labels)
+            back = (out_grads @ blocks[2]) * act.hprime(preact)
+            grads = (
+                back.T @ data.inputs,
+                back.sum(axis=0),
+                out_grads.T @ hidden,
+                out_grads.sum(axis=0),
+            )
+            lr = cfg.lr * cfg.decay_factor ** ((t - 1) // cfg.decay_every)
+            for j, g in enumerate(grads):
+                mom[j] = cfg.beta1 * mom[j] + (1 - cfg.beta1) * g
+                vel[j] = cfg.beta2 * vel[j] + (1 - cfg.beta2) * g * g
+                m_hat = mom[j] / (1 - cfg.beta1**t)
+                v_hat = vel[j] / (1 - cfg.beta2**t)
+                blocks[j] = blocks[j] - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        if not all(np.isfinite(b).all() for b in blocks):
+            raise NonFiniteError(f"training diverged at iteration {t}")
+        if t % cfg.record_every == 0 or t == cfg.iters:
+            outputs = _reference_forward(blocks, act, data.inputs)[0]
+            trace.append((t, float(loss.value(outputs, data.labels))))
+    return blocks, trace
+
+
+def _assert_matches_reference(params, data, loss, cfg):
+    """The flat-vector loop reproduces the blockwise one bit for bit."""
+    trained, trace = adam_train(params, data, loss, cfg)
+    blocks, want = _reference_adam(params, data, loss, cfg)
+    for got, ref in zip(_blocks(trained), blocks):
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+    assert trace == want
+    return trace
+
+
 class TestAdam:
     def test_single_step_matches_hand_formula(self):
         params = init_params(2, 2, 1, seed=0)
@@ -71,23 +133,42 @@ class TestAdam:
         params = init_params(2, 1, 1, seed=3)
         data = generate_dataset(2, 1, 4, seed=4)
         cfg = AdamConfig(iters=5, record_every=5)
-        trained, _ = adam_train(params, data, config=cfg)
+        _assert_matches_reference(params, data, SquaredLoss(), cfg)
 
-        blocks = [params.W1.copy(), params.b1.copy(), params.W2.copy(), params.b2.copy()]
-        mom = [np.zeros_like(b) for b in blocks]
-        vel = [np.zeros_like(b) for b in blocks]
-        for t in range(1, 6):
-            cur = NetworkParams(*blocks, params.activation)
-            grads = risk_gradient(cur, data, SquaredLoss())
-            lr = cfg.lr * cfg.decay_factor ** ((t - 1) // cfg.decay_every)
-            for j, g in enumerate(grads):
-                mom[j] = cfg.beta1 * mom[j] + (1 - cfg.beta1) * g
-                vel[j] = cfg.beta2 * vel[j] + (1 - cfg.beta2) * g**2
-                m_hat = mom[j] / (1 - cfg.beta1**t)
-                v_hat = vel[j] / (1 - cfg.beta2**t)
-                blocks[j] = blocks[j] - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
-        for got, want in zip((trained.W1, trained.b1, trained.W2, trained.b2), blocks):
-            assert np.abs(got - want).max() <= 1e-12
+    @pytest.mark.parametrize(
+        "case",
+        ["decay_and_partial_record", "leaky_relu", "cosh_loss_two_outputs"],
+    )
+    def test_matches_reference_exactly(self, case):
+        from test_network import CoshLoss
+
+        cfg = AdamConfig(iters=300, decay_every=100, record_every=70)
+        loss, activation, d_y = SquaredLoss(), RELU, 1
+        if case == "leaky_relu":
+            activation = ActivationSpec(1.0, 0.1)
+        elif case == "cosh_loss_two_outputs":
+            loss, d_y = CoshLoss(), 2
+        params = init_params(3, 4, d_y, seed=11, activation=activation)
+        data = generate_dataset(3, d_y, 25, seed=12)
+        trace = _assert_matches_reference(params, data, loss, cfg)
+        # records every 70 steps, then the final partial segment
+        assert [t for t, _ in trace] == [70, 140, 210, 280, 300]
+
+    def test_start_is_not_modified_and_results_own_their_arrays(self):
+        params = init_params(3, 2, 1, seed=13)
+        data = generate_dataset(3, 1, 20, seed=14)
+        start = [b.copy() for b in _blocks(params)]
+        cfg = AdamConfig(iters=30, record_every=10)
+        first, _ = adam_train(params, data, config=cfg)
+        second, _ = adam_train(params, data, config=cfg)
+        for block, before in zip(_blocks(params), start):
+            assert np.array_equal(block, before)
+        arrays = _blocks(first) + _blocks(second) + _blocks(params)
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
+        for a, b in zip(_blocks(first), _blocks(second)):
+            assert np.array_equal(a, b)
 
     def test_zero_gradient_start_is_fixed(self):
         params = NetworkParams(
@@ -130,8 +211,55 @@ class TestAdam:
 
         params = init_params(2, 1, 1, seed=9)
         data = generate_dataset(2, 1, 5, seed=10)
-        with pytest.raises(NonFiniteError):
-            adam_train(params, data, config=AdamConfig(lr=1e200, iters=50, record_every=50))
+        cfg = AdamConfig(lr=1e200, iters=50, record_every=50)
+        with pytest.raises(NonFiniteError) as want:
+            _reference_adam(params, data, SquaredLoss(), cfg)
+        # overflow on the way to divergence is expected and must stay silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as got:
+                adam_train(params, data, config=cfg)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("training diverged at iteration ")
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("iters", 0),
+            ("iters", -3),
+            ("record_every", 0),
+            ("decay_every", 0),
+            ("lr", -1.0),
+            ("lr", 0.0),
+            ("lr", float("inf")),
+            ("lr", float("nan")),
+            ("eps", 0.0),
+            ("eps", float("nan")),
+            ("decay_factor", 0.0),
+            ("decay_factor", float("inf")),
+            ("beta1", -0.1),
+            ("beta1", 1.0),
+            ("beta1", float("nan")),
+            ("beta2", 1.0),
+            ("beta2", -1e-9),
+        ],
+    )
+    def test_adam_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AdamConfig(**{field: value})
+
+    def test_adam_config_accepts_edges(self):
+        AdamConfig()
+        AdamConfig(iters=1, record_every=1, decay_every=1, beta1=0.0, beta2=0.0)
+        AdamConfig(lr=1e200)  # the divergence test trains with it
+
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_trend_config_rejects_runs(self, runs):
+        with pytest.raises(ValueError, match="runs"):
+            TrendConfig(runs=runs)
+        TrendConfig(runs=1)
 
 
 class TestBoundaryStatistics:

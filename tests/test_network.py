@@ -19,6 +19,8 @@ from sospcheck.network import (
     empirical_risk,
     expansion_terms,
     forward,
+    forward_batch,
+    forward_slopes,
     per_sample_derivatives,
     scaling_direction,
     validate_general_position,
@@ -50,6 +52,15 @@ class TestActivation:
         act = ActivationSpec(1.0, 0.1)
         assert act.hprime(0.0) == 1.0
 
+    @pytest.mark.parametrize("act", [RELU, ActivationSpec(1.0, 0.1), ActivationSpec(0.5, 2.0)])
+    def test_slope_times_input_is_h_bit_for_bit(self, act):
+        # forward_slopes forms the hidden output this way
+        t = np.array([-np.inf, -2.5, -1e-300, -0.0, 0.0, 1e-300, 3.0, np.inf, np.nan])
+        with np.errstate(invalid="ignore"):
+            want, got = act.h(t), act.hprime(t) * t
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_invalid_slopes(self):
         with pytest.raises(ValueError):
             ActivationSpec(0.0, 0.0)
@@ -60,6 +71,15 @@ class TestActivation:
 
 
 class TestForward:
+    def test_batch_matches_activation_h(self):
+        params = init_params(3, 4, 2, seed=1, activation=ActivationSpec(1.0, 0.1))
+        inputs = generate_dataset(3, 2, 30, seed=2).inputs
+        outputs, preact, hidden, slopes = forward_slopes(params, inputs)
+        assert np.array_equal(hidden, params.activation.h(preact))
+        assert np.array_equal(slopes, params.activation.hprime(preact))
+        for got, want in zip(forward_batch(params, inputs), (outputs, preact, hidden)):
+            assert np.array_equal(got, want)
+
     def test_positive_branch(self):
         y, _, _ = forward(scalar_net(), np.array([2.0]))
         assert y[0] == 2.0
