@@ -12,12 +12,12 @@ flat ray, or free with both rays flat); joined in the order of
 assembly base, so only the boundary samples are summed per pattern.
 The equality-constrained QP is decided exactly by the spectrum of the
 projected form, and every T2/T3 witness is re-verified in the original
-coordinates. The first strict descent signal short-circuits the pipeline;
-the returned direction is always re-validated by an actual line search on
-the risk before it is reported. If every QP is strictly positive the point
-is a local minimum; if some QP has a nonzero flat direction and none has a
-negative one, the point is a second-order stationary point and a concrete
-flat witness is attached.
+coordinates. The first descent direction that passes an actual line search
+on the risk ends the pipeline with a descent verdict; the check raises
+NoDecreaseFoundError when no direction it may try passes. If every QP is
+strictly positive the point is a local minimum; if some QP has a nonzero
+flat direction and none has a negative one, the point is a second-order
+stationary point and a concrete flat witness is attached.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .first_order import (
 )
 from .linalg import DEFAULT_RANK_TOL
 from .network import (
+    BoundaryAnalysis,
     Dataset,
     LossModel,
     NetworkParams,
@@ -49,7 +50,9 @@ from .network import (
 )
 # solve_icqp stays bound here: benchmarks/tracer.py wraps it in this namespace
 from .second_order import (  # noqa: F401
+    DECISIONS,
     DEFAULT_ZERO_EIG_TOL,
+    IcqpBatch,
     assemble_so_qp,
     assembly_base,
     icqp_sweep,
@@ -147,6 +150,50 @@ def validate_descent(
     )
 
 
+def _icqp_record(
+    boundary: BoundaryAnalysis, pinned: np.ndarray, free: np.ndarray, batches: list[IcqpBatch]
+) -> dict:
+    """The trace record of the ICQP stage: the sweep's sign rows once, and
+    its decisions as columns with one entry per pattern decided.
+
+    Pattern n has the sign row ``sign_rows(pinned, free, n, n + 1)`` over
+    the boundary pairs named in ``pairs`` ("k,i"). ``lam_min_s`` and ``tol``
+    are None where no copositivity test ran. ``witness`` maps the index of
+    each T2/T3 pattern to the record of its re-verification, and ``counts``
+    counts the patterns per (verdict, psd, cp, cp_by).
+    """
+    codes = np.concatenate([batch.codes for batch in batches])
+    _, q, r = batches[0].reduction
+    record = {
+        "stage": "icqp",
+        "pairs": [f"{k},{i}" for k, i in zip(*boundary.pairs)],
+        "pinned": pinned.tolist(),
+        "free": free.tolist(),
+        "constraints": {"q": q, "r": r},
+    }
+    for col, (name, labels) in enumerate(DECISIONS.items()):
+        record[name] = np.array(labels, dtype=object)[codes[:, col]].tolist()
+    tested = codes[:, 2] >= 0
+    for name in ("lam_min_s", "tol"):
+        values = np.concatenate([getattr(batch.copositivity, name) for batch in batches])
+        record[name] = np.where(tested, values, None).tolist()
+    record["witness"], first = {}, 0
+    for batch in batches:
+        for j, ic in batch.witnessed.items():
+            record["witness"][first + j] = ic.diagnostics["witness"]
+        first += len(batch)
+    # "wrap" takes code -1 to the last name, None
+    dims = [len(labels) for labels in DECISIONS.values()]
+    counts = np.bincount(np.ravel_multi_index(codes.T, dims, mode="wrap"), minlength=np.prod(dims))
+    seen = np.flatnonzero(counts)
+    record["counts"] = [
+        {**{name: DECISIONS[name][c] for name, c in zip(DECISIONS, key)}, "n": n}
+        for key, n in zip(np.transpose(np.unravel_index(seen, dims)).tolist(),
+                          counts[seen].tolist())
+    ]
+    return record
+
+
 def sosp_check(
     params: NetworkParams,
     data: Dataset,
@@ -157,12 +204,22 @@ def sosp_check(
 
     Executes the full test pipeline and returns a verdict with a
     machine-readable stage trace in ``diagnostics`` (boundary counts, box-QP
-    solutions, flat-ray sets, QP verdicts and counts, timings). ``stage_s``
-    holds the wall seconds of each stage that ran: "derivatives" (per-sample
-    derivatives and boundary analysis), "first_order" (the outer-layer,
-    box-QP, increasing and smooth-gradient tests), "ecqp" (assembly base and
-    the equality-constrained QP) and "icqp" (the sign-pattern sweep); the
-    line search of a descent verdict is in ``elapsed`` only.
+    solutions, flat-ray sets, QP verdicts and counts, timings). The
+    outer-layer, box-QP and smooth-gradient entries record their zero test
+    as ``{value, scale, tol}``, passing when value <= tol. The sweep of the
+    sign patterns is one ``icqp`` record with a column per decision (see
+    ``_icqp_record``), not an entry per pattern. ``stage_s`` holds the wall
+    seconds of each stage that ran: "derivatives" (per-sample derivatives
+    and boundary analysis), "first_order" (the outer-layer, box-QP,
+    increasing and smooth-gradient tests), "ecqp" (assembly base and the
+    equality-constrained QP) and "icqp" (the sign-pattern sweep); line
+    searches are in ``elapsed`` only.
+
+    A unit's first-order descent direction that the line search rejects
+    is recorded as ``descent_rejected`` in its trace entry, and the check
+    goes on to the next unit's; it raises NoDecreaseFoundError only when
+    every such direction it found is rejected. The outer-layer direction,
+    and the second-order ones, are final.
     """
     loss = loss if loss is not None else SquaredLoss()
     cfg = config if config is not None else DEFAULT_CONFIG
@@ -170,11 +227,13 @@ def sosp_check(
     stage_s: dict[str, float] = {}
     last_lap = t_start
 
-    def lap(stage: str) -> None:
-        """Record the wall time since the previous lap as ``stage``'s."""
+    def lap(stage: str | None) -> None:
+        """Add the wall time since the previous lap to ``stage``'s (None: to
+        no stage's)."""
         nonlocal last_lap
         now = time.perf_counter()
-        stage_s[stage] = now - last_lap
+        if stage is not None:
+            stage_s[stage] = stage_s.get(stage, 0.0) + now - last_lap
         last_lap = now
 
     bundle = per_sample_derivatives(params, data, loss, cfg.boundary_tol)
@@ -210,12 +269,30 @@ def sosp_check(
             diagnostics=diagnostics,
         )
 
+    def margin(value: float, scale: float) -> dict:
+        """The ``{value, scale, tol}`` of a zero test ``value <= tol``."""
+        return {"value": float(value), "scale": float(scale), "tol": cfg.tol_zero * scale}
+
+    rejected = []
+
+    def unit_descent(stage: str, eta: Perturbation) -> Verdict | None:
+        """``finish_descent``, or None when the line search finds no decrease
+        along ``eta``: the later units' directions are tried before the
+        check gives up."""
+        try:
+            return finish_descent(stage, eta)
+        except NoDecreaseFoundError as exc:
+            lap(None)  # the line search belongs to no stage
+            trace[-1]["descent_rejected"] = str(exc)
+            rejected.append(exc)
+            return None
+
     outer = outer_layer_fosp(params, bundle, cfg.tol_zero)
     trace.append(
         {
             "stage": "outer_layer",
             "passed": outer.passed,
-            "gradient_norm": float(np.linalg.norm(outer.gradient)),
+            **margin(np.linalg.norm(outer.gradient), outer.scale),
         }
     )
     if not outer.passed:
@@ -236,6 +313,7 @@ def sosp_check(
                     "kkt_residual": qp_res.kkt_residual,
                     "iterations": qp_res.iterations,
                     "certified": certified,
+                    **margin(np.linalg.norm(qp_res.residual_vector), qp_res.scale),
                 }
             )
             s_stars[k] = qp_res.s_star.tolist()
@@ -243,7 +321,9 @@ def sosp_check(
                 v = np.zeros((d_h, d_x + 1))
                 v[k] = -qp_res.residual_vector
                 eta = Perturbation(np.zeros(d_y), np.zeros((d_y, d_h)), v)
-                return finish_descent("subdiff_qp", eta)
+                if (verdict := unit_descent("subdiff_qp", eta)) is not None:
+                    return verdict
+                continue
             inc = increasing_check(k, params, boundary, bundle, qp_res.s_star, cfg.tol_zero)
             trace.append(
                 {
@@ -259,7 +339,9 @@ def sosp_check(
                 v = np.zeros((d_h, d_x + 1))
                 v[k] = inc.descent_v
                 eta = Perturbation(np.zeros(d_y), np.zeros((d_y, d_h)), v)
-                return finish_descent("increasing", eta)
+                if (verdict := unit_descent("increasing", eta)) is not None:
+                    return verdict
+                continue
             pinned_by_unit.append(inc.pinned)
             free_by_unit.append(inc.free)
         else:
@@ -269,12 +351,18 @@ def sosp_check(
                     "stage": "smooth_gradient",
                     "k": k,
                     "passed": sm.passed,
-                    "gradient_norm": float(np.linalg.norm(sm.gradient)),
+                    **margin(np.linalg.norm(sm.gradient), sm.scale),
                 }
             )
             if not sm.passed:
-                return finish_descent("smooth_gradient", sm.descent)
+                if (verdict := unit_descent("smooth_gradient", sm.descent)) is not None:
+                    return verdict
 
+    if rejected:
+        raise NoDecreaseFoundError(
+            f"none of the {len(rejected)} first-order descent directions tried decreases "
+            f"the risk; the first: {rejected[0]}"
+        )
     pinned = np.concatenate([np.zeros(0, dtype=int), *pinned_by_unit])
     free = np.concatenate([np.zeros(0, dtype=bool), *free_by_unit])
     lap("first_order")
@@ -318,36 +406,24 @@ def sosp_check(
             raise PatternBudgetExceededError(
                 f"2^{n_free} sign patterns exceed the budget 2^{cfg.k_max}"
             )
-        names = [f"{k},{i}" for k, i in zip(*boundary.pairs)]
         diagnostics["n_patterns"] = 2**n_free
         sweep = icqp_sweep(
             base, ec, pinned, free, r_max=cfg.r_max, zero_tol=cfg.zero_eig_tol, rank_tol=cfg.rank_tol
         )
-        for idx, (signs, ic) in enumerate(sweep):
-            diagnostics["n_icqp"] += 1
-            _, q, r = ic.diagnostics["reduction"]
-            cp_diag = ic.diagnostics.get("copositivity", {})
-            trace.append(
-                {
-                    "stage": "icqp",
-                    "pattern_index": idx,
-                    "pattern": dict(zip(names, signs.tolist())),
-                    "verdict": ic.verdict,
-                    "constraints": {"q": q, "r": r},
-                    "psd": ic.diagnostics.get("psd"),
-                    "cp": ic.diagnostics.get("cp"),
-                    "cp_by": cp_diag.get("cp_by"),
-                    "lam_min_s": cp_diag.get("lam_min_s"),
-                    "tol": cp_diag.get("tol"),
-                    "witness": ic.diagnostics.get("witness"),
-                }
-            )
-            if ic.verdict == "T3":
-                return finish_descent("icqp", Perturbation.unpack(ic.witness, params.dims))
-            if ic.verdict == "T2" and flat_witness is None:
-                sosp_flag = True
-                flat_witness = Perturbation.unpack(ic.witness, params.dims)
-            sosp_flag = sosp_flag or ic.verdict == "T2"
+        batches, descent = [], None
+        for batch in sweep:
+            batches.append(batch)
+            diagnostics["n_icqp"] += len(batch)
+            for ic in batch.witnessed.values():
+                if ic.verdict == "T3":  # the last pattern of its batch
+                    descent = Perturbation.unpack(ic.witness, params.dims)
+                elif flat_witness is None:
+                    sosp_flag, flat_witness = True, Perturbation.unpack(ic.witness, params.dims)
+            if descent is not None:
+                break
+        trace.append(_icqp_record(boundary, pinned, free, batches))
+        if descent is not None:
+            return finish_descent("icqp", descent)
         lap("icqp")
 
     diagnostics["elapsed"] = time.perf_counter() - t_start

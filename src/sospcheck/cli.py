@@ -2,6 +2,7 @@
 
 Subcommands:
   check     load parameters + data, run the full certification, emit a JSON verdict
+            (--explain: then each tolerance-gated decision against its threshold)
   train     generate (or load) data, run full-batch Adam, save trained parameters
   stats     multi-seed training runs with boundary statistics, aggregate table
   synth     construct exact-boundary stationary fixtures
@@ -17,6 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+import numpy as np
 
 from . import harness
 from .checker import CheckConfig, sosp_check
@@ -43,6 +46,7 @@ from .harness import (
     save_json,
 )
 from .network import SquaredLoss
+from .second_order import sign_rows
 
 
 def _cmd_check(args) -> int:
@@ -61,7 +65,66 @@ def _cmd_check(args) -> int:
         json.dump(report, sys.stdout, indent=1)
         print()
     print(f"verdict: {verdict.kind}" + (f" (stage: {verdict.stage})" if verdict.stage else ""))
+    if args.explain:
+        print("\n".join(explain(json.loads(json.dumps(report)))))
     return 0
+
+
+# patterns and witnesses that ``check --explain`` lists, nearest to flipping first
+EXPLAIN_CLOSEST = 5
+
+
+def explain(report: dict) -> list[str]:
+    """The tolerance-gated decisions of a check report (as loaded from its
+    JSON), value against threshold: the first-order zero tests, the ECQP's
+    smallest eigenvalue, the ICQP counts per (verdict, psd, cp, cp_by), the
+    ``EXPLAIN_CLOSEST`` patterns whose lambda_min(S) lies nearest to +-tol,
+    with their sign rows, and as many witnesses nearest to their limit."""
+    lines = []
+    for e in report["diagnostics"]["trace"]:
+        name = e["stage"] + (f" unit {e['k']}" if "k" in e else "")
+        if "value" in e:
+            side = "<=" if e["value"] <= e["tol"] else ">"
+            lines.append(
+                f"{name}: {e['value']:.3e} {side} tol {e['tol']:.3e} (scale {e['scale']:.3e})"
+            )
+        elif e["stage"] == "ecqp":
+            lam = "none (null(A) = {0})" if e["lam_min"] is None else f"{e['lam_min']:.3e}"
+            lines.append(f"ecqp: lambda_min {lam} against +-tol {e['tol']:.3e} -> {e['verdict']}")
+        elif e["stage"] == "icqp":
+            lines += _explain_icqp(e)
+    return lines
+
+
+def _explain_icqp(record: dict) -> list[str]:
+    """The lines of :func:`explain` for the ``icqp`` record of a report."""
+    n_patterns, pairs = len(record["verdict"]), " ".join(record["pairs"])
+    lines = [f"icqp: sign patterns decided {n_patterns}, pairs {pairs}"]
+    for c in record["counts"]:
+        cp = f" {c['cp']} by {c['cp_by']}" if c["cp"] is not None else ""
+        lines.append(f"  {c['n']:>6} x {c['verdict']} {c['psd']}{cp}")
+    pinned, free = np.array(record["pinned"]), np.array(record["free"])
+
+    def signs(n: int) -> str:
+        return " ".join(f"{s:+d}" for s in sign_rows(pinned, free, n, n + 1)[0].tolist())
+
+    tested = [(n, lam, tol) for n, (lam, tol) in enumerate(zip(record["lam_min_s"], record["tol"]))
+              if lam is not None]
+    near = sorted(tested, key=lambda t: (min(abs(t[1] - t[2]), abs(t[1] + t[2])) / t[2], t[0]))
+    for n, lam, tol in near[:EXPLAIN_CLOSEST]:
+        lines.append(f"  pattern {n} [{signs(n)}]: lambda_min(S) {lam:.3e} against +-tol {tol:.3e}"
+                     f" -> {record['cp'][n]} by {record['cp_by'][n]}")
+
+    def nearness(w: dict) -> float:  # 1 at the limit
+        sizes = sorted([abs(w["curvature"]), abs(w["threshold"])])
+        return sizes[0] / sizes[1] if sizes[1] else 1.0
+
+    witnesses = sorted(record["witness"].items(), key=lambda kv: -nearness(kv[1]))
+    for n, w in witnesses[:EXPLAIN_CLOSEST]:
+        n = int(n)
+        lines.append(f"  pattern {n} [{signs(n)}] {record['verdict'][n]} witness: curvature"
+                     f" {w['curvature']:.3e} against {w['threshold']:.3e} ({w['by']})")
+    return lines
 
 
 def _cmd_train(args) -> int:
@@ -162,6 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--data", required=True)
     p_check.add_argument("--out", default=None)
     p_check.add_argument("--boundary-tol", type=float, default=0.0)
+    p_check.add_argument(
+        "--explain",
+        action="store_true",
+        help="after the verdict, print each tolerance-gated decision against its threshold",
+    )
     p_check.set_defaults(func=_cmd_check)
 
     p_train = sub.add_parser("train", help="full-batch Adam training")

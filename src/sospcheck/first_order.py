@@ -51,6 +51,7 @@ class OuterLayerResult:
     passed: bool
     gradient: np.ndarray  # (d_y, d_h + 1): [sum grad_i O_i^T, sum grad_i]
     descent: Perturbation | None
+    scale: float  # the zero test is ||gradient|| <= tol_zero * scale
 
 
 def outer_layer_fosp(
@@ -68,13 +69,13 @@ def outer_layer_fosp(
     grad = bundle.grads.T @ aug  # (d_y, d_h + 1)
     scale = max(1.0, float(np.linalg.norm(bundle.grads, axis=1) @ np.linalg.norm(aug, axis=1)))
     if np.linalg.norm(grad) <= tol_zero * scale:
-        return OuterLayerResult(True, grad, None)
+        return OuterLayerResult(True, grad, None, scale)
     descent = Perturbation(
         delta2_bias=-grad[:, d_h],
         delta2_matrix=-grad[:, :d_h],
         v=np.zeros((d_h, d_x + 1)),
     )
-    return OuterLayerResult(False, grad, descent)
+    return OuterLayerResult(False, grad, descent, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +88,7 @@ class SmoothUnitResult:
     passed: bool
     gradient: np.ndarray  # (d_x + 1,): C_k^T W2[:, k]
     descent: Perturbation | None
+    scale: float  # the zero test is ||gradient|| <= tol_zero * scale
 
 
 def inner_layer_fosp_smooth(
@@ -101,11 +103,11 @@ def inner_layer_fosp_smooth(
     grad = boundary.C[k].T @ w
     scale = max(1.0, float(np.linalg.norm(boundary.C[k]) * np.linalg.norm(w)))
     if np.linalg.norm(grad) <= tol_zero * scale:
-        return SmoothUnitResult(True, grad, None)
+        return SmoothUnitResult(True, grad, None, scale)
     v = np.zeros((d_h, d_x + 1))
     v[k] = -grad
     descent = Perturbation(np.zeros(d_y), np.zeros((d_y, d_h)), v)
-    return SmoothUnitResult(False, grad, descent)
+    return SmoothUnitResult(False, grad, descent, scale)
 
 
 # ---------------------------------------------------------------------------

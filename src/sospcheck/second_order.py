@@ -54,9 +54,15 @@ from it: one batched PSD-block test and one stacked eigendecomposition of
 the Schur complements for the positive definite certificate, and the
 simplex rule on the stack of the complements it is left to; only the
 Pareto spectra are handled pattern by pattern. A pattern's own p x p form
-is assembled only to verify its witness, when the pattern is consumed, and
-``verify_witness`` settles most witnesses with a bound on ||Q||_2. Each
-pattern costs O(r^2 p + r^3) beyond the point's O(p^2 K).
+is assembled only to verify its witness, and ``verify_witness`` settles most
+witnesses with a bound on ||Q||_2. Each pattern costs O(r^2 p + r^3) beyond
+the point's O(p^2 K). The sweep yields its decisions as columns
+(:class:`IcqpBatch`): per pattern the codes of its verdict, PSD kind,
+copositivity kind and rule (named by ``DECISIONS``), lambda_min(S) and the
+zero threshold, and a :class:`QPClassification` only for a pattern with a
+witness, so a T1 pattern costs no Python object. ``solve_icqp``,
+``classify_psd_block`` and ``copositivity_classify`` are the one-row views
+of the same code.
 """
 
 from __future__ import annotations
@@ -116,6 +122,19 @@ PGD_MAX_ITERS = 10_000
 PGD_DIV_FACTOR = 1e8
 PGD_CONV_FACTOR = 1e-12
 PGD_FIXED_POINT_TOL = 1e-12
+# the names of the decision codes of an IcqpBatch, one tuple per column of
+# its ``codes``; code -1 picks the last name, None: the copositivity test did
+# not run, because R22 decided (PD3 or PD4)
+DECISIONS = {
+    "verdict": ("T1", "T2", "T3"),
+    "psd": ("PD1", "PD2", "PD3", "PD4"),
+    "cp": ("CP1", "CP2", "CP3", None),
+    "cp_by": ("pd_certificate", "zero_diagonal", "simplex_bound", "pareto", None),
+}
+_T1, _T2, _T3 = range(3)
+_PD1, _PD2, _PD3, _PD4 = range(4)
+_CP1, _CP2, _CP3 = range(3)
+_BY_PD, _BY_ZERO_DIAGONAL, _BY_SIMPLEX, _BY_PARETO = range(4)
 
 
 def _symmetric_form(q_mat: np.ndarray) -> np.ndarray:
@@ -785,23 +804,25 @@ class PsdBlockResult:
     witness_nu2: np.ndarray | None  # negative direction (PD4) or null vector (PD2/PD3)
 
 
-def _psd_blocks(face: SpectrumOracle, r12: np.ndarray, tols: np.ndarray) -> list[PsdBlockResult]:
+def _psd_blocks(
+    face: SpectrumOracle, r12: np.ndarray, tols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """:func:`classify_psd_block` of a stack of R12 (n, r, n2), with one
     threshold per block, by one batched product with the face's null
-    vectors."""
-    dec = face.decomposition
+    vectors: the code of each block's kind (in ``DECISIONS["psd"]``) and the
+    column of the face's eigenvectors that is its ``witness_nu2`` (-1 for
+    PD1)."""
+    n = len(r12)
     if face.verdict == "T3":
-        return [PsdBlockResult("PD4", dec.eigenvectors[:, 0])] * len(r12)
+        return np.full(n, _PD4), np.zeros(n, dtype=int)
     if face.verdict == "T1":
-        return [PsdBlockResult("PD1", None)] * len(r12)
-    null_basis = dec.eigenvectors[:, np.abs(dec.eigenvalues) <= face.tol]
-    norms = np.linalg.norm(r12 @ null_basis, axis=1)
+        return np.full(n, _PD1), np.full(n, -1)
+    dec = face.decomposition
+    null = np.flatnonzero(np.abs(dec.eigenvalues) <= face.tol)
+    norms = np.linalg.norm(r12 @ dec.eigenvectors[:, null], axis=1)
     best = norms.argmax(axis=1)
-    seen = norms[np.arange(len(r12)), best] > tols
-    return [
-        PsdBlockResult("PD3", null_basis[:, j]) if hit else PsdBlockResult("PD2", null_basis[:, 0])
-        for j, hit in zip(best, seen)
-    ]
+    seen = norms[np.arange(n), best] > tols
+    return np.where(seen, _PD3, _PD2), null[np.where(seen, best, 0)]
 
 
 def classify_psd_block(face: SpectrumOracle, r12: np.ndarray, tol: float) -> PsdBlockResult:
@@ -813,7 +834,9 @@ def classify_psd_block(face: SpectrumOracle, r12: np.ndarray, tol: float) -> Psd
     for a null vector z of the face (the form is then unbounded below), the
     z that R12 sees most, and PD2 otherwise (flat directions only).
     """
-    return _psd_blocks(face, require_finite(r12, "R12")[None], np.array([tol]))[0]
+    kind, col = _psd_blocks(face, require_finite(r12, "R12")[None], np.array([tol]))
+    witness = face.decomposition.eigenvectors[:, col[0]] if col[0] >= 0 else None
+    return PsdBlockResult(DECISIONS["psd"][kind[0]], witness)
 
 
 # ---------------------------------------------------------------------------
@@ -1042,37 +1065,82 @@ def _pareto_decision(s_mat: np.ndarray, tol: float, r_max: int, diag: dict) -> C
     return CopositivityResult("CP2", flat.vector, lam_min, pairs, diag)
 
 
+@dataclass(frozen=True)
+class CopositivityColumns:
+    """The copositivity decisions of a stack of n Schur complements S, one
+    entry per S, with no object per S: the codes of the kind and of the rule
+    that decided it (in ``DECISIONS["cp"]`` and ``DECISIONS["cp_by"]``, -1
+    where S was not tested), the CP2/CP3 witness (zero elsewhere), and the
+    simplex rule's lower bound and value (NaN where that rule did not run).
+    The Pareto decisions are kept whole, by place in the stack."""
+
+    kind: np.ndarray  # (n,)
+    by: np.ndarray  # (n,)
+    witness: np.ndarray  # (n, r)
+    lam_min_s: np.ndarray  # (n,) lambda_min(S)
+    tol: np.ndarray  # (n,) zero threshold
+    simplex: np.ndarray  # (n, 2) simplex lower bound and value
+    pareto: dict  # place -> CopositivityResult
+
+    def result(self, j: int) -> CopositivityResult:
+        """The :class:`CopositivityResult` of S number j, which was tested."""
+        if j in self.pareto:
+            return self.pareto[j]
+        kind = DECISIONS["cp"][self.kind[j]]
+        diag = {
+            "cp_by": DECISIONS["cp_by"][self.by[j]],
+            **_cp_diagnostics(self.lam_min_s[j], self.tol[j], self.simplex[j]),
+        }
+        witness = None if kind == "CP1" else self.witness[j]
+        return CopositivityResult(kind, witness, None, None, diag)
+
+
+def _cp_diagnostics(lam_min_s: float, tol: float, simplex: np.ndarray) -> dict:
+    """lambda_min(S), the zero threshold and, where it ran (not NaN), the
+    simplex rule's lower bound and value."""
+    diag = {"lam_min_s": float(lam_min_s), "tol": float(tol)}
+    if not np.isnan(simplex[0]):
+        diag.update(simplex_lower=float(simplex[0]), simplex_value=float(simplex[1]))
+    return diag
+
+
 def _copositivities(
-    s_mats: np.ndarray, lam_min: np.ndarray, tols: np.ndarray, r_max: int
-) -> list[CopositivityResult]:
-    """Decide copositivity of a stack of S (n, r, r), given lambda_min and the
-    zero threshold of each, by the first of the rules of
-    :func:`copositivity_classify` that applies. The simplex rule runs on the
-    stack of the S that it is left to at once."""
-    diags = [{"lam_min_s": lam, "tol": tol} for lam, tol in zip(lam_min.tolist(), tols.tolist())]
-    results: list[CopositivityResult | None] = [None] * len(s_mats)
-
-    def decide(j: int, kind: str, witness: np.ndarray | None, by: str) -> None:
-        results[j] = CopositivityResult(kind, witness, None, None, {"cp_by": by, **diags[j]})
-
+    s_mats: np.ndarray, lam_min: np.ndarray, tols: np.ndarray, r_max: int, tested: np.ndarray
+) -> CopositivityColumns:
+    """Decide copositivity of the S ``tested`` of a stack (n, r, r), given
+    lambda_min and the zero threshold of each, by the first of the rules of
+    :func:`copositivity_classify` that applies. The first two rules decide
+    the stack at once, and the simplex rule runs on the stack of the S that
+    it is left to; only its solves, and the Pareto spectra, run one S at a
+    time."""
+    n, r = s_mats.shape[:2]
+    kind, by = np.full(n, -1), np.full(n, -1)
+    witness, simplex = np.zeros((n, r)), np.full((n, 2), np.nan)
     flat = np.diagonal(s_mats, axis1=1, axis2=2) <= tols[:, None]
-    within = (lam_min <= tols) & (lam_min >= -tols)
-    for j in np.flatnonzero(lam_min > tols):
-        decide(j, "CP1", None, "pd_certificate")
-    for j in np.flatnonzero(within & flat.any(axis=1)):
-        decide(j, "CP2", np.eye(s_mats.shape[-1])[np.argmax(flat[j])], "zero_diagonal")
-    simplex = np.flatnonzero(within & ~flat.any(axis=1))
-    if simplex.size:
-        for j, lower, x, value in zip(simplex, *_simplex_bounds(s_mats[simplex])):
-            diags[j].update(simplex_lower=float(lower), simplex_value=float(value))
-            if lower > tols[j]:
-                decide(j, "CP1", None, "simplex_bound")
-            elif value <= tols[j] * float(x @ x):
-                decide(j, "CP2", x / np.linalg.norm(x), "simplex_bound")
-    return [
-        res if res is not None else _pareto_decision(s_mats[j], float(tols[j]), r_max, diags[j])
-        for j, res in enumerate(results)
-    ]
+    within = tested & (lam_min <= tols) & (lam_min >= -tols)
+    certified = tested & (lam_min > tols)
+    kind[certified], by[certified] = _CP1, _BY_PD
+    zero = np.flatnonzero(within & flat.any(axis=1))
+    kind[zero], by[zero] = _CP2, _BY_ZERO_DIAGONAL
+    witness[zero, flat[zero].argmax(axis=1)] = 1.0
+    rest = np.flatnonzero(within & ~flat.any(axis=1))
+    if rest.size:
+        lower, xs, value = _simplex_bounds(s_mats[rest])
+        simplex[rest, 0], simplex[rest, 1] = lower, value
+        for j, x in zip(rest.tolist(), xs):
+            if simplex[j, 0] > tols[j]:
+                kind[j], by[j] = _CP1, _BY_SIMPLEX
+            elif simplex[j, 1] <= tols[j] * float(x @ x):
+                kind[j], by[j] = _CP2, _BY_SIMPLEX
+                witness[j] = x / np.linalg.norm(x)
+    pareto = {}
+    for j in np.flatnonzero(tested & (kind < 0)).tolist():
+        diag = _cp_diagnostics(lam_min[j], tols[j], simplex[j])
+        pareto[j] = res = _pareto_decision(s_mats[j], float(tols[j]), r_max, diag)
+        kind[j], by[j] = DECISIONS["cp"].index(res.kind), _BY_PARETO
+        if res.witness is not None:
+            witness[j] = res.witness
+    return CopositivityColumns(kind, by, witness, lam_min, tols, simplex, pareto)
 
 
 def copositivity_classify(s_mat: np.ndarray, r_max: int = 20) -> CopositivityResult:
@@ -1109,12 +1177,47 @@ def copositivity_classify(s_mat: np.ndarray, r_max: int = 20) -> CopositivityRes
     _require_symmetric_pairs(s_mat)
     tol = DEFAULT_CP_TOL * max(1.0, float(np.abs(s_mat).max(initial=0.0)))
     lam_min_s = float(np.linalg.eigvalsh(0.5 * (s_mat + s_mat.T))[0]) if r else float("nan")
-    return _copositivities(s_mat[None], np.array([lam_min_s]), np.array([tol]), r_max)[0]
+    columns = _copositivities(
+        s_mat[None], np.array([lam_min_s]), np.array([tol]), r_max, np.ones(1, dtype=bool)
+    )
+    return columns.result(0)
 
 
 # ---------------------------------------------------------------------------
 # Full inequality-constrained solver and the per-point pattern sweep
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class IcqpBatch:
+    """The decisions of consecutive sign patterns of one point, one entry per
+    pattern, with an object only for the patterns that have a witness.
+
+    ``codes`` holds each pattern's verdict, PSD kind, copositivity kind and
+    copositivity rule as codes into the names of ``DECISIONS``, in that
+    order; ``copositivity`` holds lambda_min(S) and the copositivity zero
+    threshold of every pattern (read them only where the cp code is not -1).
+    ``witnessed`` maps the place in the batch of every T2/T3 pattern to its
+    :class:`QPClassification`, whose witness has been verified; a batch ends
+    at its first T3.
+    """
+
+    reduction: tuple[int, int, int]  # (p, q, r)
+    codes: np.ndarray  # (n, 4) int
+    copositivity: CopositivityColumns
+    witnessed: dict  # place in the batch -> QPClassification
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def diagnostics(self, j: int) -> dict:
+        """The ``diagnostics`` of the classification of pattern j, without
+        its witness record."""
+        diag = {"psd": DECISIONS["psd"][self.codes[j, 1]], "reduction": self.reduction}
+        if self.codes[j, 2] >= 0:
+            cp = self.copositivity.result(j)
+            diag.update(cp=cp.kind, min_pareto=cp.min_pareto, copositivity=cp.diagnostics)
+        return diag
 
 
 def _pd3_ray(q_mat: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -1134,20 +1237,21 @@ def _pd3_ray(q_mat: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _decide_icqps(
     calc: PatternCalculus, signs: np.ndarray, forms_of, r_max: int, zero_tol: float
-) -> Iterator[QPClassification]:
-    """Decide n cones of ``calc``'s frame in order: B of cone j is
-    diag(signs[j]) b0, and ``forms_of(idx)`` assembles the forms Q of the
-    cones ``idx``, shape (len(idx), p, p).
+) -> Iterator[IcqpBatch]:
+    """Decide n cones of ``calc``'s frame in order, and yield them as
+    :class:`IcqpBatch` es: B of cone j is diag(signs[j]) b0, and
+    ``forms_of(idx)`` assembles the forms Q of the cones ``idx``, shape
+    (len(idx), p, p).
 
     R11, R12 and S, the scale, the PSD blocks and lambda_min(S) are formed
     for the whole stack at once, from the calculus. The rest runs a segment
     at a time, each ending at the next cone that can be T3 (PD3, PD4, or
-    lambda_min(S) below -tol): the other copositivity rules, with the
-    simplex rule on the segment's stack, and the forms of the cones with a
-    witness, ``PATTERN_CHUNK`` form entries at a time (one cone at least),
-    the first time one of them is needed. No other form is assembled. Each
-    witness is verified when its cone is consumed, so a consumer that stops
-    at a T3 pays for nothing after it, and no cone after it can raise.
+    lambda_min(S) below -tol), and each segment is one batch: the other
+    copositivity rules, with the simplex rule on the segment's stack, and
+    the witnesses of the segment's T2/T3 cones, whose forms are assembled
+    ``PATTERN_CHUNK`` form entries at a time (one cone at least). No other
+    form is assembled, and no object is built for a T1 cone. A consumer that
+    stops at a T3 pays for nothing after it, and no cone after it can raise.
     """
     frame = calc.frame
     face, t0 = frame.face, frame.t0
@@ -1157,58 +1261,56 @@ def _decide_icqps(
         np.maximum(np.abs(r11).max(axis=(1, 2)), np.abs(r12).max(axis=(1, 2), initial=0.0)),
         np.abs(face.decomposition.eigenvalues).max(initial=0.0),
     )
-    psds = _psd_blocks(face, r12, zero_tol * scale)
+    psd, psd_col = _psd_blocks(face, r12, zero_tol * scale)
     # S decides only where R22 is PD1 or PD2
     lam_min = np.linalg.eigvalsh(schur)[:, 0]
     cp_tol = DEFAULT_CP_TOL * np.maximum(1.0, np.abs(schur).max(axis=(1, 2)))
-    ray = np.array([psd.kind in ("PD3", "PD4") for psd in psds])
-    ends = np.flatnonzero(ray | (lam_min < -cp_tol)) + 1
+    tested = psd < _PD3
+    ends = sorted({*(np.flatnonzero(~tested | (lam_min < -cp_tol)) + 1).tolist(), len(signs)})
     form_step = max(1, PATTERN_CHUNK // (p * p))
-    start = 0
-    for stop in sorted({*ends.tolist(), len(psds)}):
-        open_ = [j for j in range(start, stop) if not ray[j]]
-        if open_ and r > r_max:
+    start, at = 0, 0
+    while start < len(signs):
+        seg = slice(start, ends[at])
+        if tested[seg].any() and r > r_max:
             raise SubsetBudgetExceededError(f"r={r} exceeds the subset budget r_max={r_max}")
-        cps = dict(zip(open_, _copositivities(schur[open_], lam_min[open_], cp_tol[open_], r_max)))
-        verdicts = {
-            j: "T3" if j not in cps or cps[j].kind == "CP3"
-            else "T1" if psds[j].kind == "PD1" and cps[j].kind == "CP1" else "T2"
-            for j in range(start, stop)
-        }
-        witnessed = [j for j, verdict in verdicts.items() if verdict != "T1"]
+        cps = _copositivities(schur[seg], lam_min[seg], cp_tol[seg], r_max, tested[seg])
+        t3 = ~tested[seg] | (cps.kind == _CP3)
+        if t3[:-1].any():  # a CP3 that lambda_min(S) did not announce ends the segment
+            ends.insert(at, start + int(t3.argmax()) + 1)
+            continue
+        verdict = np.where(t3, _T3, np.where((psd[seg] == _PD1) & (cps.kind == _CP1), _T1, _T2))
+        codes = np.column_stack([verdict, psd[seg], cps.kind, cps.by])
+        batch = IcqpBatch((p, q, r), codes, cps, {})
+        witnessed = (start + np.flatnonzero(verdict != _T1)).tolist()
         forms: dict = {}
-        for j, verdict in verdicts.items():
-            psd, cp, sigma = psds[j], cps.get(j), signs[j]
-            diag = {"psd": psd.kind, "reduction": (p, q, r)}
-            if cp is not None:
-                diag.update(cp=cp.kind, min_pareto=cp.min_pareto, copositivity=cp.diagnostics)
-            if verdict == "T1":
-                yield QPClassification("T1", None, diag)
-                continue
+        for j in witnessed:
             if j not in forms:
-                at = witnessed.index(j)
-                idx = witnessed[at : at + form_step]
+                idx = witnessed[witnessed.index(j) :][:form_step]
                 forms = dict(zip(idx, forms_of(idx)))
-            form = forms[j]
-            if psd.kind == "PD3":
-                z = psd.witness_nu2
+            place, sigma = j - start, signs[j]
+            diag = batch.diagnostics(place)
+            if psd[j] == _PD3:
+                z = face.decomposition.eigenvectors[:, psd_col[j]]
                 image = r12[j] @ z
                 i = int(np.argmax(np.abs(image)))
                 diag["pd3_cross"] = float(image[i])
-                eta = _pd3_ray(form, sigma[i] * t0[:, i], face.basis @ z)
+                eta = _pd3_ray(forms[j], sigma[i] * t0[:, i], face.basis @ z)
             else:
-                if cp is not None and (cp.kind == "CP3" or psd.kind == "PD1"):
-                    nu1 = cp.witness  # lift the Schur witness
+                kind = cps.kind[place]
+                if kind == _CP3 or (kind >= 0 and psd[j] == _PD1):
+                    nu1 = cps.witness[place]  # lift the Schur witness
                     root = frame.face_root
                     nu2 = -(root @ (frame.face_sign * (root.T @ (r12[j].T @ nu1))))
                 else:  # PD4's negative direction, or a flat null vector of a PD2 R22
-                    nu1, nu2 = np.zeros(r), psd.witness_nu2
+                    nu1, nu2 = np.zeros(r), face.decomposition.eigenvectors[:, psd_col[j]]
                 eta = t0 @ np.concatenate([sigma * nu1, nu2])
             eta = eta / np.linalg.norm(eta)
+            name = DECISIONS["verdict"][verdict[place]]
             b_mat = sigma[:, None] * frame.b0
-            diag["witness"] = verify_witness(form, frame.a, b_mat, eta, verdict)
-            yield QPClassification(verdict, eta, diag)
-        start = stop
+            diag["witness"] = verify_witness(forms[j], frame.a, b_mat, eta, name)
+            batch.witnessed[place] = QPClassification(name, eta, diag)
+        yield batch
+        start, at = ends[at], at + 1
 
 
 def solve_icqp(
@@ -1229,16 +1331,19 @@ def solve_icqp(
     complement R11 - R12 R22^+ R12^T (:func:`copositivity_classify`'s rules)
     decides between T1 (strict, with R22 positive definite), T3 (CP3) and
     T2. Witnesses are re-verified in original coordinates, and the record of
-    that test is kept as ``diagnostics["witness"]``. This is the pattern
-    sweep's decision (:func:`icqp_sweep`) on the stack of one cone, with no
-    free pair (K = 0).
+    that test is kept as ``diagnostics["witness"]``. This is the one-row
+    view of the pattern sweep's decision (:func:`icqp_sweep`): the batch of
+    one cone, with no free pair (K = 0).
     """
     r = qp.shape[2]
     if r == 0:
         raise ValueError("no inequality rows; use the equality-constrained path")
     face = projected_spectrum_oracle(qp.Q, np.vstack([qp.A, qp.B]), zero_tol)
     calc = _calculus(icqp_frame(qp, rank_tol, face), qp.Q)
-    return next(_decide_icqps(calc, np.ones((1, r)), lambda idx: qp.Q[None], r_max, zero_tol))
+    batch = next(_decide_icqps(calc, np.ones((1, r)), lambda idx: qp.Q[None], r_max, zero_tol))
+    if 0 in batch.witnessed:
+        return batch.witnessed[0]
+    return QPClassification("T1", None, batch.diagnostics(0))
 
 
 def sign_rows(pinned: np.ndarray, free: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -1261,10 +1366,11 @@ def icqp_sweep(
     r_max: int = 20,
     zero_tol: float = DEFAULT_ZERO_EIG_TOL,
     rank_tol: float = DEFAULT_RANK_TOL,
-) -> Iterator[tuple[np.ndarray, QPClassification]]:
+) -> Iterator[IcqpBatch]:
     """Decide the inequality-constrained QP of every sign pattern of a point,
-    in the order of :func:`sign_rows`; yield (sign row, classification) for
-    each.
+    in the order of :func:`sign_rows`; yield the decisions of consecutive
+    patterns as :class:`IcqpBatch` es, so that pattern n of the sweep is the
+    one of sign row ``sign_rows(pinned, free, n, n + 1)``.
 
     ``pinned`` and ``free`` hold one entry per boundary pair, in the order
     of a sign row. ``face`` is the :func:`projected_spectrum_oracle` of the
@@ -1278,7 +1384,7 @@ def icqp_sweep(
     on stacks of at most ``PATTERN_CHUNK`` entries of their reduced rows
     [R11 R12], r x (p - q) each (one pattern at least), so the working
     memory does not grow with the number of patterns. A consumer that stops
-    at a T3 skips the rest.
+    at a T3, which ends its batch, skips the rest.
     """
     d_h = base.params.dims[1]
     signed = (np.asarray(pinned) != 0) | free
@@ -1293,4 +1399,4 @@ def icqp_sweep(
         def forms_of(idx, rows=rows):
             return _symmetric_form(base.forms(rows[idx]))
 
-        yield from zip(rows, _decide_icqps(calc, rows[:, signed], forms_of, r_max, zero_tol))
+        yield from _decide_icqps(calc, rows[:, signed], forms_of, r_max, zero_tol)

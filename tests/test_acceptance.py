@@ -291,13 +291,14 @@ def test_criterion_6_stage_accounting():
     point = construct_boundary_fosp(3, 1, 1, seed=2, mode="orthogonal")
     v1 = sosp_check(point.params, point.data)
     stages = [t["stage"] for t in v1.diagnostics["trace"]]
+    (icqp,) = [t for t in v1.diagnostics["trace"] if t["stage"] == "icqp"]
     ok_k1 = (
         v1.diagnostics["K"] == 1
         and v1.diagnostics["L"] == 1
         and v1.diagnostics["n_ecqp"] == 1
         and (v1.kind == "descent" or v1.diagnostics["n_icqp"] == 2)
         and stages.count("ecqp") == v1.diagnostics["n_ecqp"]
-        and stages.count("icqp") == v1.diagnostics["n_icqp"]
+        and len(icqp["verdict"]) == v1.diagnostics["n_icqp"]
     )
     report(6, "stage-accounting", ok_l0 and ok_k1,
            f"L=0 counts ({v0.diagnostics['n_ecqp']},{v0.diagnostics['n_icqp']}), "

@@ -115,3 +115,52 @@ def test_one_risk_gradient_call_per_adam_iteration(monkeypatch):
         config = harness.AdamConfig(iters=iters, record_every=record_every)
         harness.adam_train(params, data, config=config)
         assert len(calls) == iters
+
+
+# the trace keys ``workloads.work_counts`` and ``workloads.guard_certify``
+# read, by stage; a missing one crashes ``run.py`` (``--trace 1`` for the
+# counters) instead of failing a test
+TRACE_READS = {
+    "outer_layer": {"stage", "passed"},
+    "subdiff_qp": {"stage", "certified", "iterations"},
+    "ecqp": {"stage", "iterations", "fallback"},
+    "icqp": {"stage", "cp", "constraints"},
+}
+DIAGNOSTICS_READS = {"trace", "n_icqp", "n_ecqp"}
+
+
+def test_trace_reads_are_listed():
+    read = set()
+    for fn in _tree("workloads.py").body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("work_counts", "guard_certify"):
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Subscript)
+                    and isinstance(node.slice, ast.Constant)
+                    and isinstance(node.slice.value, str)
+                    and not (
+                        isinstance(node.value, ast.Name) and node.value.id in ("counts", "expect")
+                    )
+                ):
+                    read.add(node.slice.value)
+    listed = set().union(*TRACE_READS.values(), DIAGNOSTICS_READS, {"r"})
+    assert read and read <= listed
+
+
+def test_a_k1_verdict_has_every_key_the_benchmark_reads():
+    from sospcheck.checker import sosp_check
+    from sospcheck.harness import construct_boundary_fosp
+
+    point = construct_boundary_fosp(
+        5, 2, 1, seed=10, n_boundary=3, units=[0, 0, 1], mode="orthogonal"
+    )
+    verdict = sosp_check(point.params, point.data)
+    diag = verdict.diagnostics
+    assert diag["K"] >= 1 and DIAGNOSTICS_READS <= set(diag)
+    stages = set()
+    for entry in diag["trace"]:
+        stages.add(entry["stage"])
+        assert TRACE_READS.get(entry["stage"], set()) <= set(entry)
+    assert set(TRACE_READS) <= stages
+    (icqp,) = [entry for entry in diag["trace"] if entry["stage"] == "icqp"]
+    assert icqp["cp"] is not None and type(icqp["constraints"]["r"]) is int

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from dataclasses import asdict
 from itertools import product
@@ -11,6 +12,7 @@ from sospcheck.errors import (
     InternalInconsistencyError,
     PatternBudgetExceededError,
 )
+from sospcheck.first_order import outer_layer_fosp
 from sospcheck.harness import (
     construct_boundary_fosp,
     construct_indefinite_fosp,
@@ -42,6 +44,27 @@ def scalar_net():
 
 def trace_stages(verdict):
     return [t["stage"] for t in verdict.diagnostics["trace"]]
+
+
+def icqp_patterns(verdict):
+    """The ICQP record of a verdict as one dict per pattern decided: its
+    decisions, margin, witness record (None without one) and sign row."""
+    records = [t for t in verdict.diagnostics["trace"] if t["stage"] == "icqp"]
+    if not records:
+        return []
+    (record,) = records
+    columns = ("verdict", "psd", "cp", "cp_by", "lam_min_s", "tol")
+    n = verdict.diagnostics["n_icqp"]
+    assert all(len(record[name]) == n for name in columns)
+    pinned, free = np.array(record["pinned"]), np.array(record["free"])
+    return [
+        {
+            **{name: record[name][i] for name in columns},
+            "witness": record["witness"].get(i),
+            "signs": sign_rows(pinned, free, i, i + 1)[0].tolist(),
+        }
+        for i in range(n)
+    ]
 
 
 class TestKnownVerdicts:
@@ -138,6 +161,70 @@ class TestDescentStages:
         verdict = sosp_check(point.params, point.data)
         assert verdict.kind == "descent" and verdict.stage == "icqp"
         assert verdict.step is not None
+
+
+class TestRejectedUnitDescents:
+    """A unit's first-order direction that the line search rejects does not
+    end the check while a later unit's direction may still validate."""
+
+    @staticmethod
+    def _point():
+        # boundary samples on units 0 and 1; the labels shifted off the span
+        # of [hidden_i, 1] keep the outer-layer gradient zero and leave both
+        # box QPs uncertified
+        point = construct_boundary_fosp(4, 2, 1, seed=3, n_boundary=2, units=[0, 1])
+        params, data = point.params, point.data
+        hidden = params.activation.h(data.inputs @ params.W1.T + params.b1)
+        basis = np.column_stack([hidden, np.ones(data.m)])
+        shift = np.random.default_rng(0).standard_normal(data.m)
+        shift -= basis @ np.linalg.lstsq(basis, shift, rcond=None)[0]
+        return params, Dataset(data.inputs, data.labels + 0.1 * shift[:, None])
+
+    @staticmethod
+    def _reject(monkeypatch, calls):
+        """Make ``validate_descent`` find no decrease on the calls numbered in
+        ``calls`` (from 0)."""
+        import sospcheck.checker as checker_module
+        from sospcheck.errors import NoDecreaseFoundError
+
+        seen = []
+        original = checker_module.validate_descent
+
+        def planted(*args, **kwargs):
+            seen.append(None)
+            if len(seen) - 1 in calls:
+                raise NoDecreaseFoundError("planted rejection")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(checker_module, "validate_descent", planted)
+        return seen
+
+    def test_the_next_unit_direction_is_tried(self, monkeypatch):
+        params, data = self._point()
+        first = sosp_check(params, data)
+        assert (first.kind, first.stage) == ("descent", "subdiff_qp")
+        assert first.direction.v[0].any() and not first.direction.v[1].any()
+        seen = self._reject(monkeypatch, {0})
+        verdict = sosp_check(params, data)
+        assert len(seen) == 2
+        assert (verdict.kind, verdict.stage) == ("descent", "subdiff_qp")
+        assert not verdict.direction.v[0].any() and verdict.direction.v[1].any()
+        assert empirical_risk(params.perturbed(verdict.direction, verdict.step), data,
+                              SquaredLoss()) < empirical_risk(params, data, SquaredLoss())
+        units = [e for e in verdict.diagnostics["trace"] if e["stage"] == "subdiff_qp"]
+        assert [e["certified"] for e in units] == [False, False]
+        assert units[0]["descent_rejected"] == "planted rejection"
+        assert "descent_rejected" not in units[1]
+        assert set(verdict.diagnostics["stage_s"]) == {"derivatives", "first_order"}
+
+    def test_raises_when_every_direction_is_rejected(self, monkeypatch):
+        from sospcheck.errors import NoDecreaseFoundError
+
+        params, data = self._point()
+        seen = self._reject(monkeypatch, {0, 1})
+        with pytest.raises(NoDecreaseFoundError, match="none of the 2 first-order descent"):
+            sosp_check(params, data)
+        assert len(seen) == 2
 
 
 class TestMultiUnitBoundaries:
@@ -283,6 +370,29 @@ class TestPipelineInvariants:
             verdict = sosp_check(params, data)
             assert verdict.kind == "descent"
             assert trace_stages(verdict)[-1] == verdict.stage
+
+    def test_first_order_zero_tests_record_their_margins(self):
+        # an interior fixture (unit 0 on the boundary, unit 1 smooth) and one
+        # whose box QP does not certify zero
+        loss = SquaredLoss()
+        seen = set()
+        for mode in ("interior", "subdiff_descent"):
+            point = construct_boundary_fosp(3, 2, 1, seed=1, mode=mode)
+            verdict = sosp_check(point.params, point.data)
+            bundle = per_sample_derivatives(point.params, point.data, loss)
+            outer = outer_layer_fosp(point.params, bundle)
+            for e in verdict.diagnostics["trace"]:
+                if e["stage"] not in ("outer_layer", "subdiff_qp", "smooth_gradient"):
+                    continue
+                seen.add(e["stage"])
+                assert e["tol"] == 1e-8 * e["scale"] and e["scale"] >= 1.0
+                assert e.get("passed", e.get("certified")) == (e["value"] <= e["tol"])
+                if e["stage"] == "outer_layer":
+                    assert e["value"] == np.linalg.norm(outer.gradient)
+                    assert e["scale"] == outer.scale
+                elif e["stage"] == "subdiff_qp":
+                    assert e["value"] == pytest.approx(np.sqrt(e["objective"]), rel=1e-12)
+        assert seen == {"outer_layer", "subdiff_qp", "smooth_gradient"}
 
     def test_verdict_invariant_under_unit_rescaling(self):
         cases = [
@@ -431,14 +541,13 @@ class TestIcqpStage:
     def test_matches_a_fresh_solve_per_pattern(self):
         point = self._point()
         verdict = sosp_check(point.params, point.data)
-        entries = [e for e in verdict.diagnostics["trace"] if e["stage"] == "icqp"]
+        entries = icqp_patterns(verdict)
         assert len(entries) == 2 ** verdict.diagnostics["K"] == 8
         loss = SquaredLoss()
         boundary = boundary_analysis(point.params, point.data, loss)
         want = []
-        for idx, entry in enumerate(entries):
-            signs = list(entry["pattern"].values())  # in the order of a sign row
-            qp = assemble_so_qp(point.params, point.data, loss, boundary, signs)
+        for entry in entries:
+            qp = assemble_so_qp(point.params, point.data, loss, boundary, entry["signs"])
             res = solve_icqp(qp)
             want.append((res.verdict, res.diagnostics.get("psd"), res.diagnostics.get("cp")))
         assert [(e["verdict"], e["psd"], e["cp"]) for e in entries] == want
@@ -446,8 +555,7 @@ class TestIcqpStage:
 
     def test_trace_records_the_copositivity_path_and_margin(self):
         point = self._point()
-        verdict = sosp_check(point.params, point.data)
-        entries = [e for e in verdict.diagnostics["trace"] if e["stage"] == "icqp"]
+        entries = icqp_patterns(sosp_check(point.params, point.data))
         assert {e["cp_by"] for e in entries} == {"pd_certificate", "simplex_bound"}
         for e in entries:
             assert e["tol"] >= 1e-9
@@ -458,8 +566,7 @@ class TestIcqpStage:
 
     def test_trace_records_how_each_witness_passed(self):
         point = self._point()
-        entries = [e for e in sosp_check(point.params, point.data).diagnostics["trace"]
-                   if e["stage"] == "icqp"]
+        entries = icqp_patterns(sosp_check(point.params, point.data))
         flat = [e for e in entries if e["verdict"] == "T2"]
         assert flat and all(e["witness"] is None for e in entries if e["verdict"] == "T1")
         for e in flat:
@@ -522,6 +629,48 @@ class TestIcqpStage:
         assert verdict.diagnostics["n_icqp"] == 8
         assert len(calls) == 1
 
+    def test_k12_sweep_records_columns_and_builds_no_object(self, monkeypatch):
+        # a local minimum with K = 12: 4,096 patterns, every one T1
+        from sospcheck.second_order import CopositivityResult, PsdBlockResult, QPClassification
+
+        point = construct_boundary_fosp(
+            d_x=14, d_h=2, d_y=1, seed=224, n_boundary=12, units=[0] * 6 + [1] * 6,
+            mode="orthogonal", max_attempts=1,
+        )
+        built = Counter()
+        for cls in (QPClassification, CopositivityResult, PsdBlockResult):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        verdict = sosp_check(point.params, point.data)
+        monkeypatch.undo()
+        assert built == {}
+        assert (verdict.kind, verdict.diagnostics["n_icqp"]) == ("local_minimum", 4096)
+
+        report = json.dumps(verdict.as_dict())
+        assert len(report) <= 500_000
+        plain = (dict, list, str, int, float, bool, type(None))
+        stack = [verdict.as_dict()]
+        while stack:
+            item = stack.pop()
+            assert type(item) in plain, type(item)
+            if isinstance(item, (dict, list)):
+                stack.extend(item.values() if isinstance(item, dict) else item)
+
+        loss = SquaredLoss()
+        boundary = boundary_analysis(point.params, point.data, loss)
+        entries = icqp_patterns(verdict)
+        for entry in entries[::64]:
+            qp = assemble_so_qp(point.params, point.data, loss, boundary, entry["signs"])
+            res = solve_icqp(qp)
+            cp = res.diagnostics["copositivity"]
+            assert (entry["verdict"], entry["psd"], entry["cp"], entry["cp_by"]) == (
+                res.verdict, res.diagnostics["psd"], res.diagnostics["cp"], cp["cp_by"])
+            assert entry["lam_min_s"] == pytest.approx(cp["lam_min_s"], rel=1e-10)
+            assert entry["tol"] == pytest.approx(cp["tol"], rel=1e-12)
+
 
 class TestOrthogonalCandidates:
     def test_every_candidate_fixture_gets_a_verdict(self):
@@ -540,8 +689,7 @@ class TestOrthogonalCandidates:
                     continue
                 verdict = sosp_check(point.params, point.data)
                 kinds.append(verdict.kind)
-                icqps += [(e["verdict"], e["psd"], e["cp"])
-                          for e in verdict.diagnostics["trace"] if e["stage"] == "icqp"]
+                icqps += [(e["verdict"], e["psd"], e["cp"]) for e in icqp_patterns(verdict)]
         assert len(kinds) >= 150
         assert set(kinds) <= {"local_minimum", "sosp", "descent"}
         # the verdicts, PSD kinds and copositivity kinds that the ICQP stage

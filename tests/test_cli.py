@@ -1,11 +1,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from sospcheck.checker import CheckConfig, sosp_check
 from sospcheck.cli import main
 from sospcheck.harness import dataset_from_dict, load_json, params_from_dict
+from sospcheck.second_order import sign_rows
 
 
 @pytest.fixture
@@ -95,9 +97,55 @@ class TestReportJson:
         increasing = [e for e in diag["trace"] if e["stage"] == "increasing"]
         assert [e["flat_sets"] for e in increasing] == [flat_sets]
         icqps = [e for e in diag["trace"] if e["stage"] == "icqp"]
-        assert len(icqps) == (2**k if l else 0)
+        assert len(icqps) == (1 if l else 0)
+        assert diag["n_icqp"] == (2**k if l else 0)
         for entry in icqps:
-            assert all(type(sign) is int for sign in entry["pattern"].values())
+            assert len(entry["verdict"]) == diag["n_icqp"]
+            assert all(type(sign) is int for sign in entry["pinned"])
+            assert all(type(flag) is bool for flag in entry["free"])
+            for n in range(diag["n_icqp"]):
+                row = sign_rows(np.array(entry["pinned"]), np.array(entry["free"]), n, n + 1)[0]
+                assert all(type(sign) is int for sign in row.tolist())
+
+    def test_explain_prints_each_decision_from_the_report(self, tmp_path, capsys):
+        from sospcheck.cli import explain
+        from sospcheck.harness import (
+            construct_boundary_fosp,
+            dataset_to_dict,
+            params_to_dict,
+            save_json,
+        )
+
+        # K = 3: eight patterns, four of them with a flat witness
+        point = construct_boundary_fosp(
+            5, 2, 1, seed=10, n_boundary=3, units=[0, 0, 1], mode="orthogonal"
+        )
+        params, data, out = (tmp_path / name for name in ("p.json", "d.json", "r.json"))
+        save_json(params, params_to_dict(point.params))
+        save_json(data, dataset_to_dict(point.data))
+        argv = ["check", "--params", str(params), "--data", str(data), "--out", str(out)]
+        assert main(argv + ["--explain"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        with open(out, encoding="utf-8") as fh:
+            report = json.load(fh)
+        lines = explain(report)
+        assert printed == ["verdict: sosp", *lines]
+        assert [line.split(":")[0] for line in lines[:4]] == [
+            "outer_layer", "subdiff_qp unit 0", "subdiff_qp unit 1", "ecqp"]
+        assert all(" <= tol " in line for line in lines[:3])
+        (record,) = [e for e in report["diagnostics"]["trace"] if e["stage"] == "icqp"]
+        counts = [line for line in lines if " x T" in line]
+        assert sum(int(line.split(" x ")[0]) for line in counts) == 8
+        patterns = [line for line in lines if "lambda_min(S)" in line]
+        witnesses = [line for line in lines if "witness" in line]
+        assert len(patterns) == 5 and len(witnesses) == len(record["witness"]) == 4
+        gaps = [min(abs(lam - tol), abs(lam + tol)) / tol
+                for lam, tol in zip(record["lam_min_s"], record["tol"])]
+        printed_order = [int(line.split()[1]) for line in patterns]
+        assert printed_order == sorted(range(8), key=lambda n: (gaps[n], n))[:5]
+        nearest = printed_order[0]
+        row = sign_rows(np.array(record["pinned"]), np.array(record["free"]), nearest, nearest + 1)
+        assert f"[{' '.join(f'{s:+d}' for s in row[0].tolist())}]" in patterns[0]
 
 
 class TestTrainAndStats:

@@ -923,6 +923,18 @@ class TestPatternCalculus:
         self._assert_matches_the_oracles(setup)
 
 
+def _patterns(sweep):
+    """The batches of a pattern sweep one pattern at a time: its index, the
+    names of its (verdict, psd, cp, cp_by) codes, and its classification if
+    it has a witness, else None."""
+    n = 0
+    for batch in sweep:
+        for j, codes in enumerate(batch.codes.tolist()):
+            names = tuple(labels[c] for labels, c in zip(second_order.DECISIONS.values(), codes))
+            yield n + j, names, batch.witnessed.get(j)
+        n += len(batch)
+
+
 class TestIcqpSweep:
     """The pattern sweep against a fresh solve of each pattern's own cone."""
 
@@ -940,18 +952,18 @@ class TestIcqpSweep:
         # both rays of every boundary sample are flat at these fixtures
         free = np.ones(boundary.total, dtype=bool)
         kinds = []
-        for row, res in second_order.icqp_sweep(base, face, zero.astype(int), free):
+        sweep = second_order.icqp_sweep(base, face, zero.astype(int), free)
+        for n, got, res in _patterns(sweep):
+            row = second_order.sign_rows(zero, free, n, n + 1)[0]
             qp = second_order.assemble_so_qp(
                 point.params, point.data, loss, boundary, row, base=base
             )
             fresh = solve_icqp(qp)
-            got, want = (
-                (c.verdict, c.diagnostics["psd"], c.diagnostics.get("cp"),
-                 c.diagnostics.get("copositivity", {}).get("cp_by"))
-                for c in (res, fresh)
-            )
+            want = (fresh.verdict, fresh.diagnostics["psd"], fresh.diagnostics.get("cp"),
+                    fresh.diagnostics.get("copositivity", {}).get("cp_by"))
             assert got == want
-            if res.witness is not None:
+            assert (res is None) == (got[0] == "T1")
+            if res is not None:
                 second_order.verify_witness(qp.Q, qp.A, qp.B, res.witness, res.verdict)
             kinds.append(got)
         assert len(kinds) == 2**boundary.total
@@ -997,10 +1009,10 @@ class TestIcqpSweep:
         )
         setup = _sweep_setup(point)
         assembled = self._count_forms(monkeypatch)
-        sweep = list(
+        sweep = list(_patterns(
             second_order.icqp_sweep(setup.base, setup.frame.face, setup.pinned, setup.free)
-        )
-        witnessed = [tuple(row.tolist()) for row, res in sweep if res.witness is not None]
+        ))
+        witnessed = [tuple(setup.rows[n].tolist()) for n, _, res in sweep if res is not None]
         assert len(sweep) == 128 and len(witnessed) == n_witnesses
         assert assembled == witnessed
 
@@ -1025,13 +1037,17 @@ class TestIcqpSweep:
 
         setup = _sweep_setup(_k7_point())
         args = (setup.base, setup.frame.face, setup.pinned, setup.free)
-        want = [res.witness is not None for _, res in second_order.icqp_sweep(*args)]
+        want = [res is not None for *_, res in _patterns(second_order.icqp_sweep(*args))]
+        # a batch ends at a chunk's end: one pattern per chunk, one per batch
+        monkeypatch.setattr(
+            second_order, "PATTERN_CHUNK", setup.frame.b0.shape[0] * setup.frame.t0.shape[1]
+        )
         seen = []
         self._failing(monkeypatch, lambda verdict: seen.append(verdict) or len(seen) == 2)
         reached = []
         with pytest.raises(InternalInconsistencyError, match="planted failure"):
-            for _, res in second_order.icqp_sweep(*args):
-                reached.append(res.witness is not None)
+            for *_, res in _patterns(second_order.icqp_sweep(*args)):
+                reached.append(res is not None)
         # every pattern before the second witnessed one was yielded
         assert reached == want[: [i for i, w in enumerate(want) if w][1]]
 
@@ -1044,13 +1060,41 @@ class TestIcqpSweep:
         seen = []
         self._failing(monkeypatch, lambda verdict: "T3" in seen or seen.append(verdict))
         sweep = second_order.icqp_sweep(setup.base, setup.frame.face, setup.pinned, setup.free)
-        _, first = next(sweep)
-        assert first.verdict == "T3" and len(setup.rows) == 2
+        first = next(sweep)
+        assert len(first) == 1 and first.witnessed[0].verdict == "T3" and len(setup.rows) == 2
         seen.clear()
         verdict = sosp_check(point.params, point.data)
         diag = verdict.diagnostics
         assert (verdict.kind, verdict.stage, diag["n_icqp"]) == ("descent", "icqp", 1)
         assert seen == ["T3"]
+
+    def test_a_cp3_that_lambda_min_did_not_announce_ends_its_batch(self, monkeypatch):
+        # a segment ends at the patterns whose R22 or lambda_min(S) < -tol can
+        # make them T3; a CP3 inside one (which interlacing rules out up to
+        # rounding) is planted on pattern 2 of the K = 3 fixture, all PD1
+        setup = _sweep_setup(_k3_point())
+        args = (setup.base, setup.frame.face, setup.pinned, setup.free)
+        want = [names for _, names, _ in _patterns(second_order.icqp_sweep(*args))]
+        target = setup.calc.reduce(setup.signs)[2][2]
+        original = second_order._copositivities
+
+        def planted(s_mats, *rest):
+            columns = original(s_mats, *rest)
+            for j, s_mat in enumerate(s_mats):
+                if np.array_equal(s_mat, target):
+                    columns.kind[j], columns.by[j] = 2, 3  # CP3 by pareto
+                    columns.witness[j] = np.eye(len(s_mat))[0]
+            return columns
+
+        monkeypatch.setattr(second_order, "_copositivities", planted)
+        record = {"curvature": -1.0, "threshold": 0.0, "by": "bound"}
+        monkeypatch.setattr(second_order, "verify_witness", lambda *args: record)
+        batches = list(second_order.icqp_sweep(*args))
+        assert [len(batch) for batch in batches] == [3, 5]
+        assert [res.verdict for res in batches[0].witnessed.values()][-1] == "T3"
+        got = [names for _, names, _ in _patterns(batches)]
+        assert got[2] == ("T3", "PD1", "CP3", "pareto")
+        assert got[:2] + got[3:] == want[:2] + want[3:]
 
 
 
