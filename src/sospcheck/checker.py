@@ -22,6 +22,7 @@ stationary point and a concrete flat witness is attached.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -35,7 +36,6 @@ from .first_order import (
     outer_layer_fosp,
     solve_subdiff_qp,
 )
-from .linalg import DEFAULT_RANK_TOL
 from .network import (
     BoundaryAnalysis,
     Dataset,
@@ -64,7 +64,8 @@ from .second_order import (  # noqa: F401
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Tolerances and budgets threaded through a check.
+    """Tolerances and budgets threaded through a check; invalid values raise
+    ValueError.
 
     Nothing in a check is random, so these fields are all a rerun needs;
     every verdict records them under ``diagnostics["config"]``.
@@ -72,12 +73,24 @@ class CheckConfig:
 
     boundary_tol: float = 0.0
     tol_zero: float = DEFAULT_TOL_ZERO
-    rank_tol: float = DEFAULT_RANK_TOL
     zero_eig_tol: float = DEFAULT_ZERO_EIG_TOL
     k_max: int = 16
     r_max: int = 20
     gamma0: float = 1e-2
     gamma_halvings: int = 40
+
+    def __post_init__(self):
+        if not (math.isfinite(self.boundary_tol) and self.boundary_tol >= 0.0):
+            raise ValueError(
+                f"boundary_tol must be finite and nonnegative, got {self.boundary_tol}"
+            )
+        for name in ("tol_zero", "zero_eig_tol", "gamma0"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name in ("k_max", "r_max", "gamma_halvings"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 DEFAULT_CONFIG = CheckConfig()
@@ -237,9 +250,7 @@ def sosp_check(
         last_lap = now
 
     bundle = per_sample_derivatives(params, data, loss, cfg.boundary_tol)
-    boundary = boundary_analysis(
-        params, data, loss, cfg.boundary_tol, bundle=bundle, rank_tol=cfg.rank_tol
-    )
+    boundary = boundary_analysis(params, data, loss, cfg.boundary_tol, bundle=bundle)
     lap("derivatives")
     d_x, d_h, d_y = params.dims
     trace: list[dict] = []
@@ -407,9 +418,7 @@ def sosp_check(
                 f"2^{n_free} sign patterns exceed the budget 2^{cfg.k_max}"
             )
         diagnostics["n_patterns"] = 2**n_free
-        sweep = icqp_sweep(
-            base, ec, pinned, free, r_max=cfg.r_max, zero_tol=cfg.zero_eig_tol, rank_tol=cfg.rank_tol
-        )
+        sweep = icqp_sweep(base, ec, pinned, free, r_max=cfg.r_max, zero_tol=cfg.zero_eig_tol)
         batches, descent = [], None
         for batch in sweep:
             batches.append(batch)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -49,14 +50,25 @@ from .network import SquaredLoss
 from .second_order import sign_rows
 
 
-def _cmd_check(args) -> int:
+class _InputError(SospcheckError):
+    """Input that a command cannot use; ``main`` reports it with exit code 2."""
+
+
+@contextmanager
+def _input(what: str):
+    """Turn a failure to read or validate ``what`` into an :class:`_InputError`."""
     try:
+        yield
+    except (OSError, KeyError, ValueError, SospcheckError) as exc:
+        raise _InputError(f"{what}: {exc}") from exc
+
+
+def _cmd_check(args) -> int:
+    with _input("could not load inputs"):
         params = params_from_dict(load_json(args.params))
         data = dataset_from_dict(load_json(args.data))
-    except (OSError, KeyError, ValueError, SospcheckError) as exc:
-        print(f"error: could not load inputs: {exc}", file=sys.stderr)
-        return 2
-    config = CheckConfig(boundary_tol=args.boundary_tol)
+    with _input("invalid settings"):
+        config = CheckConfig(boundary_tol=args.boundary_tol)
     verdict = sosp_check(params, data, SquaredLoss(), config)
     report = {"schema_version": harness.SCHEMA_VERSION, **verdict.as_dict()}
     if args.out:
@@ -128,17 +140,11 @@ def _explain_icqp(record: dict) -> list[str]:
 
 
 def _cmd_train(args) -> int:
-    try:
+    with _input("invalid settings"):
         cfg = AdamConfig(lr=args.lr, iters=args.iters, decay_every=args.decay_every)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if args.data:
-        try:
+        with _input("could not load data"):
             data = dataset_from_dict(load_json(args.data))
-        except (OSError, KeyError, ValueError, SospcheckError) as exc:
-            print(f"error: could not load data: {exc}", file=sys.stderr)
-            return 2
     else:
         data = generate_dataset(args.dx, args.dy, args.m, seed=args.seed)
     params0 = init_params(data.d_x, args.dh, data.d_y, seed=args.seed + 10_000)
@@ -154,7 +160,7 @@ def _cmd_stats(args) -> int:
     iters = 200_000 if args.full_budget else args.iters
     decay = 20_000 if args.full_budget else args.decay_every
     runs = 40 if args.full_budget else args.runs
-    try:
+    with _input("invalid settings"):
         cfg = TrendConfig(
             d_x=args.dx,
             d_h=args.dh,
@@ -165,9 +171,6 @@ def _cmd_stats(args) -> int:
             adam=AdamConfig(iters=iters, decay_every=decay),
             thresholds=StatThresholds(boundary=args.boundary_tol),
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     agg = run_boundary_trend(cfg)
     header = f"({args.dx},{args.dh},{args.m})"
     print(f"{'config':>15} {'runs':>5} {'Sum M (Avg.)':>16} {'Sum L (Avg.)':>16} "
@@ -232,30 +235,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.set_defaults(func=_cmd_check)
 
-    p_train = sub.add_parser("train", help="full-batch Adam training")
-    p_train.add_argument("--dx", type=int, default=10)
-    p_train.add_argument("--dh", type=int, default=1)
-    p_train.add_argument("--dy", type=int, default=1)
-    p_train.add_argument("--m", type=int, default=1000)
-    p_train.add_argument("--iters", type=int, default=20_000)
-    p_train.add_argument("--decay-every", type=int, default=2_000)
+    # the problem size and training schedule that train and stats share
+    training = argparse.ArgumentParser(add_help=False)
+    for flag, default in (("--dx", 10), ("--dh", 1), ("--dy", 1), ("--m", 1000),
+                          ("--iters", 20_000), ("--decay-every", 2_000), ("--seed", 0)):
+        training.add_argument(flag, type=int, default=default)
+
+    p_train = sub.add_parser("train", help="full-batch Adam training", parents=[training])
     p_train.add_argument("--lr", type=float, default=1e-3)
-    p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--data", default=None, help="load data instead of generating")
     p_train.add_argument("--save-data", default=None)
     p_train.add_argument("--out", required=True)
     p_train.set_defaults(func=_cmd_train)
 
-    p_stats = sub.add_parser("stats", help="multi-seed boundary statistics")
-    p_stats.add_argument("--dx", type=int, default=10)
-    p_stats.add_argument("--dh", type=int, default=1)
-    p_stats.add_argument("--dy", type=int, default=1)
-    p_stats.add_argument("--m", type=int, default=1000)
+    p_stats = sub.add_parser("stats", help="multi-seed boundary statistics", parents=[training])
     p_stats.add_argument("--runs", type=int, default=10)
-    p_stats.add_argument("--iters", type=int, default=20_000)
-    p_stats.add_argument("--decay-every", type=int, default=2_000)
     p_stats.add_argument("--boundary-tol", type=float, default=1e-5)
-    p_stats.add_argument("--seed", type=int, default=0)
     p_stats.add_argument("--out", default=None)
     p_stats.add_argument(
         "--full-budget",

@@ -34,7 +34,7 @@ from .first_order import (
     outer_layer_fosp,
     solve_subdiff_qp,
 )
-from .linalg import matrix_rank, nullspace_basis
+from .linalg import nullspace_basis
 from .network import (
     RELU,
     ActivationSpec,
@@ -44,7 +44,6 @@ from .network import (
     SquaredLoss,
     boundary_analysis,
     empirical_risk,
-    forward_batch,
     forward_slopes,
     per_sample_derivatives,
 )
@@ -249,10 +248,6 @@ def boundary_statistics(
     boundary = boundary_analysis(
         params, data, loss, thr.boundary, bundle=bundle, enforce_general_position=False
     )
-    gp_ok = all(  # the rule an enforcing boundary_analysis raises on
-        len(rows) <= params.dims[0] and matrix_rank(rows) == len(rows)
-        for rows in boundary.boundary_xbar
-    )
 
     act = params.activation
     lo, hi = act.box
@@ -298,18 +293,16 @@ def boundary_statistics(
     verdict_dict = None
     if full_check:
         from .checker import CheckConfig, sosp_check
-        from .errors import (
-            GeneralPositionViolationError as _GPV,
-            InternalInconsistencyError,
-            NoDecreaseFoundError,
-        )
+        from .errors import InternalInconsistencyError, NoDecreaseFoundError
 
         try:
             verdict = sosp_check(
                 params, data, loss, CheckConfig(boundary_tol=thr.boundary)
             )
             verdict_dict = {"kind": verdict.kind, "stage": verdict.stage}
-        except (NoDecreaseFoundError, InternalInconsistencyError, _GPV) as exc:
+        except (
+            NoDecreaseFoundError, InternalInconsistencyError, GeneralPositionViolationError
+        ) as exc:
             verdict_dict = {"kind": "error", "detail": str(exc)}
     return RunReport(
         final_risk=empirical_risk(params, data, loss),
@@ -319,7 +312,7 @@ def boundary_statistics(
         edge_count=edge_count,
         qp_objectives=qp_objectives,
         per_unit=per_unit,
-        general_position_ok=gp_ok,
+        general_position_ok=all(boundary.general_position),
         elapsed=time.perf_counter() - t0,
         verdict=verdict_dict,
     )
@@ -568,7 +561,7 @@ def construct_boundary_fosp(
                 break
         if not ok:
             continue
-        outputs, preact, _ = forward_batch(params, inputs)
+        outputs, preact, _, _ = forward_slopes(params, inputs)
         mask = np.zeros((m, d_h), dtype=bool)
         for b, k in enumerate(units):
             mask[b, k] = True

@@ -6,7 +6,8 @@ signs canonicalized) so they can be used in golden tests, and the routines
 double as independent oracles for the QP solvers elsewhere in the package.
 Each job has one routine: a pseudo-inverse comes from the
 :class:`EigenDecomposition` a caller already holds, cut at its own zero
-threshold, and a projection onto null(A) is ``W W^T``, W = nullspace_basis(A).
+threshold, a projection onto null(A) is ``W W^T``, W = nullspace_basis(A),
+and a symmetry check, of one matrix or a stack, is :func:`symmetric_part`.
 
 All rank decisions funnel through a single relative threshold,
 ``DEFAULT_RANK_TOL``, so the numerical meaning of "rank" is auditable in one
@@ -32,17 +33,21 @@ def require_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
     return out
 
 
-def _require_symmetric(m: np.ndarray, name: str) -> np.ndarray:
+def symmetric_part(m: np.ndarray, name: str, rtol: float) -> np.ndarray:
+    """The exactly symmetric part 0.5 (M + M^T) of a square matrix, or of
+    each matrix of a stack (..., n, n).
+
+    Raises NonFiniteError on NaN/Inf, and NonSymmetricError unless every
+    matrix is square with max |M - M^T| <= rtol * max(1, max |M|).
+    """
     m = require_finite(m, name)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NonSymmetricError(f"{name} must be square, got shape {m.shape}")
-    if m.size == 0:
-        return m
-    tol = 1e-10 * max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > tol:
-        raise NonSymmetricError(f"{name} is not symmetric within {tol:.3e}")
-    # Work on the exactly-symmetric part so LAPACK sees a clean input.
-    return 0.5 * (m + m.T)
+    m_t = np.swapaxes(m, -1, -2)
+    tol = rtol * np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+    if (np.abs(m - m_t).max(axis=(-2, -1), initial=0.0) > tol).any():
+        raise NonSymmetricError(f"{name} is not symmetric within {rtol:.0e} relative")
+    return 0.5 * (m + m_t)
 
 
 def canonicalize_columns(v: np.ndarray) -> np.ndarray:
@@ -100,11 +105,19 @@ def sym_eig(m: np.ndarray) -> EigenDecomposition:
     NonFiniteError on NaN/Inf. Eigenvalues come back ascending; eigenvector
     signs are canonicalized for deterministic output.
     """
-    m = _require_symmetric(m, "matrix")
+    m = symmetric_part(m, "matrix", 1e-10)
+    if m.ndim != 2:
+        raise NonSymmetricError(f"expected one matrix, got shape {m.shape}")
     if m.size == 0:
         return EigenDecomposition(np.zeros(0), np.zeros((0, 0)))
     w, v = np.linalg.eigh(m)
     return EigenDecomposition(w, canonicalize_columns(v))
+
+
+def _rank(s: np.ndarray, rank_tol: float) -> int:
+    """The number of singular values ``s`` (largest first) above ``rank_tol``
+    times the largest."""
+    return 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > rank_tol * s[0]))
 
 
 def nullspace_basis(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -116,11 +129,7 @@ def nullspace_basis(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.nda
     if rows == 0 or cols == 0:
         return np.eye(cols)
     _, s, vt = np.linalg.svd(m, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > rank_tol * s[0]))
-    return canonicalize_columns(vt[rank:].T)
+    return canonicalize_columns(vt[_rank(s, rank_tol) :].T)
 
 
 def matrix_rank(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -128,7 +137,4 @@ def matrix_rank(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     m = require_finite(m, "matrix")
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rank_tol * s[0]))
+    return _rank(np.linalg.svd(m, compute_uv=False), rank_tol)

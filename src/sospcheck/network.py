@@ -298,19 +298,13 @@ def scaling_direction(params: NetworkParams, k: int) -> Perturbation:
 # ---------------------------------------------------------------------------
 
 
-def forward_batch(params: NetworkParams, inputs: np.ndarray, boundary_tol: float = 0.0):
-    """Network outputs for (m, d_x) inputs: returns (outputs, preactivation, hidden output).
-
-    Preactivations within ``boundary_tol`` of zero are snapped to exactly zero.
-    """
-    return forward_slopes(params, inputs, boundary_tol)[:3]
-
-
 def forward_slopes(params: NetworkParams, inputs: np.ndarray, boundary_tol: float = 0.0):
-    """``forward_batch`` plus the activation slopes ``hprime(preactivation)``.
+    """Network outputs for (m, d_x) inputs: returns (outputs, preactivation,
+    hidden output, activation slopes ``hprime(preactivation)``).
 
-    The hidden output is formed as slope times preactivation, which equals
-    ``activation.h`` entry for entry, signed zeros included.
+    Preactivations within ``boundary_tol`` of zero are snapped to exactly
+    zero. The hidden output is formed as slope times preactivation, which
+    equals ``activation.h`` entry for entry, signed zeros included.
     """
     if inputs.shape[1] != params.dims[0]:
         raise ShapeMismatchError(
@@ -330,13 +324,13 @@ def forward(params: NetworkParams, x: np.ndarray):
     x = require_finite(np.atleast_1d(x), "x")
     if x.shape != (params.dims[0],):
         raise ShapeMismatchError(f"input shape {x.shape} does not match d_x={params.dims[0]}")
-    y, preact, hidden = forward_batch(params, x[None, :])
+    y, preact, hidden, _ = forward_slopes(params, x[None, :])
     return y[0], preact[0], hidden[0]
 
 
 def empirical_risk(params: NetworkParams, data: Dataset, loss: LossModel) -> float:
     """Sum of per-sample losses at the current parameters."""
-    total = float(loss.value(forward_batch(params, data.inputs)[0], data.labels))
+    total = float(loss.value(forward_slopes(params, data.inputs)[0], data.labels))
     if not np.isfinite(total):
         raise NonFiniteError("empirical risk is not finite")
     return total
@@ -380,7 +374,7 @@ def per_sample_derivatives(
         raise ShapeMismatchError(
             f"dataset d_y={data.d_y} does not match network d_y={params.dims[2]}"
         )
-    outputs, preact, hidden = forward_batch(params, data.inputs, boundary_tol)
+    outputs, preact, hidden, _ = forward_slopes(params, data.inputs, boundary_tol)
     grads = require_finite(loss.gradient(outputs, data.labels), "loss gradients")
     hessians = np.asarray(loss.hessian(outputs, data.labels), dtype=float)
     if grads.shape != outputs.shape or hessians.shape != outputs.shape + (data.d_y,):
@@ -417,6 +411,9 @@ class BoundaryAnalysis:
     all *non*-boundary samples:
 
         C_k = sum_{i not on boundary of k} h'(preact_ik) grad_i xbar_i^T.
+
+    ``general_position[k]`` is whether unit k's boundary inputs are in
+    general position: at most d_x of them, linearly independent.
     """
 
     boundary_indices: list  # list of int arrays, one per unit
@@ -424,6 +421,7 @@ class BoundaryAnalysis:
     C: list  # list of (d_y, d_x+1) matrices
     boundary_tol: float
     dims: tuple[int, int, int] = field(default=(0, 0, 0))
+    general_position: list = field(default_factory=list)  # one bool per unit
 
     @property
     def counts(self) -> list[int]:
@@ -448,31 +446,31 @@ def boundary_analysis(
     boundary_tol: float = 0.0,
     bundle: DerivativeBundle | None = None,
     enforce_general_position: bool = True,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> BoundaryAnalysis:
     """Identify boundary samples per hidden unit and assemble C_k matrices.
 
-    With ``enforce_general_position`` set, raises GeneralPositionViolationError
-    when a unit has more than d_x boundary samples or their augmented inputs
-    are linearly dependent (either one breaks the extreme-ray geometry).
+    A unit's boundary inputs are out of general position when there are
+    more than d_x of them or their augmented inputs are linearly dependent
+    (either one breaks the extreme-ray geometry). This is recorded per unit,
+    and with ``enforce_general_position`` set it raises
+    GeneralPositionViolationError.
     """
     if bundle is None:
         bundle = per_sample_derivatives(params, data, loss, boundary_tol)
     d_x, d_h, d_y = params.dims
     act = params.activation
-    indices, rows, cmats = [], [], []
+    indices, rows, cmats, general = [], [], [], []
     for k in range(d_h):
         mask = bundle.boundary_mask[:, k]
         idx = np.flatnonzero(mask)
         m_k = len(idx)
-        if enforce_general_position and m_k > d_x:
+        rank = matrix_rank(bundle.xbar[idx]) if m_k <= d_x else -1
+        general.append(rank == m_k)
+        if enforce_general_position and rank != m_k:
             raise GeneralPositionViolationError(
                 f"unit {k} has {m_k} boundary samples but d_x={d_x}"
-            )
-        rank = matrix_rank(bundle.xbar[idx], rank_tol) if enforce_general_position else m_k
-        if rank < m_k:
-            raise GeneralPositionViolationError(
-                f"boundary inputs of unit {k} are linearly dependent (rank {rank} < {m_k})"
+                if rank < 0
+                else f"boundary inputs of unit {k} are linearly dependent (rank {rank} < {m_k})"
             )
         weights = np.where(mask, 0.0, act.hprime(bundle.preact[:, k]))
         cmats.append((bundle.grads * weights[:, None]).T @ bundle.xbar)
@@ -484,6 +482,7 @@ def boundary_analysis(
         C=cmats,
         boundary_tol=boundary_tol,
         dims=(d_x, d_h, d_y),
+        general_position=general,
     )
 
 

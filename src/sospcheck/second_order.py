@@ -87,6 +87,7 @@ from .linalg import (
     nullspace_basis,
     require_finite,
     sym_eig,
+    symmetric_part,
 )
 from .network import (
     BoundaryAnalysis,
@@ -137,19 +138,6 @@ _CP1, _CP2, _CP3 = range(3)
 _BY_PD, _BY_ZERO_DIAGONAL, _BY_SIMPLEX, _BY_PARETO = range(4)
 
 
-def _symmetric_form(q_mat: np.ndarray) -> np.ndarray:
-    """The exactly symmetric part of Q, or of each form of a stack (..., p, p);
-    reject a non-square or asymmetric form."""
-    q_mat = require_finite(q_mat, "Q")
-    if q_mat.ndim < 2 or q_mat.shape[-1] != q_mat.shape[-2]:
-        raise NonSymmetricError("Q must be square symmetric")
-    q_t = np.swapaxes(q_mat, -1, -2)
-    asym = np.abs(q_mat - q_t).max(axis=(-2, -1), initial=0.0)
-    if (asym > 1e-9 * np.maximum(1.0, np.abs(q_mat).max(axis=(-2, -1), initial=0.0))).any():
-        raise NonSymmetricError("Q must be square symmetric")
-    return 0.5 * (q_mat + q_t)
-
-
 def _as_rows(mat: np.ndarray, p: int, name: str) -> np.ndarray:
     """``mat`` as a stack of constraint rows of length p; a single row may
     come as a vector, and with p = 0 every row is empty."""
@@ -170,7 +158,7 @@ class ConeQP:
     B: np.ndarray
 
     def __post_init__(self):
-        q_mat = _symmetric_form(self.Q)
+        q_mat = symmetric_part(self.Q, "Q", 1e-9)
         if q_mat.ndim != 2:
             raise NonSymmetricError("Q must be one square symmetric matrix")
         p = q_mat.shape[0]
@@ -591,26 +579,6 @@ def projected_spectrum_oracle(
 
 
 @dataclass(frozen=True)
-class IcqpReduction:
-    """One change of variables that turns the cone into a sign constraint.
-
-    The map ``t`` of an :class:`IcqpFrame` satisfies ``A t = 0`` and
-    ``B t = [I 0]``, so the problem is ``min nu^T Rbar nu  s.t. nu_1 >= 0``
-    with ``Rbar = t^T Q t``. Only the rows R11 and R12 that nu_1 (length r)
-    indexes are formed; R22 is the frame's ``face``. ``eta_from_nu`` maps
-    reduced coordinates back to a feasible original direction.
-    """
-
-    t: np.ndarray  # (p, p - q)
-    r11: np.ndarray
-    r12: np.ndarray
-    shape: tuple[int, int, int]  # (p, q, r)
-
-    def eta_from_nu(self, nu1: np.ndarray, nu2: np.ndarray) -> np.ndarray:
-        return self.t @ np.concatenate([np.atleast_1d(nu1), np.atleast_1d(nu2)])
-
-
-@dataclass(frozen=True)
 class IcqpFrame:
     """The part of the ICQP reduction that the sign patterns of a point share.
 
@@ -631,7 +599,9 @@ class IcqpFrame:
     face_sign: np.ndarray  # (k,) in {-1, 1}
 
 
-def _frame(a: np.ndarray, b0: np.ndarray, face: SpectrumOracle, rank_tol: float) -> IcqpFrame:
+def _frame(
+    a: np.ndarray, b0: np.ndarray, face: SpectrumOracle, rank_tol: float = DEFAULT_RANK_TOL
+) -> IcqpFrame:
     """The :class:`IcqpFrame` of the rows ``a`` and ``b0``; see
     :func:`icqp_frame`."""
     p, q, r = a.shape[1], a.shape[0], b0.shape[0]
@@ -785,12 +755,12 @@ def _pattern_calculus(
     return _calculus(frame, 0.5 * (c_mat + c_mat.T), h_rows, pair)
 
 
-def icqp_reduce(qp: ConeQP, rank_tol: float = DEFAULT_RANK_TOL) -> IcqpReduction:
-    """Form R11 and R12 of an inequality-constrained QP in its own
-    :func:`icqp_frame`, at cost O(p^2 r) beyond the frame."""
-    frame = icqp_frame(qp, rank_tol)
-    calc = _calculus(frame, qp.Q)
-    return IcqpReduction(t=frame.t0, r11=calc.h11, r12=calc.h12, shape=qp.shape)
+def icqp_reduce(qp: ConeQP) -> PatternCalculus:
+    """Reduce an inequality-constrained QP in its own :func:`icqp_frame`: the
+    :class:`PatternCalculus` of its one cone (K = 0), whose ``h11`` and
+    ``h12`` are R11 and R12 and whose ``frame.t0`` maps reduced coordinates
+    to original directions. O(p^2 r) beyond the frame."""
+    return _calculus(icqp_frame(qp), qp.Q)
 
 
 # ---------------------------------------------------------------------------
@@ -858,13 +828,15 @@ class ParetoEigenpair:
 
 
 def _require_symmetric_pairs(s_mat: np.ndarray) -> None:
-    """Reject S if any of its principal submatrices fails the symmetry check.
+    """Reject S, a public input of :func:`pareto_spectrum` or
+    :func:`copositivity_classify`, unless every principal submatrix S^J is
+    symmetric within 1e-10 * max(1, max |S^J|).
 
-    The check of :func:`linalg.sym_eig` on a submatrix S^J allows an
-    asymmetry of 1e-10 * max(1, max |S^J|). The asymmetry of entry (i, j) is
-    held to the tightest of these on the 2 x 2 submatrix on {i, j}, so
-    testing every pair against its own scale is the same as checking every
-    principal submatrix.
+    Both decide on principal submatrices of S, so a large entry elsewhere
+    in S must not excuse the asymmetry of a small block. The asymmetry of
+    entry (i, j) is held to the tightest of these scales, that of the 2 x 2
+    submatrix on {i, j}, so testing every pair against its own scale is the
+    same as checking every principal submatrix.
     """
     r = s_mat.shape[0]
     if s_mat.ndim != 2 or s_mat.shape[1] != r:
@@ -1158,7 +1130,7 @@ def copositivity_classify(s_mat: np.ndarray, r_max: int = 20) -> CopositivityRes
       unit vectors x >= 0 is at most that over the simplex divided by
       ||x||^2 and, when positive, at least that over the simplex itself:
       "zero_diagonal" when some S_ii <= tol, CP2 with witness e_i (the
-      first such i); otherwise "simplex_bound" (:func:`_simplex_bound`),
+      first such i); otherwise "simplex_bound" (:func:`_simplex_bounds`),
       CP1 when the lower bound on the simplex exceeds tol, and CP2 with
       witness x / ||x|| when x^T S x <= tol ||x||^2.
     * "pareto": everything else, indefinite S among it, by enumerating the
@@ -1198,8 +1170,10 @@ class IcqpBatch:
     order; ``copositivity`` holds lambda_min(S) and the copositivity zero
     threshold of every pattern (read them only where the cp code is not -1).
     ``witnessed`` maps the place in the batch of every T2/T3 pattern to its
-    :class:`QPClassification`, whose witness has been verified; a batch ends
-    at its first T3.
+    :class:`QPClassification`, whose witness has been verified; its
+    ``diagnostics`` hold the record of that test (``witness``) and, for a
+    PD3 pattern, the entry of R12 z that chose its pair (``pd3_cross``). A
+    batch ends at its first T3.
     """
 
     reduction: tuple[int, int, int]  # (p, q, r)
@@ -1209,15 +1183,6 @@ class IcqpBatch:
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    def diagnostics(self, j: int) -> dict:
-        """The ``diagnostics`` of the classification of pattern j, without
-        its witness record."""
-        diag = {"psd": DECISIONS["psd"][self.codes[j, 1]], "reduction": self.reduction}
-        if self.codes[j, 2] >= 0:
-            cp = self.copositivity.result(j)
-            diag.update(cp=cp.kind, min_pareto=cp.min_pareto, copositivity=cp.diagnostics)
-        return diag
 
 
 def _pd3_ray(q_mat: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -1287,8 +1252,7 @@ def _decide_icqps(
             if j not in forms:
                 idx = witnessed[witnessed.index(j) :][:form_step]
                 forms = dict(zip(idx, forms_of(idx)))
-            place, sigma = j - start, signs[j]
-            diag = batch.diagnostics(place)
+            place, sigma, diag = j - start, signs[j], {}
             if psd[j] == _PD3:
                 z = face.decomposition.eigenvectors[:, psd_col[j]]
                 image = r12[j] @ z
@@ -1314,10 +1278,7 @@ def _decide_icqps(
 
 
 def solve_icqp(
-    qp: ConeQP,
-    r_max: int = 20,
-    zero_tol: float = DEFAULT_ZERO_EIG_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    qp: ConeQP, r_max: int = 20, zero_tol: float = DEFAULT_ZERO_EIG_TOL
 ) -> QPClassification:
     """Classify an inequality-constrained cone QP.
 
@@ -1339,11 +1300,16 @@ def solve_icqp(
     if r == 0:
         raise ValueError("no inequality rows; use the equality-constrained path")
     face = projected_spectrum_oracle(qp.Q, np.vstack([qp.A, qp.B]), zero_tol)
-    calc = _calculus(icqp_frame(qp, rank_tol, face), qp.Q)
+    calc = _calculus(icqp_frame(qp, face=face), qp.Q)
     batch = next(_decide_icqps(calc, np.ones((1, r)), lambda idx: qp.Q[None], r_max, zero_tol))
-    if 0 in batch.witnessed:
-        return batch.witnessed[0]
-    return QPClassification("T1", None, batch.diagnostics(0))
+    diag = {"psd": DECISIONS["psd"][batch.codes[0, 1]], "reduction": batch.reduction}
+    if batch.codes[0, 2] >= 0:
+        cp = batch.copositivity.result(0)
+        diag.update(cp=cp.kind, min_pareto=cp.min_pareto, copositivity=cp.diagnostics)
+    if 0 not in batch.witnessed:
+        return QPClassification("T1", None, diag)
+    ic = batch.witnessed[0]
+    return QPClassification(ic.verdict, ic.witness, {**diag, **ic.diagnostics})
 
 
 def sign_rows(pinned: np.ndarray, free: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -1365,7 +1331,6 @@ def icqp_sweep(
     free: np.ndarray,
     r_max: int = 20,
     zero_tol: float = DEFAULT_ZERO_EIG_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> Iterator[IcqpBatch]:
     """Decide the inequality-constrained QP of every sign pattern of a point,
     in the order of :func:`sign_rows`; yield the decisions of consecutive
@@ -1389,7 +1354,7 @@ def icqp_sweep(
     d_h = base.params.dims[1]
     signed = (np.asarray(pinned) != 0) | free
     pairs = base.rows[d_h:]
-    frame = _frame(np.vstack([base.rows[:d_h], pairs[~signed]]), pairs[signed], face, rank_tol)
+    frame = _frame(np.vstack([base.rows[:d_h], pairs[~signed]]), pairs[signed], face)
     calc = _pattern_calculus(base, frame, pinned, free)
     n_patterns = 2 ** int(np.count_nonzero(free))
     step = max(1, PATTERN_CHUNK // (frame.b0.shape[0] * frame.t0.shape[1]))
@@ -1397,6 +1362,6 @@ def icqp_sweep(
         rows = sign_rows(pinned, free, start, min(start + step, n_patterns))
 
         def forms_of(idx, rows=rows):
-            return _symmetric_form(base.forms(rows[idx]))
+            return symmetric_part(base.forms(rows[idx]), "Q", 1e-9)
 
         yield from _decide_icqps(calc, rows[:, signed], forms_of, r_max, zero_tol)

@@ -67,6 +67,32 @@ def icqp_patterns(verdict):
     ]
 
 
+class TestCheckConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("boundary_tol", -1.0),
+            ("boundary_tol", float("nan")),
+            ("boundary_tol", float("inf")),
+            ("tol_zero", 0.0),
+            ("tol_zero", -1.0),
+            ("zero_eig_tol", 0.0),
+            ("zero_eig_tol", float("nan")),
+            ("gamma0", 0.0),
+            ("gamma0", float("inf")),
+            ("k_max", -1),
+            ("r_max", -1),
+            ("gamma_halvings", -1),
+        ],
+    )
+    def test_invalid_setting_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CheckConfig(**{field: value})
+
+    def test_boundary_settings_stay_valid(self):
+        assert CheckConfig(boundary_tol=0.0, k_max=0, r_max=0, gamma_halvings=0).k_max == 0
+
+
 class TestKnownVerdicts:
     def test_zero_loss_single_sample_is_sosp(self):
         data = Dataset(np.array([[1.0]]), np.array([[1.0]]))
@@ -199,23 +225,41 @@ class TestRejectedUnitDescents:
         monkeypatch.setattr(checker_module, "validate_descent", planted)
         return seen
 
+    def _assert_unit_1_descends(self, monkeypatch, params, data, stage):
+        """With the first line search rejected, the check returns unit 1's
+        ``stage`` direction, and unit 0's ``stage`` entry records the
+        rejection. Returns the verdict and the two entries."""
+        seen = self._reject(monkeypatch, {0})
+        verdict = sosp_check(params, data)
+        assert len(seen) == 2
+        assert (verdict.kind, verdict.stage) == ("descent", stage)
+        assert not verdict.direction.v[0].any() and verdict.direction.v[1].any()
+        assert empirical_risk(params.perturbed(verdict.direction, verdict.step), data,
+                              SquaredLoss()) < empirical_risk(params, data, SquaredLoss())
+        units = [e for e in verdict.diagnostics["trace"] if e["stage"] == stage]
+        assert [e["k"] for e in units] == [0, 1]
+        assert units[0]["descent_rejected"] == "planted rejection"
+        assert "descent_rejected" not in units[1]
+        return verdict, units
+
     def test_the_next_unit_direction_is_tried(self, monkeypatch):
         params, data = self._point()
         first = sosp_check(params, data)
         assert (first.kind, first.stage) == ("descent", "subdiff_qp")
         assert first.direction.v[0].any() and not first.direction.v[1].any()
-        seen = self._reject(monkeypatch, {0})
-        verdict = sosp_check(params, data)
-        assert len(seen) == 2
-        assert (verdict.kind, verdict.stage) == ("descent", "subdiff_qp")
-        assert not verdict.direction.v[0].any() and verdict.direction.v[1].any()
-        assert empirical_risk(params.perturbed(verdict.direction, verdict.step), data,
-                              SquaredLoss()) < empirical_risk(params, data, SquaredLoss())
-        units = [e for e in verdict.diagnostics["trace"] if e["stage"] == "subdiff_qp"]
+        verdict, units = self._assert_unit_1_descends(monkeypatch, params, data, "subdiff_qp")
         assert [e["certified"] for e in units] == [False, False]
-        assert units[0]["descent_rejected"] == "planted rejection"
-        assert "descent_rejected" not in units[1]
         assert set(verdict.diagnostics["stage_s"]) == {"derivatives", "first_order"}
+
+    def test_a_rejected_increasing_direction_is_passed_over(self, monkeypatch):
+        # both units' box QPs certify, and both increasing tests find a descent
+        point = construct_boundary_fosp(
+            4, 2, 1, seed=0, n_boundary=2, units=[0, 1], mode="ray_descent"
+        )
+        _, units = self._assert_unit_1_descends(
+            monkeypatch, point.params, point.data, "increasing"
+        )
+        assert [e["descent"] for e in units] == [True, True]
 
     def test_raises_when_every_direction_is_rejected(self, monkeypatch):
         from sospcheck.errors import NoDecreaseFoundError
@@ -628,6 +672,26 @@ class TestIcqpStage:
         verdict = sosp_check(point.params, point.data)
         assert verdict.diagnostics["n_icqp"] == 8
         assert len(calls) == 1
+
+    def test_witnessed_patterns_build_no_copositivity_result(self, monkeypatch):
+        # an SOSP with K = 7 and three flat (T2) patterns, each with a witness
+        from sospcheck.second_order import CopositivityResult
+
+        point = construct_boundary_fosp(
+            10, 2, 1, seed=1060, n_boundary=7, units=[0] * 4 + [1] * 3, mode="orthogonal",
+            max_attempts=1,
+        )
+        built = []
+        original = CopositivityResult.__init__
+        monkeypatch.setattr(
+            CopositivityResult, "__init__",
+            lambda self, *args, **kwargs: built.append(None) or original(self, *args, **kwargs),
+        )
+        verdict = sosp_check(point.params, point.data)
+        assert verdict.kind == "sosp" and len(icqp_patterns(verdict)) == 128
+        (record,) = [e for e in verdict.diagnostics["trace"] if e["stage"] == "icqp"]
+        assert len(record["witness"]) == 3
+        assert built == []
 
     def test_k12_sweep_records_columns_and_builds_no_object(self, monkeypatch):
         # a local minimum with K = 12: 4,096 patterns, every one T1

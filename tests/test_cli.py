@@ -77,6 +77,25 @@ class TestCheck:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_invalid_boundary_tol(self, fixture_files, capsys, value):
+        params, data = fixture_files
+        argv = ["check", "--params", str(params), "--data", str(data), "--boundary-tol", value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "boundary_tol" in err
+
+    def test_library_error_is_an_input_error(self, fixture_files, tmp_path, capsys):
+        # inputs of another width than the network's: a ShapeMismatchError
+        params, data = fixture_files
+        obj = load_json(data)
+        obj["inputs"] = [row + [0.0] for row in obj["inputs"]]
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps(obj))
+        assert main(["check", "--params", str(params), "--data", str(wide)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "does not match" in err
+
 
 class TestReportJson:
     @pytest.mark.parametrize(
@@ -166,6 +185,13 @@ class TestTrainAndStats:
         code = main(["check", "--params", str(params), "--data", str(data)])
         assert code == 0
 
+    def test_train_on_unreadable_data(self, tmp_path, capsys):
+        out = tmp_path / "trained.json"
+        argv = ["train", "--data", str(tmp_path / "nope.json"), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: could not load data")
+        assert not out.exists()
+
     def test_stats_table(self, tmp_path, capsys):
         out = tmp_path / "agg.json"
         code = main(
@@ -217,6 +243,16 @@ class TestSynth:
         report = load_json(out)
         assert report["kind"] in ("local_minimum", "sosp")
         assert report["diagnostics"]["M"] == 0
+
+
+    def test_indefinite_fixture_descends_at_the_ecqp(self, tmp_path):
+        params, data, out = (tmp_path / name for name in ("p.json", "d.json", "r.json"))
+        synth = ["synth", "--dx", "3", "--dh", "2", "--dy", "2", "--mode", "indefinite"]
+        assert main(synth + ["--out-params", str(params), "--out-data", str(data)]) == 0
+        argv = ["check", "--params", str(params), "--data", str(data), "--out", str(out)]
+        assert main(argv) == 0
+        report = load_json(out)
+        assert (report["kind"], report["stage"]) == ("descent", "ecqp")
 
 
 class TestMisc:

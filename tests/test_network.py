@@ -19,7 +19,6 @@ from sospcheck.network import (
     empirical_risk,
     expansion_terms,
     forward,
-    forward_batch,
     forward_slopes,
     per_sample_derivatives,
     scaling_direction,
@@ -77,8 +76,6 @@ class TestForward:
         outputs, preact, hidden, slopes = forward_slopes(params, inputs)
         assert np.array_equal(hidden, params.activation.h(preact))
         assert np.array_equal(slopes, params.activation.hprime(preact))
-        for got, want in zip(forward_batch(params, inputs), (outputs, preact, hidden)):
-            assert np.array_equal(got, want)
 
     def test_positive_branch(self):
         y, _, _ = forward(scalar_net(), np.array([2.0]))
@@ -232,8 +229,17 @@ class TestBoundaryAnalysis:
             W2=np.array([[1.0]]), b2=np.array([0.0]),
         )
         data = Dataset(np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 2.0]]), np.zeros((3, 1)))
-        with pytest.raises(GeneralPositionViolationError):
+        with pytest.raises(GeneralPositionViolationError, match="linearly dependent"):
             boundary_analysis(params, data, SquaredLoss())
+        recorded = boundary_analysis(params, data, SquaredLoss(), enforce_general_position=False)
+        assert recorded.counts == [2] and recorded.general_position == [False]
+        crowded = Dataset(np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]), np.zeros((3, 1)))
+        with pytest.raises(GeneralPositionViolationError, match="3 boundary samples but d_x=2"):
+            boundary_analysis(params, crowded, SquaredLoss())
+        recorded = boundary_analysis(params, crowded, SquaredLoss(), enforce_general_position=False)
+        assert recorded.counts == [3] and recorded.general_position == [False]
+        data = Dataset(np.array([[0.0, 1.0], [1.0, 2.0]]), np.zeros((2, 1)))
+        assert boundary_analysis(params, data, SquaredLoss()).general_position == [True]
 
     def test_snapping_tolerance(self):
         params = scalar_net()

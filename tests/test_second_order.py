@@ -546,8 +546,8 @@ def _matches_reference(qp, frame=None, sigma=None):
     a shared ``frame``, as the pattern sweep forms it. Returns the kind."""
     p, q, r = qp.shape
     if frame is None:
-        frame, red = second_order.icqp_frame(qp), icqp_reduce(qp)
-        new11, new12 = red.r11, red.r12
+        red = icqp_reduce(qp)
+        frame, new11, new12 = red.frame, red.h11, red.h12
     else:
         calc = second_order._calculus(frame, qp.Q)
         new11, new12, _ = (blk[0] for blk in calc.reduce(sigma[None]))
@@ -574,7 +574,7 @@ class TestIcqpReduce:
         for r in (1, 2, 4):
             p = q + r + 3
             qp = random_cone_qp(rng, p, q, r, kind="indefinite")
-            t = icqp_reduce(qp).t
+            t = icqp_reduce(qp).frame.t0
             assert t.shape == (p, p - q)
             t_norm = np.linalg.norm(t)
             assert np.linalg.norm(qp.A @ t) <= 1e-12 * np.linalg.norm(qp.A) * t_norm
@@ -622,11 +622,11 @@ class TestIcqpReduce:
         qp = ConeQP(np.eye(4), e[:1], near_dependent)
         icqp_reduce(qp)
         with pytest.raises(RankDeficientError, match="dependent on null"):
-            icqp_reduce(qp, rank_tol=1e-6)
+            second_order.icqp_frame(qp, rank_tol=1e-6)
         qp = ConeQP(np.eye(4), near_dependent, e[3:])
         icqp_reduce(qp)
         with pytest.raises(RankDeficientError, match="dimension 3, expected 2"):
-            icqp_reduce(qp, rank_tol=1e-6)
+            second_order.icqp_frame(qp, rank_tol=1e-6)
 
     def test_no_inequalities_is_an_error(self):
         qp = ConeQP(np.eye(2), np.array([[1.0, 0.0]]), np.zeros((0, 2)))
@@ -637,16 +637,16 @@ class TestIcqpReduce:
         rng = np.random.default_rng(8)
         qp = random_cone_qp(rng, 6, 2, 2, kind="indefinite")
         red = icqp_reduce(qp)
-        r22 = second_order.icqp_frame(qp).face.decomposition.reconstruct()
+        r22 = red.frame.face.decomposition.reconstruct()
         for _ in range(1000):
             nu1 = np.abs(rng.standard_normal(2))
             nu2 = rng.standard_normal(2)
-            eta = red.eta_from_nu(nu1, nu2)
+            eta = red.frame.t0 @ np.concatenate([nu1, nu2])
             assert np.linalg.norm(qp.A @ eta) <= 1e-9 * max(1.0, np.linalg.norm(eta))
             assert (qp.B @ eta >= -1e-9).all()
             assert np.allclose(qp.B @ eta, nu1, atol=1e-9)
             nu = np.concatenate([nu1, nu2])
-            r_bar = np.block([[red.r11, red.r12], [red.r12.T, r22]])
+            r_bar = np.block([[red.h11, red.h12], [red.h12.T, r22]])
             assert abs(eta @ qp.Q @ eta - nu @ r_bar @ nu) <= 1e-9 * max(
                 1.0, abs(nu @ r_bar @ nu)
             )
@@ -1631,8 +1631,8 @@ class TestSolveIcqp:
         res = solve_icqp(qp)
         assert (res.verdict, res.diagnostics["psd"]) == ("T3", "PD3")
         red = icqp_reduce(qp)
-        psd = classify_psd_block(second_order.icqp_frame(qp).face, red.r12, tol)
-        image = red.r12 @ psd.witness_nu2
+        psd = classify_psd_block(red.frame.face, red.h12, tol)
+        image = red.h12 @ psd.witness_nu2
         assert np.abs(image).max() <= tol < np.linalg.norm(image)
         assert res.diagnostics["pd3_cross"] == image[np.argmax(np.abs(image))]
         assert abs(res.diagnostics["pd3_cross"]) == pytest.approx(0.6 * tol, rel=1e-9)
