@@ -1,7 +1,8 @@
 """End-to-end certification pipeline.
 
-Runs, in order: the outer-layer gradient test, per-unit zero-in-
-subdifferential and increasing tests, one equality-constrained QP for the
+Runs, in order: the outer-layer gradient test, each unit's first-order tests
+(``first_order.unit_tests``: a gradient test, or the zero-in-subdifferential
+box QP and then the increasing test), one equality-constrained QP for the
 all-zero sign pattern, and (only when flat extreme rays exist) one
 inequality-constrained QP per enumerated sign pattern, decided in one
 batched sweep (``second_order.icqp_sweep``). Each unit's increasing test
@@ -22,20 +23,14 @@ stationary point and a concrete flat witness is attached.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import NoDecreaseFoundError, PatternBudgetExceededError
-from .first_order import (
-    DEFAULT_TOL_ZERO,
-    increasing_check,
-    inner_layer_fosp_smooth,
-    outer_layer_fosp,
-    solve_subdiff_qp,
-)
+from .first_order import DEFAULT_TOL_ZERO, outer_layer_fosp, unit_tests
+from .linalg import require_in_range
 from .network import (
     BoundaryAnalysis,
     Dataset,
@@ -80,17 +75,8 @@ class CheckConfig:
     gamma_halvings: int = 40
 
     def __post_init__(self):
-        if not (math.isfinite(self.boundary_tol) and self.boundary_tol >= 0.0):
-            raise ValueError(
-                f"boundary_tol must be finite and nonnegative, got {self.boundary_tol}"
-            )
-        for name in ("tol_zero", "zero_eig_tol", "gamma0"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        for name in ("k_max", "r_max", "gamma_halvings"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        require_in_range(self, "boundary_tol k_max r_max gamma_halvings", 0)
+        require_in_range(self, "tol_zero zero_eig_tol gamma0", 0, open_low=True)
 
 
 DEFAULT_CONFIG = CheckConfig()
@@ -219,8 +205,10 @@ def sosp_check(
     machine-readable stage trace in ``diagnostics`` (boundary counts, box-QP
     solutions, flat-ray sets, QP verdicts and counts, timings). The
     outer-layer, box-QP and smooth-gradient entries record their zero test
-    as ``{value, scale, tol}``, passing when value <= tol. The sweep of the
-    sign patterns is one ``icqp`` record with a column per decision (see
+    as ``{value, scale, tol}``, passing when value <= tol; the increasing
+    entries record each ray's ``products`` against its sample's ``tol``
+    (``first_order.unit_tests`` writes every unit's entries). The sweep of
+    the sign patterns is one ``icqp`` record with a column per decision (see
     ``_icqp_record``), not an entry per pattern. ``stage_s`` holds the wall
     seconds of each stage that ran: "derivatives" (per-sample derivatives
     and boundary analysis), "first_order" (the outer-layer, box-QP,
@@ -280,94 +268,24 @@ def sosp_check(
             diagnostics=diagnostics,
         )
 
-    def margin(value: float, scale: float) -> dict:
-        """The ``{value, scale, tol}`` of a zero test ``value <= tol``."""
-        return {"value": float(value), "scale": float(scale), "tol": cfg.tol_zero * scale}
-
-    rejected = []
-
-    def unit_descent(stage: str, eta: Perturbation) -> Verdict | None:
-        """``finish_descent``, or None when the line search finds no decrease
-        along ``eta``: the later units' directions are tried before the
-        check gives up."""
-        try:
-            return finish_descent(stage, eta)
-        except NoDecreaseFoundError as exc:
-            lap(None)  # the line search belongs to no stage
-            trace[-1]["descent_rejected"] = str(exc)
-            rejected.append(exc)
-            return None
-
     outer = outer_layer_fosp(params, bundle, cfg.tol_zero)
-    trace.append(
-        {
-            "stage": "outer_layer",
-            "passed": outer.passed,
-            **margin(np.linalg.norm(outer.gradient), outer.scale),
-        }
-    )
+    trace.append({"stage": "outer_layer", "passed": outer.passed, **outer.margin})
     if not outer.passed:
         return finish_descent("outer_layer", outer.descent)
 
-    pinned_by_unit, free_by_unit = [], []
-    s_stars: dict[int, list] = {}
-    for k in range(d_h):
-        if boundary.counts[k] > 0:
-            qp_res = solve_subdiff_qp(k, params, boundary, bundle)
-            certified = qp_res.certifies_zero(qp_res.scale, cfg.tol_zero)
-            trace.append(
-                {
-                    "stage": "subdiff_qp",
-                    "k": k,
-                    "objective": qp_res.objective,
-                    "s_star": qp_res.s_star.tolist(),
-                    "kkt_residual": qp_res.kkt_residual,
-                    "iterations": qp_res.iterations,
-                    "certified": certified,
-                    **margin(np.linalg.norm(qp_res.residual_vector), qp_res.scale),
-                }
-            )
-            s_stars[k] = qp_res.s_star.tolist()
-            if not certified:
-                v = np.zeros((d_h, d_x + 1))
-                v[k] = -qp_res.residual_vector
-                eta = Perturbation(np.zeros(d_y), np.zeros((d_y, d_h)), v)
-                if (verdict := unit_descent("subdiff_qp", eta)) is not None:
-                    return verdict
-                continue
-            inc = increasing_check(k, params, boundary, bundle, qp_res.s_star, cfg.tol_zero)
-            trace.append(
-                {
-                    "stage": "increasing",
-                    "k": k,
-                    "descent": inc.descent_found,
-                    "flat_sets": [
-                        [-1, 1] if both else [int(sign)] for sign, both in zip(inc.pinned, inc.free)
-                    ],
-                }
-            )
-            if inc.descent_found:
-                v = np.zeros((d_h, d_x + 1))
-                v[k] = inc.descent_v
-                eta = Perturbation(np.zeros(d_y), np.zeros((d_y, d_h)), v)
-                if (verdict := unit_descent("increasing", eta)) is not None:
-                    return verdict
-                continue
-            pinned_by_unit.append(inc.pinned)
-            free_by_unit.append(inc.free)
-        else:
-            sm = inner_layer_fosp_smooth(k, params, boundary, cfg.tol_zero)
-            trace.append(
-                {
-                    "stage": "smooth_gradient",
-                    "k": k,
-                    "passed": sm.passed,
-                    **margin(np.linalg.norm(sm.gradient), sm.scale),
-                }
-            )
-            if not sm.passed:
-                if (verdict := unit_descent("smooth_gradient", sm.descent)) is not None:
-                    return verdict
+    pinned_by_unit, free_by_unit, rejected = [], [], []
+    for entries, eta, pinned_k, free_k in unit_tests(params, boundary, bundle, cfg.tol_zero):
+        trace.extend(entries)
+        if eta is None:
+            pinned_by_unit.append(pinned_k)
+            free_by_unit.append(free_k)
+            continue
+        try:
+            return finish_descent(entries[-1]["stage"], eta)
+        except NoDecreaseFoundError as exc:
+            lap(None)  # the line search belongs to no stage
+            entries[-1]["descent_rejected"] = str(exc)
+            rejected.append(exc)
 
     if rejected:
         raise NoDecreaseFoundError(
@@ -381,7 +299,7 @@ def sosp_check(
     n_flat = n_free + int(np.count_nonzero(pinned))
     diagnostics["K"] = n_free
     diagnostics["L"] = n_flat
-    diagnostics["s_star"] = s_stars
+    diagnostics["s_star"] = {e["k"]: e["s_star"] for e in trace if e["stage"] == "subdiff_qp"}
 
     sosp_flag = False
     flat_witness: Perturbation | None = None

@@ -88,10 +88,11 @@ EXPLAIN_CLOSEST = 5
 
 def explain(report: dict) -> list[str]:
     """The tolerance-gated decisions of a check report (as loaded from its
-    JSON), value against threshold: the first-order zero tests, the ECQP's
-    smallest eigenvalue, the ICQP counts per (verdict, psd, cp, cp_by), the
-    ``EXPLAIN_CLOSEST`` patterns whose lambda_min(S) lies nearest to +-tol,
-    with their sign rows, and as many witnesses nearest to their limit."""
+    JSON), value against threshold: the first-order zero tests, each unit's
+    extreme-ray product nearest to +-tol, the ECQP's smallest eigenvalue,
+    the ICQP counts per (verdict, psd, cp, cp_by), the ``EXPLAIN_CLOSEST``
+    patterns whose lambda_min(S) lies nearest to +-tol, with their sign
+    rows, and as many witnesses nearest to their limit."""
     lines = []
     for e in report["diagnostics"]["trace"]:
         name = e["stage"] + (f" unit {e['k']}" if "k" in e else "")
@@ -100,12 +101,26 @@ def explain(report: dict) -> list[str]:
             lines.append(
                 f"{name}: {e['value']:.3e} {side} tol {e['tol']:.3e} (scale {e['scale']:.3e})"
             )
+        elif e["stage"] == "increasing":
+            lines.append(f"{name}: {_nearest_ray(e)}")
         elif e["stage"] == "ecqp":
             lam = "none (null(A) = {0})" if e["lam_min"] is None else f"{e['lam_min']:.3e}"
             lines.append(f"ecqp: lambda_min {lam} against +-tol {e['tol']:.3e} -> {e['verdict']}")
         elif e["stage"] == "icqp":
             lines += _explain_icqp(e)
     return lines
+
+
+def _nearest_ray(entry: dict) -> str:
+    """The ray of an ``increasing`` trace entry whose product lies nearest to
+    +-tol (below -tol it descends, within +-tol it is flat)."""
+    products, tol = np.array(entry["products"]), np.array(entry["tol"])[:, None]
+    gaps = np.abs(np.abs(products) - tol) / tol
+    t, side = np.unravel_index(int(np.argmin(gaps)), products.shape)
+    p, p_tol = products[t, side], tol[t, 0]
+    outcome = "descent" if p < -p_tol else "flat" if abs(p) <= p_tol else "increasing"
+    return (f"ray {'+-'[side]} of boundary sample {t}: product {p:.3e} against +-tol {p_tol:.3e}"
+            f" -> {outcome}")
 
 
 def _explain_icqp(record: dict) -> list[str]:

@@ -10,7 +10,7 @@ Three layers of tests, in the order the certification pipeline runs them:
   boundary sample: bounded-variable least squares, solved exactly by one
   active-set call. Slopes whose gradient factor is zero up to rounding stay
   at the box midpoint; a solver that stops short of a KKT point raises a
-  typed error.
+  typed error. A unit without boundary samples has a plain gradient test.
 * per-unit increasing test: once zero is in the subdifferential, directional
   growth of the risk along every extreme ray of the per-unit sign cones is
   checked with one inequality per ray, all of a unit's rays from one Gram
@@ -20,12 +20,17 @@ Three layers of tests, in the order the certification pipeline runs them:
   (an inequality), and two flat rays leave it free, one of the K signs
   enumerated over 2^K cone QPs.
 
+Each zero test passes when its :func:`zero_test` record ``{value, scale,
+tol}`` has value <= tol. :func:`unit_tests` runs each unit's tests in order,
+for the checker and the fixture constructor alike.
+
 Everything here is a pure function of cached derivatives; per-unit tests are
 independent across units.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,54 +46,113 @@ DEFAULT_TOL_ZERO = 1e-8
 FACTOR_ROUNDING_RTOL = 1e-12
 
 
-# ---------------------------------------------------------------------------
-# Outer layer
-# ---------------------------------------------------------------------------
+def zero_test(value: float, scale: float, tol_zero: float = DEFAULT_TOL_ZERO) -> dict:
+    """The record ``{value, scale, tol}`` of the zero test value <= tol: the
+    norm tested, the problem scale it is relative to, and tol_zero * scale."""
+    return {"value": float(value), "scale": float(scale), "tol": tol_zero * float(scale)}
+
+
+def unit_direction(params: NetworkParams, k: int, v_k: np.ndarray) -> Perturbation:
+    """The direction that moves row k of [W1 b1] by ``v_k`` and nothing else."""
+    d_x, d_h, d_y = params.dims
+    v = np.zeros((d_h, d_x + 1))
+    v[k] = v_k
+    return Perturbation(np.zeros(d_y), np.zeros((d_y, d_h)), v)
 
 
 @dataclass(frozen=True)
-class OuterLayerResult:
+class GradientTest:
+    """The zero test of a gradient block that is a singleton: ``margin`` is
+    the :func:`zero_test` of ||gradient||, and when it fails ``descent`` is
+    the negated gradient, a strict descent direction."""
+
     passed: bool
-    gradient: np.ndarray  # (d_y, d_h + 1): [sum grad_i O_i^T, sum grad_i]
+    gradient: np.ndarray
     descent: Perturbation | None
-    scale: float  # the zero test is ||gradient|| <= tol_zero * scale
+    margin: dict
+
+
+def unit_tests(
+    params: NetworkParams,
+    boundary: BoundaryAnalysis,
+    bundle: DerivativeBundle,
+    tol_zero: float = DEFAULT_TOL_ZERO,
+) -> Iterator[tuple[list[dict], Perturbation | None, np.ndarray, np.ndarray]]:
+    """Run each hidden unit's first-order tests, in unit order, lazily.
+
+    Yields ``(entries, descent, pinned, free)`` per unit: the trace entries
+    of the tests that ran ("smooth_gradient"; else "subdiff_qp", then
+    "increasing" once the box QP certifies zero), the descent direction of
+    the last test (None when it passed), and the unit's sign-row parts
+    (:class:`IncreasingCheckResult`), empty when the unit has a descent or
+    no boundary samples.
+    """
+    no_signs = (np.zeros(0, int), np.zeros(0, bool))
+    for k in range(params.dims[1]):
+        if boundary.counts[k] == 0:
+            sm = inner_layer_fosp_smooth(k, params, boundary, tol_zero)
+            entry = {"stage": "smooth_gradient", "k": k, "passed": sm.passed, **sm.margin}
+            yield [entry], sm.descent, *no_signs
+            continue
+        qp = solve_subdiff_qp(k, params, boundary, bundle)
+        margin = zero_test(np.linalg.norm(qp.residual_vector), qp.scale, tol_zero)
+        certified = margin["value"] <= margin["tol"]
+        entries = [
+            {
+                "stage": "subdiff_qp",
+                "k": k,
+                "objective": qp.objective,
+                "s_star": qp.s_star.tolist(),
+                "kkt_residual": qp.kkt_residual,
+                "iterations": qp.iterations,
+                "certified": certified,
+                **margin,
+            }
+        ]
+        if not certified:
+            yield entries, unit_direction(params, k, -qp.residual_vector), *no_signs
+            continue
+        inc = increasing_check(k, params, boundary, bundle, qp.s_star, tol_zero)
+        entries.append(
+            {
+                "stage": "increasing",
+                "k": k,
+                "descent": inc.descent_found,
+                "flat_sets": [
+                    [-1, 1] if both else [int(sign)] for sign, both in zip(inc.pinned, inc.free)
+                ],
+                "products": inc.products.tolist(),
+                "tol": inc.tol.tolist(),
+            }
+        )
+        descent = None if inc.descent_v is None else unit_direction(params, k, inc.descent_v)
+        yield entries, descent, inc.pinned, inc.free
+
+
+# ---------------------------------------------------------------------------
+# Outer layer and differentiable units
+# ---------------------------------------------------------------------------
 
 
 def outer_layer_fosp(
     params: NetworkParams,
     bundle: DerivativeBundle,
     tol_zero: float = DEFAULT_TOL_ZERO,
-) -> OuterLayerResult:
+) -> GradientTest:
     """Test whether the (W2, b2) gradient block vanishes.
 
-    If not, the negated gradient is a strict descent direction: its
-    first-order term equals minus the squared Frobenius norm of the block.
+    ``gradient`` is (d_y, d_h + 1): [sum grad_i O_i^T, sum grad_i]. The
+    descent's first-order term equals minus its squared Frobenius norm.
     """
     d_x, d_h, d_y = params.dims
     aug = np.hstack([bundle.hidden, np.ones((bundle.m, 1))])
-    grad = bundle.grads.T @ aug  # (d_y, d_h + 1)
+    grad = bundle.grads.T @ aug
     scale = max(1.0, float(np.linalg.norm(bundle.grads, axis=1) @ np.linalg.norm(aug, axis=1)))
-    if np.linalg.norm(grad) <= tol_zero * scale:
-        return OuterLayerResult(True, grad, None, scale)
-    descent = Perturbation(
-        delta2_bias=-grad[:, d_h],
-        delta2_matrix=-grad[:, :d_h],
-        v=np.zeros((d_h, d_x + 1)),
-    )
-    return OuterLayerResult(False, grad, descent, scale)
-
-
-# ---------------------------------------------------------------------------
-# Inner layer, differentiable units
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SmoothUnitResult:
-    passed: bool
-    gradient: np.ndarray  # (d_x + 1,): C_k^T W2[:, k]
-    descent: Perturbation | None
-    scale: float  # the zero test is ||gradient|| <= tol_zero * scale
+    margin = zero_test(np.linalg.norm(grad), scale, tol_zero)
+    if margin["value"] <= margin["tol"]:
+        return GradientTest(True, grad, None, margin)
+    descent = Perturbation(-grad[:, d_h], -grad[:, :d_h], np.zeros((d_h, d_x + 1)))
+    return GradientTest(False, grad, descent, margin)
 
 
 def inner_layer_fosp_smooth(
@@ -96,18 +160,16 @@ def inner_layer_fosp_smooth(
     params: NetworkParams,
     boundary: BoundaryAnalysis,
     tol_zero: float = DEFAULT_TOL_ZERO,
-) -> SmoothUnitResult:
-    """Gradient test for a unit with no boundary samples (M_k = 0)."""
-    d_x, d_h, d_y = params.dims
+) -> GradientTest:
+    """Gradient test for a unit with no boundary samples (M_k = 0);
+    ``gradient`` is (d_x + 1,): C_k^T W2[:, k]."""
     w = params.W2[:, k]
     grad = boundary.C[k].T @ w
     scale = max(1.0, float(np.linalg.norm(boundary.C[k]) * np.linalg.norm(w)))
-    if np.linalg.norm(grad) <= tol_zero * scale:
-        return SmoothUnitResult(True, grad, None, scale)
-    v = np.zeros((d_h, d_x + 1))
-    v[k] = -grad
-    descent = Perturbation(np.zeros(d_y), np.zeros((d_y, d_h)), v)
-    return SmoothUnitResult(False, grad, descent, scale)
+    margin = zero_test(np.linalg.norm(grad), scale, tol_zero)
+    if margin["value"] <= margin["tol"]:
+        return GradientTest(True, grad, None, margin)
+    return GradientTest(False, grad, unit_direction(params, k, -grad), margin)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +198,8 @@ class SubdiffQPResult:
     scale: float
 
     def certifies_zero(self, scale: float, tol_zero: float = DEFAULT_TOL_ZERO) -> bool:
-        return float(np.linalg.norm(self.residual_vector)) <= tol_zero * scale
+        test = zero_test(np.linalg.norm(self.residual_vector), scale, tol_zero)
+        return test["value"] <= test["tol"]
 
 
 def _box_qp_scale(c0: np.ndarray, cols: np.ndarray, s_hi: float) -> float:
@@ -264,6 +327,7 @@ class IncreasingCheckResult:
     pinned: np.ndarray  # (M_k,) int in {-1, 0, 1}
     free: np.ndarray  # (M_k,) bool
     products: np.ndarray  # (M_k, 2): growth along the + and the - ray of each sample
+    tol: np.ndarray  # (M_k,): a product below -tol descends, one within +-tol is flat
 
 
 def increasing_check(
@@ -292,13 +356,14 @@ def increasing_check(
     a = bundle.grads[idx] @ params.W2[:, k]
     c = np.einsum("ij,ij->i", rows, rays)  # > 0 by construction
     products = np.column_stack([(act.s_plus - s_star) * a * c, (act.s_minus - s_star) * a * -c])
-    tol = tol_zero * np.maximum(1.0, np.abs(a) * c * abs(act.s_plus - act.s_minus))[:, None]
-    descends = products < -tol
+    tol = tol_zero * np.maximum(1.0, np.abs(a) * c * abs(act.s_plus - act.s_minus))
+    descends = products < -tol[:, None]
     if descends.any():
         t, minus = divmod(int(np.argmax(descends)), 2)
         return IncreasingCheckResult(
-            True, -rays[t] if minus else rays[t], np.zeros(0, int), np.zeros(0, bool), products
+            True, -rays[t] if minus else rays[t], np.zeros(0, int), np.zeros(0, bool), products,
+            tol,
         )
-    flat = np.abs(products) <= tol
+    flat = np.abs(products) <= tol[:, None]
     pinned = flat[:, 0].astype(int) - flat[:, 1]
-    return IncreasingCheckResult(False, None, pinned, flat.all(axis=1), products)
+    return IncreasingCheckResult(False, None, pinned, flat.all(axis=1), products, tol)

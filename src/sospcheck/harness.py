@@ -21,20 +21,14 @@ suite.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConstructionFailedError, GeneralPositionViolationError, NonFiniteError
-from .first_order import (
-    increasing_check,
-    inner_layer_fosp_smooth,
-    outer_layer_fosp,
-    solve_subdiff_qp,
-)
-from .linalg import nullspace_basis
+from .first_order import outer_layer_fosp, solve_subdiff_qp, unit_tests
+from .linalg import nullspace_basis, require_in_range
 from .network import (
     RELU,
     ActivationSpec,
@@ -82,12 +76,6 @@ def init_params(
 # ---------------------------------------------------------------------------
 
 
-def _require_counts(config, *names: str) -> None:
-    for name in names:
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name} must be at least 1, got {getattr(config, name)}")
-
-
 @dataclass(frozen=True)
 class AdamConfig:
     """Full-batch Adam settings; invalid values raise ValueError."""
@@ -102,14 +90,9 @@ class AdamConfig:
     record_every: int = 200
 
     def __post_init__(self):
-        _require_counts(self, "iters", "decay_every", "record_every")
-        for name in ("lr", "eps", "decay_factor"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        require_in_range(self, "iters decay_every record_every", 1)
+        require_in_range(self, "lr eps decay_factor", 0, open_low=True)
+        require_in_range(self, "beta1 beta2", 0, 1)
 
 
 def risk_gradient(params: NetworkParams, data: Dataset, loss: LossModel):
@@ -184,7 +167,8 @@ def adam_train(
 
 @dataclass(frozen=True)
 class StatThresholds:
-    """Counting thresholds for the approximate boundary statistics.
+    """Counting thresholds for the approximate boundary statistics; each must
+    be finite and nonnegative, or ValueError is raised.
 
     ``qp_objective`` only flags units whose box-QP objective exceeds it
     (trained points are approximate, so their objectives are near but not
@@ -195,6 +179,9 @@ class StatThresholds:
     s_edge: float = 1e-6
     grad_orth: float = 1e-4
     qp_objective: float = 1e-3
+
+    def __post_init__(self):
+        require_in_range(self, "boundary s_edge grad_orth qp_objective", 0)
 
 
 @dataclass(frozen=True)
@@ -332,7 +319,7 @@ class TrendConfig:
     thresholds: StatThresholds = field(default_factory=StatThresholds)
 
     def __post_init__(self):
-        _require_counts(self, "runs")
+        require_in_range(self, "runs", 1)
 
 
 def run_boundary_trend(config: TrendConfig) -> dict:
@@ -658,30 +645,19 @@ def _verify_construction(params, data, loss, pairs, s_presc, mode) -> bool:
     }
     if got != want or not outer_layer_fosp(params, bundle).passed:
         return False
-    for k in range(params.dims[1]):
-        if k not in got:
-            if not inner_layer_fosp_smooth(k, params, boundary).passed:
-                return False
-            continue
-        res = solve_subdiff_qp(k, params, boundary, bundle)
-        if mode == "subdiff_descent":
-            if res.certifies_zero(res.scale):  # must land strictly outside the box
-                return False
-            continue
-        if not res.certifies_zero(res.scale):
+    # the test each boundary unit's tests end at, and whether with a descent
+    ends = {"subdiff_descent": ("subdiff_qp", True), "ray_descent": ("increasing", True)}
+    signs = {"interior": (0, False), "edge": (1, False), "orthogonal": (0, True)}
+    for entries, descent, pinned, free in unit_tests(params, boundary, bundle):
+        stage, k = entries[-1]["stage"], entries[-1]["k"]
+        want = ends.get(mode, ("increasing", False)) if k in got else ("smooth_gradient", False)
+        if (stage, descent is not None) != want:
             return False
-        prescribed = np.array([s_presc[(int(i), k)] for i in boundary.boundary_indices[k]])
-        if mode in ("interior", "edge") and np.abs(res.s_star - prescribed).max() > 1e-6:
-            return False
-        inc = increasing_check(k, params, boundary, bundle, res.s_star)
-        if mode == "ray_descent":
-            if not inc.descent_found:
+        if mode in ("interior", "edge") and k in got:
+            prescribed = [s_presc[(int(i), k)] for i in boundary.boundary_indices[k]]
+            if np.abs(np.subtract(entries[0]["s_star"], prescribed)).max() > 1e-6:
                 return False
-            continue
-        if inc.descent_found:
-            return False
-        pinned, free = {"interior": (0, False), "edge": (1, False), "orthogonal": (0, True)}[mode]
-        if (inc.pinned != pinned).any() or (inc.free != free).any():
+        if mode in signs and ((pinned != signs[mode][0]).any() or (free != signs[mode][1]).any()):
             return False
     return True
 

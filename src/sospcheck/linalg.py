@@ -33,6 +33,19 @@ def require_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
     return out
 
 
+def require_in_range(obj, names: str, low: float, high: float = float("inf"), *,
+                     open_low: bool = False) -> None:
+    """Raise ValueError, naming the field, unless each attribute of ``obj``
+    in ``names`` (space-separated) lies in [low, high), or in (low, high)
+    with ``open_low``; NaN and infinities never do. Every settings object
+    checks its fields with it."""
+    for name in names.split():
+        value = getattr(obj, name)
+        if not (low < value < high if open_low else low <= value < high):
+            interval = f"{'(' if open_low else '['}{low:g}, {high:g})"
+            raise ValueError(f"{name} must lie in {interval}, got {value}")
+
+
 def symmetric_part(m: np.ndarray, name: str, rtol: float) -> np.ndarray:
     """The exactly symmetric part 0.5 (M + M^T) of a square matrix, or of
     each matrix of a stack (..., n, n).

@@ -34,26 +34,25 @@ from .errors import (
     NonPSDHessianError,
     ShapeMismatchError,
 )
-from .linalg import DEFAULT_RANK_TOL, matrix_rank, require_finite
+from .linalg import DEFAULT_RANK_TOL, matrix_rank, require_finite, require_in_range
 
 
 @dataclass(frozen=True)
 class ActivationSpec:
     """Piecewise-linear activation with slopes ``s_plus`` (t>0) and ``s_minus`` (t<0).
 
-    Requires ``s_plus > 0``, ``s_minus >= 0`` and distinct slopes. The
-    derivative at zero is defined as ``s_plus``; the convention is harmless
-    because the algorithm only ever multiplies it with an exactly-zero factor.
+    Requires finite slopes with ``s_plus > 0``, ``s_minus >= 0`` and
+    ``s_plus != s_minus`` (ValueError otherwise). The derivative at zero is
+    defined as ``s_plus``; the convention is harmless because the algorithm
+    only ever multiplies it with an exactly-zero factor.
     """
 
     s_plus: float = 1.0
     s_minus: float = 0.0
 
     def __post_init__(self):
-        if not (self.s_plus > 0.0):
-            raise ValueError("s_plus must be positive")
-        if self.s_minus < 0.0:
-            raise ValueError("s_minus must be nonnegative")
+        require_in_range(self, "s_plus", 0, open_low=True)
+        require_in_range(self, "s_minus", 0)
         if self.s_plus == self.s_minus:
             raise ValueError("s_plus and s_minus must differ")
 

@@ -247,6 +247,8 @@ class TestRejectedUnitDescents:
         first = sosp_check(params, data)
         assert (first.kind, first.stage) == ("descent", "subdiff_qp")
         assert first.direction.v[0].any() and not first.direction.v[1].any()
+        # unit 1's tests run only once unit 0's direction is rejected
+        assert [e["k"] for e in first.diagnostics["trace"] if "k" in e] == [0]
         verdict, units = self._assert_unit_1_descends(monkeypatch, params, data, "subdiff_qp")
         assert [e["certified"] for e in units] == [False, False]
         assert set(verdict.diagnostics["stage_s"]) == {"derivatives", "first_order"}
@@ -433,7 +435,7 @@ class TestPipelineInvariants:
                 assert e.get("passed", e.get("certified")) == (e["value"] <= e["tol"])
                 if e["stage"] == "outer_layer":
                     assert e["value"] == np.linalg.norm(outer.gradient)
-                    assert e["scale"] == outer.scale
+                    assert e["scale"] == outer.margin["scale"]
                 elif e["stage"] == "subdiff_qp":
                     assert e["value"] == pytest.approx(np.sqrt(e["objective"]), rel=1e-12)
         assert seen == {"outer_layer", "subdiff_qp", "smooth_gradient"}

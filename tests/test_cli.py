@@ -85,6 +85,18 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "boundary_tol" in err
 
+    @pytest.mark.parametrize("slope, value", [("s_minus", float("nan")), ("s_plus", float("inf"))])
+    def test_non_finite_slope_is_an_input_error(self, fixture_files, tmp_path, capsys, slope,
+                                                value):
+        params, data = fixture_files
+        obj = load_json(params)
+        obj[slope] = value  # written as NaN or Infinity, which json reads back
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["check", "--params", str(bad), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not load inputs") and slope in err
+
     def test_library_error_is_an_input_error(self, fixture_files, tmp_path, capsys):
         # inputs of another width than the network's: a ShapeMismatchError
         params, data = fixture_files
@@ -149,10 +161,21 @@ class TestReportJson:
             report = json.load(fh)
         lines = explain(report)
         assert printed == ["verdict: sosp", *lines]
-        assert [line.split(":")[0] for line in lines[:4]] == [
-            "outer_layer", "subdiff_qp unit 0", "subdiff_qp unit 1", "ecqp"]
-        assert all(" <= tol " in line for line in lines[:3])
-        (record,) = [e for e in report["diagnostics"]["trace"] if e["stage"] == "icqp"]
+        assert [line.split(":")[0] for line in lines[:6]] == [
+            "outer_layer", "subdiff_qp unit 0", "increasing unit 0", "subdiff_qp unit 1",
+            "increasing unit 1", "ecqp"]
+        assert all(" <= tol " in lines[i] for i in (0, 1, 3))
+        trace = report["diagnostics"]["trace"]
+        for line, e in zip((lines[2], lines[4]), [e for e in trace if e["stage"] == "increasing"]):
+            # every ray is flat at an orthogonal fixture; the one printed is
+            # nearest to +-tol
+            products, tol = np.array(e["products"]), np.array(e["tol"])[:, None]
+            gaps = np.minimum(abs(products - tol), abs(products + tol)) / tol
+            t, side = np.unravel_index(np.argmin(gaps), gaps.shape)
+            assert line.endswith(
+                f"ray {'+-'[side]} of boundary sample {t}: product {products[t, side]:.3e}"
+                f" against +-tol {tol[t, 0]:.3e} -> flat")
+        (record,) = [e for e in trace if e["stage"] == "icqp"]
         counts = [line for line in lines if " x T" in line]
         assert sum(int(line.split(" x ")[0]) for line in counts) == 8
         patterns = [line for line in lines if "lambda_min(S)" in line]
@@ -220,6 +243,8 @@ class TestInvalidTrainingSettings:
             (["train", "--lr", "-1"], "lr"),
             (["stats", "--runs", "0"], "runs"),
             (["stats", "--iters", "0"], "iters"),
+            (["stats", "--boundary-tol", "-1"], "boundary"),
+            (["stats", "--boundary-tol", "nan"], "boundary"),
         ],
     )
     def test_rejected_with_input_error(self, tmp_path, capsys, argv, field):

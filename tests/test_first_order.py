@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sospcheck.checker import validate_descent
+from sospcheck.checker import sosp_check, validate_descent
 from sospcheck.errors import DegenerateGeometryError, InternalInconsistencyError, NotBoundaryError
 from sospcheck.first_order import (
     extreme_ray,
@@ -10,6 +10,8 @@ from sospcheck.first_order import (
     outer_layer_fosp,
     solve_subdiff_qp,
     subdiff_scale,
+    unit_direction,
+    unit_tests,
 )
 from sospcheck.harness import construct_boundary_fosp, generate_dataset, init_params
 from sospcheck.network import (
@@ -484,10 +486,7 @@ class TestDescentSoundness:
             assert qp_res.certifies_zero(qp_res.scale)
             inc = increasing_check(k, point.params, boundary, bundle, qp_res.s_star)
             assert inc.descent_found
-            d_x, d_h, d_y = point.params.dims
-            v = np.zeros((d_h, d_x + 1))
-            v[k] = inc.descent_v
-            eta = Perturbation(np.zeros(d_y), np.zeros((d_y, d_h)), v)
+            eta = unit_direction(point.params, k, inc.descent_v)
             first, _ = expansion_terms(point.params, point.data, loss, eta)
             assert first < 0
             gamma = validate_descent(point.params, point.data, loss, eta)
@@ -560,3 +559,71 @@ class TestExtremeRaySufficiency:
                     if float(g_sigma @ ray) < -tol:
                         brute_descent = True
             assert brute_descent == inc.descent_found, (mode, n_boundary)
+
+
+FIRST_ORDER_STAGES = ("subdiff_qp", "increasing", "smooth_gradient")
+
+
+class TestUnitTests:
+    @staticmethod
+    def _analysis(params, data):
+        bundle = per_sample_derivatives(params, data, SquaredLoss())
+        return bundle, boundary_analysis(params, data, SquaredLoss(), bundle=bundle)
+
+    @pytest.mark.parametrize(
+        "mode", ["interior", "edge", "orthogonal", "ray_descent", "subdiff_descent"]
+    )
+    def test_entries_are_the_checks_first_order_entries(self, mode):
+        # unit 0 has the boundary sample, unit 1 is smooth
+        point = construct_boundary_fosp(3, 2, 1, seed=1, mode=mode)
+        verdict = sosp_check(point.params, point.data)
+        bundle, boundary = self._analysis(point.params, point.data)
+        yielded = []
+        for entries, descent, _, _ in unit_tests(point.params, boundary, bundle):
+            yielded += entries
+            if descent is not None:  # the check stops at a validated descent
+                assert verdict.stage == entries[-1]["stage"]
+                break
+        trace = verdict.diagnostics["trace"]
+        assert [e for e in trace if e["stage"] in FIRST_ORDER_STAGES] == yielded
+        assert [e["k"] for e in yielded if e["stage"] != "increasing"] == (
+            [0] if mode.endswith("descent") else [0, 1]
+        )
+        for inc in (e for e in yielded if e["stage"] == "increasing"):
+            # the recorded products and tol decide the entry
+            products, tol = np.array(inc["products"]), np.array(inc["tol"])[:, None]
+            assert inc["descent"] == (products < -tol).any()
+            if not inc["descent"]:
+                assert inc["flat_sets"] == [
+                    [-1, 1] if f.all() else [int(f[0]) - int(f[1])]
+                    for f in np.abs(products) <= tol
+                ]
+
+    def test_a_descent_leaves_no_sign_rows(self):
+        # both units end in a descent at their box QP, at their increasing
+        # test, or at their gradient test; then an edge fixture without one
+        points = [
+            construct_boundary_fosp(4, 2, 1, seed=0, n_boundary=2, units=[0, 1], mode=mode)
+            for mode in ("subdiff_descent", "ray_descent")
+        ]
+        points.append(construct_boundary_fosp(3, 2, 1, seed=1, n_boundary=0))
+        smooth = init_params(2, 2, 1, seed=0)
+        data = generate_dataset(2, 1, 6, seed=100)
+        ends = []
+        for params, data in [(p.params, p.data) for p in points] + [(smooth, data)]:
+            bundle, boundary = self._analysis(params, data)
+            for entries, descent, pinned, free in unit_tests(params, boundary, bundle):
+                ends.append((entries[-1]["stage"], descent is not None))
+                if descent is not None:
+                    assert pinned.size == free.size == 0
+                    assert descent.v[entries[-1]["k"]].any() and descent.norm() > 0
+        assert ends == [
+            ("subdiff_qp", True), ("subdiff_qp", True), ("increasing", True), ("increasing", True),
+            ("smooth_gradient", False), ("smooth_gradient", False),
+            ("smooth_gradient", True), ("smooth_gradient", True),
+        ]
+        point = construct_boundary_fosp(4, 2, 1, seed=0, n_boundary=2, units=[0, 1], mode="edge")
+        bundle, boundary = self._analysis(point.params, point.data)
+        rows = [(p.tolist(), f.tolist()) for _, _, p, f in
+                unit_tests(point.params, boundary, bundle)]
+        assert rows == [([1], [False]), ([1], [False])]

@@ -12,6 +12,7 @@ from sospcheck.first_order import (
 )
 from sospcheck.harness import (
     AdamConfig,
+    StatThresholds,
     TrendConfig,
     adam_train,
     boundary_statistics,
@@ -260,6 +261,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="runs"):
             TrendConfig(runs=runs)
         TrendConfig(runs=1)
+
+    @pytest.mark.parametrize("field", ["boundary", "s_edge", "grad_orth", "qp_objective"])
+    @pytest.mark.parametrize("value", [-1e-9, float("nan"), float("inf")])
+    def test_stat_thresholds_reject(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            StatThresholds(**{field: value})
+        StatThresholds(**{field: 0.0})  # 0 counts exact boundaries only
 
 
 class TestBoundaryStatistics:

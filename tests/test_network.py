@@ -61,12 +61,18 @@ class TestActivation:
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_invalid_slopes(self):
-        with pytest.raises(ValueError):
-            ActivationSpec(0.0, 0.0)
-        with pytest.raises(ValueError):
-            ActivationSpec(1.0, 1.0)
-        with pytest.raises(ValueError):
-            ActivationSpec(1.0, -0.1)
+        nan, inf = float("nan"), float("inf")
+        for slopes, message in [
+            ((0.0, 0.0), "s_plus"),
+            ((1.0, 1.0), "differ"),
+            ((1.0, -0.1), "s_minus"),
+            ((1.0, nan), "s_minus"),
+            ((1.0, inf), "s_minus"),
+            ((nan, 0.0), "s_plus"),
+            ((inf, 0.0), "s_plus"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                ActivationSpec(*slopes)
 
 
 class TestForward:
