@@ -29,8 +29,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import NoDecreaseFoundError, PatternBudgetExceededError
-from .first_order import DEFAULT_TOL_ZERO, outer_layer_fosp, unit_tests
-from .linalg import require_in_range
+from .first_order import outer_layer_fosp, unit_tests
+from .linalg import TOLERANCES, require_in_range
 from .network import (
     BoundaryAnalysis,
     Dataset,
@@ -46,7 +46,6 @@ from .network import (
 # solve_icqp stays bound here: benchmarks/tracer.py wraps it in this namespace
 from .second_order import (  # noqa: F401
     DECISIONS,
-    DEFAULT_ZERO_EIG_TOL,
     IcqpBatch,
     assemble_so_qp,
     assembly_base,
@@ -59,16 +58,14 @@ from .second_order import (  # noqa: F401
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Tolerances and budgets threaded through a check; invalid values raise
-    ValueError.
+    """The snapping tolerance and budgets of a check; invalid values raise ValueError.
 
-    Nothing in a check is random, so these fields are all a rerun needs;
-    every verdict records them under ``diagnostics["config"]``.
+    Nothing in a check is random, so these fields and ``TOLERANCES`` are all a
+    rerun needs; every verdict records them as ``diagnostics["config"]`` and
+    ``diagnostics["tolerances"]``.
     """
 
     boundary_tol: float = 0.0
-    tol_zero: float = DEFAULT_TOL_ZERO
-    zero_eig_tol: float = DEFAULT_ZERO_EIG_TOL
     k_max: int = 16
     r_max: int = 20
     gamma0: float = 1e-2
@@ -76,12 +73,10 @@ class CheckConfig:
 
     def __post_init__(self):
         require_in_range(self, "boundary_tol k_max r_max gamma_halvings", 0)
-        require_in_range(self, "tol_zero zero_eig_tol gamma0", 0, open_low=True)
+        require_in_range(self, "gamma0", 0, open_low=True)
 
 
 DEFAULT_CONFIG = CheckConfig()
-# relative risk decrease a validated descent step must beat
-DESCENT_MARGIN = 1e-14
 
 
 @dataclass(frozen=True)
@@ -133,13 +128,13 @@ def validate_descent(
     """Backtracking line search certifying an actual risk decrease along ``eta``.
 
     Returns the first step size gamma in {gamma0 * 2^-j} with
-    risk(z + gamma eta) < risk(z) - DESCENT_MARGIN * max(1, risk(z)); raises
-    NoDecreaseFoundError if none of them decreases the risk.
+    risk(z + gamma eta) < risk(z) - ``TOLERANCES.descent_margin`` * max(1, risk(z));
+    raises NoDecreaseFoundError if none of them decreases the risk.
     """
     if eta.norm() == 0.0:
         raise ValueError("descent direction must be nonzero")
     base = empirical_risk(params, data, loss)
-    floor = base - DESCENT_MARGIN * max(1.0, abs(base))
+    floor = base - TOLERANCES.descent_margin * max(1.0, abs(base))
     for j in range(halvings + 1):
         gamma = gamma0 * (0.5**j)
         if empirical_risk(params.perturbed(eta, gamma), data, loss) < floor:
@@ -238,7 +233,7 @@ def sosp_check(
         last_lap = now
 
     bundle = per_sample_derivatives(params, data, loss, cfg.boundary_tol)
-    boundary = boundary_analysis(params, data, loss, cfg.boundary_tol, bundle=bundle)
+    boundary = boundary_analysis(params, data, loss, bundle=bundle)
     lap("derivatives")
     d_x, d_h, d_y = params.dims
     trace: list[dict] = []
@@ -250,13 +245,14 @@ def sosp_check(
         "n_ecqp": 0,
         "n_icqp": 0,
         "config": asdict(cfg),
+        "tolerances": asdict(TOLERANCES),
         "stage_s": stage_s,
     }
 
     def finish_descent(stage: str, eta: Perturbation) -> Verdict:
         lap(stage if stage in ("ecqp", "icqp") else "first_order")
         step = validate_descent(params, data, loss, eta, cfg.gamma0, cfg.gamma_halvings)
-        first, second = expansion_terms(params, data, loss, eta, cfg.boundary_tol, bundle=bundle)
+        first, second = expansion_terms(params, data, loss, eta, bundle=bundle)
         diagnostics["descent_first_order"] = first
         diagnostics["descent_second_order"] = second
         diagnostics["elapsed"] = time.perf_counter() - t_start
@@ -268,13 +264,13 @@ def sosp_check(
             diagnostics=diagnostics,
         )
 
-    outer = outer_layer_fosp(params, bundle, cfg.tol_zero)
+    outer = outer_layer_fosp(params, bundle)
     trace.append({"stage": "outer_layer", "passed": outer.passed, **outer.margin})
     if not outer.passed:
         return finish_descent("outer_layer", outer.descent)
 
     pinned_by_unit, free_by_unit, rejected = [], [], []
-    for entries, eta, pinned_k, free_k in unit_tests(params, boundary, bundle, cfg.tol_zero):
+    for entries, eta, pinned_k, free_k in unit_tests(params, boundary, bundle):
         trace.extend(entries)
         if eta is None:
             pinned_by_unit.append(pinned_k)
@@ -306,7 +302,7 @@ def sosp_check(
 
     base = assembly_base(params, bundle, boundary)
     qp0 = assemble_so_qp(params, data, loss, boundary, np.zeros(boundary.total), base=base)
-    ec = projected_spectrum_oracle(qp0.Q, qp0.A, zero_tol=cfg.zero_eig_tol)
+    ec = projected_spectrum_oracle(qp0.Q, qp0.A)
     if ec.witness is not None:
         verify_witness(qp0.Q, qp0.A, qp0.B, ec.witness, ec.verdict)
     diagnostics["n_ecqp"] += 1
@@ -336,7 +332,7 @@ def sosp_check(
                 f"2^{n_free} sign patterns exceed the budget 2^{cfg.k_max}"
             )
         diagnostics["n_patterns"] = 2**n_free
-        sweep = icqp_sweep(base, ec, pinned, free, r_max=cfg.r_max, zero_tol=cfg.zero_eig_tol)
+        sweep = icqp_sweep(base, ec, pinned, free, r_max=cfg.r_max)
         batches, descent = [], None
         for batch in sweep:
             batches.append(batch)
@@ -355,9 +351,7 @@ def sosp_check(
 
     diagnostics["elapsed"] = time.perf_counter() - t_start
     if sosp_flag:
-        first, second = expansion_terms(
-            params, data, loss, flat_witness, cfg.boundary_tol, bundle=bundle
-        )
+        first, second = expansion_terms(params, data, loss, flat_witness, bundle=bundle)
         diagnostics["flat_witness_first_order"] = first
         diagnostics["flat_witness_second_order"] = second
         return Verdict(kind="sosp", flat_witness=flat_witness, diagnostics=diagnostics)

@@ -36,20 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, InternalInconsistencyError, NotBoundaryError
+from .linalg import TOLERANCES
 from .network import BoundaryAnalysis, DerivativeBundle, NetworkParams, Perturbation
 
-DEFAULT_TOL_ZERO = 1e-8
-# A gradient factor a_t = W2[:,k]^T grad_t is rounding noise when |a_t| is at most
-# this multiple of ||W2[:,k]|| (||grad_t|| + ||output_t||): the rounding scale of
-# the product and of grad_t itself, which at d_y = 1 is all that is left of an
-# output_t - label_t orthogonal to W2[:,k].
-FACTOR_ROUNDING_RTOL = 1e-12
 
-
-def zero_test(value: float, scale: float, tol_zero: float = DEFAULT_TOL_ZERO) -> dict:
+def zero_test(value: float, scale: float) -> dict:
     """The record ``{value, scale, tol}`` of the zero test value <= tol: the
-    norm tested, the problem scale it is relative to, and tol_zero * scale."""
-    return {"value": float(value), "scale": float(scale), "tol": tol_zero * float(scale)}
+    norm tested, its problem scale, and ``TOLERANCES.zero`` * scale."""
+    return {"value": float(value), "scale": float(scale), "tol": TOLERANCES.zero * float(scale)}
 
 
 def unit_direction(params: NetworkParams, k: int, v_k: np.ndarray) -> Perturbation:
@@ -76,7 +70,6 @@ def unit_tests(
     params: NetworkParams,
     boundary: BoundaryAnalysis,
     bundle: DerivativeBundle,
-    tol_zero: float = DEFAULT_TOL_ZERO,
 ) -> Iterator[tuple[list[dict], Perturbation | None, np.ndarray, np.ndarray]]:
     """Run each hidden unit's first-order tests, in unit order, lazily.
 
@@ -90,12 +83,12 @@ def unit_tests(
     no_signs = (np.zeros(0, int), np.zeros(0, bool))
     for k in range(params.dims[1]):
         if boundary.counts[k] == 0:
-            sm = inner_layer_fosp_smooth(k, params, boundary, tol_zero)
+            sm = inner_layer_fosp_smooth(k, params, boundary)
             entry = {"stage": "smooth_gradient", "k": k, "passed": sm.passed, **sm.margin}
             yield [entry], sm.descent, *no_signs
             continue
         qp = solve_subdiff_qp(k, params, boundary, bundle)
-        margin = zero_test(np.linalg.norm(qp.residual_vector), qp.scale, tol_zero)
+        margin = zero_test(np.linalg.norm(qp.residual_vector), qp.scale)
         certified = margin["value"] <= margin["tol"]
         entries = [
             {
@@ -112,7 +105,7 @@ def unit_tests(
         if not certified:
             yield entries, unit_direction(params, k, -qp.residual_vector), *no_signs
             continue
-        inc = increasing_check(k, params, boundary, bundle, qp.s_star, tol_zero)
+        inc = increasing_check(k, params, boundary, bundle, qp.s_star)
         entries.append(
             {
                 "stage": "increasing",
@@ -134,11 +127,7 @@ def unit_tests(
 # ---------------------------------------------------------------------------
 
 
-def outer_layer_fosp(
-    params: NetworkParams,
-    bundle: DerivativeBundle,
-    tol_zero: float = DEFAULT_TOL_ZERO,
-) -> GradientTest:
+def outer_layer_fosp(params: NetworkParams, bundle: DerivativeBundle) -> GradientTest:
     """Test whether the (W2, b2) gradient block vanishes.
 
     ``gradient`` is (d_y, d_h + 1): [sum grad_i O_i^T, sum grad_i]. The
@@ -148,7 +137,7 @@ def outer_layer_fosp(
     aug = np.hstack([bundle.hidden, np.ones((bundle.m, 1))])
     grad = bundle.grads.T @ aug
     scale = max(1.0, float(np.linalg.norm(bundle.grads, axis=1) @ np.linalg.norm(aug, axis=1)))
-    margin = zero_test(np.linalg.norm(grad), scale, tol_zero)
+    margin = zero_test(np.linalg.norm(grad), scale)
     if margin["value"] <= margin["tol"]:
         return GradientTest(True, grad, None, margin)
     descent = Perturbation(-grad[:, d_h], -grad[:, :d_h], np.zeros((d_h, d_x + 1)))
@@ -156,17 +145,14 @@ def outer_layer_fosp(
 
 
 def inner_layer_fosp_smooth(
-    k: int,
-    params: NetworkParams,
-    boundary: BoundaryAnalysis,
-    tol_zero: float = DEFAULT_TOL_ZERO,
+    k: int, params: NetworkParams, boundary: BoundaryAnalysis
 ) -> GradientTest:
     """Gradient test for a unit with no boundary samples (M_k = 0);
     ``gradient`` is (d_x + 1,): C_k^T W2[:, k]."""
     w = params.W2[:, k]
     grad = boundary.C[k].T @ w
     scale = max(1.0, float(np.linalg.norm(boundary.C[k]) * np.linalg.norm(w)))
-    margin = zero_test(np.linalg.norm(grad), scale, tol_zero)
+    margin = zero_test(np.linalg.norm(grad), scale)
     if margin["value"] <= margin["tol"]:
         return GradientTest(True, grad, None, margin)
     return GradientTest(False, grad, unit_direction(params, k, -grad), margin)
@@ -197,8 +183,8 @@ class SubdiffQPResult:
     kkt_residual: float
     scale: float
 
-    def certifies_zero(self, scale: float, tol_zero: float = DEFAULT_TOL_ZERO) -> bool:
-        test = zero_test(np.linalg.norm(self.residual_vector), scale, tol_zero)
+    def certifies_zero(self, scale: float) -> bool:
+        test = zero_test(np.linalg.norm(self.residual_vector), scale)
         return test["value"] <= test["tol"]
 
 
@@ -218,7 +204,7 @@ def solve_subdiff_qp(
     Bounded-variable least squares, solved exactly by one active-set call
     (``lsq_linear``, ``method="bvls"``); ``iterations`` counts its steps.
     Slopes whose gradient factor W2[:,k]^T grad_t is zero up to rounding
-    (``FACTOR_ROUNDING_RTOL``) stay at the box midpoint.
+    (``TOLERANCES.factor_rounding``) stay at the box midpoint.
     A stalled solver raises InternalInconsistencyError.
     """
     from scipy.optimize import lsq_linear
@@ -237,7 +223,7 @@ def solve_subdiff_qp(
     a_scale = np.linalg.norm(w) * (
         np.linalg.norm(bundle.grads[idx], axis=1) + np.linalg.norm(bundle.outputs[idx], axis=1)
     )
-    live = np.abs(a) > FACTOR_ROUNDING_RTOL * a_scale
+    live = np.abs(a) > TOLERANCES.factor_rounding * a_scale
     iterations = 0
     if live.any():
         sol = lsq_linear(cols[:, live], -c0, bounds=(lo, hi), method="bvls")
@@ -293,7 +279,7 @@ def extreme_rays(xbar_rows: np.ndarray) -> np.ndarray:
     """
     gram = xbar_rows @ xbar_rows.T
     w = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-    if w[0] <= 1e-12 * max(w[-1], 1.0):
+    if w[0] <= TOLERANCES.gram * max(w[-1], 1.0):
         raise DegenerateGeometryError(
             f"boundary Gram matrix nearly singular (eigenvalues {w[0]:.3e}..{w[-1]:.3e})"
         )
@@ -303,9 +289,9 @@ def extreme_rays(xbar_rows: np.ndarray) -> np.ndarray:
     inner = cross.diagonal().copy()
     rays[inner < 0] *= -1.0
     np.fill_diagonal(cross, 0.0)
-    if np.abs(cross).max() > 1e-9 * np.sqrt(gram.diagonal().max()):
+    if np.abs(cross).max() > TOLERANCES.ray_cross * np.sqrt(gram.diagonal().max()):
         raise DegenerateGeometryError("extreme ray fails orthogonality to the other boundary rows")
-    if np.abs(inner).min() <= 1e-12:
+    if np.abs(inner).min() <= TOLERANCES.ray_inner:
         raise DegenerateGeometryError("extreme ray nearly orthogonal to its own boundary row")
     return rays
 
@@ -336,7 +322,6 @@ def increasing_check(
     boundary: BoundaryAnalysis,
     bundle: DerivativeBundle,
     s_star: np.ndarray,
-    tol_zero: float = DEFAULT_TOL_ZERO,
 ) -> IncreasingCheckResult:
     """Test directional growth along both directions of every extreme ray.
 
@@ -356,7 +341,7 @@ def increasing_check(
     a = bundle.grads[idx] @ params.W2[:, k]
     c = np.einsum("ij,ij->i", rows, rays)  # > 0 by construction
     products = np.column_stack([(act.s_plus - s_star) * a * c, (act.s_minus - s_star) * a * -c])
-    tol = tol_zero * np.maximum(1.0, np.abs(a) * c * abs(act.s_plus - act.s_minus))
+    tol = TOLERANCES.zero * np.maximum(1.0, np.abs(a) * c * abs(act.s_plus - act.s_minus))
     descends = products < -tol[:, None]
     if descends.any():
         t, minus = divmod(int(np.argmax(descends)), 2)

@@ -232,9 +232,7 @@ def boundary_statistics(
     thr = thresholds if thresholds is not None else StatThresholds()
     t0 = time.perf_counter()
     bundle = per_sample_derivatives(params, data, loss, boundary_tol=thr.boundary)
-    boundary = boundary_analysis(
-        params, data, loss, thr.boundary, bundle=bundle, enforce_general_position=False
-    )
+    boundary = boundary_analysis(params, data, loss, bundle=bundle, enforce_general_position=False)
 
     act = params.activation
     lo, hi = act.box
@@ -411,17 +409,16 @@ def _pin_sample_to_hyperplane(inputs: np.ndarray, params: NetworkParams, i: int,
 def _fosp_constraint_matrix(
     params: NetworkParams,
     inputs: np.ndarray,
+    hidden: np.ndarray,
+    slopes: np.ndarray,
     boundary_pairs: list,
     s_prescribed: dict,
     orthogonal_pairs: list,
 ) -> np.ndarray:
     """Linear constraints on the per-sample residual matrix G (m x d_y) that
     make the point first-order stationary with the prescribed box-QP solution."""
-    act = params.activation
     d_x, d_h, d_y = params.dims
     m = inputs.shape[0]
-    preact = inputs @ params.W1.T + params.b1
-    hidden = act.h(preact)
     xbar = np.hstack([inputs, np.ones((m, 1))])
     # each block is (rows, m, d_y): entry [., i, a] is the coefficient of G[i, a]
     # Outer-layer stationarity: sum_i G[i] hidden[i]^T = 0 and sum_i G[i] = 0.
@@ -429,7 +426,7 @@ def _fosp_constraint_matrix(
     diag = np.arange(d_y)
     outer[diag, :, :, diag] = np.vstack([hidden.T, np.ones((1, m))])
     # Per-unit stationarity with fixed slope coefficients.
-    coeff = act.hprime(preact).astype(float)
+    coeff = slopes.copy()
     for i, k in boundary_pairs:
         coeff[i, k] = s_prescribed[(i, k)]
     slope = (coeff[:, :, None] * params.W2.T[None, :, :]).transpose(1, 0, 2)
@@ -459,7 +456,6 @@ def construct_boundary_fosp(
     seed: int = 0,
     m: int | None = None,
     n_boundary: int = 1,
-    unit: int = 0,
     units=None,
     mode: str = "interior",
     activation: ActivationSpec = RELU,
@@ -469,7 +465,7 @@ def construct_boundary_fosp(
     """Construct a point whose risk is stationary with exact boundary samples.
 
     ``n_boundary`` samples are placed exactly on hidden-unit hyperplanes
-    (sample b on ``units[b]``, defaulting to all on ``unit``) and the labels
+    (sample b on ``units[b]``, by default all on unit 0) and the labels
     are solved for so that every first-order test passes. With
     ``n_boundary=0`` the point is differentiable: no preactivation is near
     zero, only mode "interior" is accepted, and the returned ``unit`` is -1.
@@ -496,7 +492,7 @@ def construct_boundary_fosp(
     if n_boundary == 0 and mode != "interior":
         raise ValueError(f"mode {mode!r} needs boundary samples")
     if units is None:
-        units = [unit] * n_boundary
+        units = [0] * n_boundary
     units = [int(u) for u in units]
     if len(units) != n_boundary or any(not 0 <= u < d_h for u in units):
         raise ValueError(f"need {n_boundary} valid unit indices, got {units}")
@@ -548,7 +544,7 @@ def construct_boundary_fosp(
                 break
         if not ok:
             continue
-        outputs, preact, _, _ = forward_slopes(params, inputs)
+        outputs, preact, hidden, slopes = forward_slopes(params, inputs)
         mask = np.zeros((m, d_h), dtype=bool)
         for b, k in enumerate(units):
             mask[b, k] = True
@@ -569,11 +565,7 @@ def construct_boundary_fosp(
                 pair: lo + (0.3 + 0.4 * rng.random()) * (hi - lo) for pair in pairs
             }
         phi = _fosp_constraint_matrix(
-            params,
-            inputs,
-            pairs,
-            s_presc,
-            pairs if mode == "orthogonal" else [],
+            params, inputs, hidden, slopes, pairs, s_presc, pairs if mode == "orthogonal" else []
         )
         null = nullspace_basis(phi)
         if null.shape[1] == 0:

@@ -9,9 +9,9 @@ Each job has one routine: a pseudo-inverse comes from the
 threshold, a projection onto null(A) is ``W W^T``, W = nullspace_basis(A),
 and a symmetry check, of one matrix or a stack, is :func:`symmetric_part`.
 
-All rank decisions funnel through a single relative threshold,
-``DEFAULT_RANK_TOL``, so the numerical meaning of "rank" is auditable in one
-place.
+Every threshold of a check is one field of :class:`Tolerances`, read from
+its one instance ``TOLERANCES``, so the numerical meaning of "zero", "rank"
+or "symmetric" is auditable in one place; each report records it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,38 @@ import numpy as np
 
 from .errors import NonFiniteError, NonSymmetricError
 
-DEFAULT_RANK_TOL = 1e-10
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Every threshold of a check, each relative to the scale named with it
+    (absolute where none is). ``TOLERANCES`` is the one instance; it is not a
+    setting, and every verdict records it as ``diagnostics["tolerances"]``."""
+
+    zero: float = 1e-8  # first-order zero tests: a norm, or a ray's product, <= zero * scale
+    # a gradient factor W2[:,k]^T grad_t within this of ||W2[:,k]|| (||grad_t|| +
+    # ||output_t||) is rounding noise, so its slope stays at the box midpoint
+    factor_rounding: float = 1e-12
+    gram: float = 1e-12  # boundary Gram matrix singular: lambda_min <= gram * max(1, lambda_max)
+    ray_cross: float = 1e-9  # an extreme ray meets another boundary row: > ray_cross * max ||xbar||
+    ray_inner: float = 1e-12  # an extreme ray misses its own boundary row: |xbar_t . v_t| <= this
+    loss_convexity: float = 1e-10  # loss Hessian not PSD: lambda_min < -this * max(1, lambda_max)
+    rank: float = 1e-10  # numerical rank: singular values above rank * the largest
+    symmetry: float = 1e-10  # symmetric within symmetry * max(1, max |M|), or per 2 x 2 block of S
+    form_symmetry: float = 1e-9  # the same for the cone QPs' forms Q
+    eig: float = 1e-8  # a face eigenvalue, or PD3's ||R12 z||, is zero within eig * scale
+    interlacing: float = 1e-9  # a projected top eigenvalue may exceed Q's by this * max(1, ||Q||)
+    cp: float = 1e-9  # copositivity's zero threshold, times max(1, max |S|)
+    pareto_pos: float = 1e-9  # a unit Pareto eigenvector's entries above this are positive
+    pareto_comp: float = 1e-10  # Pareto complementarity S x >= -pareto_comp * max(1, max |S|)
+    pareto_repeat: float = 1e-9  # eigenvalues within pareto_repeat * max(1, max |S|) repeat
+    # witness re-verification, a soundness invariant: feasible within witness_feas *
+    # ||eta||, T2 curvature within witness_feas * max(1, ||Q||), T3 at most -witness_curv * ||Q||
+    witness_feas: float = 1e-8
+    witness_curv: float = 1e-10
+    descent_margin: float = 1e-14  # a validated step beats the risk by this * max(1, risk)
+
+
+TOLERANCES = Tolerances()
 
 
 def require_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
@@ -118,7 +149,7 @@ def sym_eig(m: np.ndarray) -> EigenDecomposition:
     NonFiniteError on NaN/Inf. Eigenvalues come back ascending; eigenvector
     signs are canonicalized for deterministic output.
     """
-    m = symmetric_part(m, "matrix", 1e-10)
+    m = symmetric_part(m, "matrix", TOLERANCES.symmetry)
     if m.ndim != 2:
         raise NonSymmetricError(f"expected one matrix, got shape {m.shape}")
     if m.size == 0:
@@ -133,7 +164,7 @@ def _rank(s: np.ndarray, rank_tol: float) -> int:
     return 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > rank_tol * s[0]))
 
 
-def nullspace_basis(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def nullspace_basis(m: np.ndarray, rank_tol: float = TOLERANCES.rank) -> np.ndarray:
     """Orthonormal basis (as columns) of the null space of ``m``."""
     m = require_finite(m, "matrix")
     if m.ndim != 2:
@@ -145,7 +176,7 @@ def nullspace_basis(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.nda
     return canonicalize_columns(vt[_rank(s, rank_tol) :].T)
 
 
-def matrix_rank(m: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+def matrix_rank(m: np.ndarray, rank_tol: float = TOLERANCES.rank) -> int:
     """Numerical rank using the package-wide relative threshold."""
     m = require_finite(m, "matrix")
     if m.size == 0:

@@ -34,7 +34,7 @@ from .errors import (
     NonPSDHessianError,
     ShapeMismatchError,
 )
-from .linalg import DEFAULT_RANK_TOL, matrix_rank, require_finite, require_in_range
+from .linalg import TOLERANCES, matrix_rank, require_finite, require_in_range
 
 
 @dataclass(frozen=True)
@@ -367,7 +367,7 @@ def per_sample_derivatives(
     """Evaluate and cache loss gradients/Hessians and hidden-layer state.
 
     Raises NonPSDHessianError if any per-sample Hessian has an eigenvalue
-    below -1e-10 (relative), since the tests assume a convex loss.
+    below ``-TOLERANCES.loss_convexity`` (relative): the tests assume a convex loss.
     """
     if data.d_y != params.dims[2]:
         raise ShapeMismatchError(
@@ -379,7 +379,7 @@ def per_sample_derivatives(
     if grads.shape != outputs.shape or hessians.shape != outputs.shape + (data.d_y,):
         raise ShapeMismatchError(f"loss shapes {grads.shape}, {hessians.shape} for {outputs.shape}")
     w = np.linalg.eigvalsh(0.5 * (hessians + hessians.swapaxes(1, 2)))
-    bad = np.flatnonzero(w[:, 0] < -1e-10 * np.maximum(1.0, np.abs(w[:, -1])))
+    bad = np.flatnonzero(w[:, 0] < -TOLERANCES.loss_convexity * np.maximum(1.0, np.abs(w[:, -1])))
     if bad.size:
         i = int(bad[0])
         raise NonPSDHessianError(f"loss Hessian at sample {i} has eigenvalue {w[i, 0]:.3e}")
@@ -438,24 +438,35 @@ class BoundaryAnalysis:
         return units, np.concatenate([np.asarray(ix, dtype=int) for ix in self.boundary_indices])
 
 
+def _bundle_of(params, data, loss, tol, bundle) -> DerivativeBundle:
+    """``bundle``, or without one the point's bundle snapped at ``tol`` (None:
+    0.0); raises ValueError if ``tol`` is given and is not the bundle's."""
+    if bundle is None:
+        return per_sample_derivatives(params, data, loss, tol or 0.0)
+    if tol not in (None, bundle.boundary_tol):
+        raise ValueError(f"boundary_tol {tol} contradicts the bundle's {bundle.boundary_tol}")
+    return bundle
+
+
 def boundary_analysis(
     params: NetworkParams,
     data: Dataset,
     loss: LossModel,
-    boundary_tol: float = 0.0,
+    boundary_tol: float | None = None,
     bundle: DerivativeBundle | None = None,
     enforce_general_position: bool = True,
 ) -> BoundaryAnalysis:
     """Identify boundary samples per hidden unit and assemble C_k matrices.
 
-    A unit's boundary inputs are out of general position when there are
-    more than d_x of them or their augmented inputs are linearly dependent
-    (either one breaks the extreme-ray geometry). This is recorded per unit,
-    and with ``enforce_general_position`` set it raises
+    The snapping tolerance, which the analysis records, is ``bundle``'s when
+    one is given (another ``boundary_tol`` raises ValueError), else
+    ``boundary_tol`` (None: 0.0). A unit's boundary inputs are out of general
+    position when there are more than d_x of them or their augmented inputs
+    are linearly dependent (either one breaks the extreme-ray geometry). This
+    is recorded per unit, and with ``enforce_general_position`` set it raises
     GeneralPositionViolationError.
     """
-    if bundle is None:
-        bundle = per_sample_derivatives(params, data, loss, boundary_tol)
+    bundle = _bundle_of(params, data, loss, boundary_tol, bundle)
     d_x, d_h, d_y = params.dims
     act = params.activation
     indices, rows, cmats, general = [], [], [], []
@@ -479,7 +490,7 @@ def boundary_analysis(
         boundary_indices=indices,
         boundary_xbar=rows,
         C=cmats,
-        boundary_tol=boundary_tol,
+        boundary_tol=bundle.boundary_tol,
         dims=(d_x, d_h, d_y),
         general_position=general,
     )
@@ -495,7 +506,7 @@ def expansion_terms(
     data: Dataset,
     loss: LossModel,
     eta: Perturbation,
-    boundary_tol: float = 0.0,
+    boundary_tol: float | None = None,
     bundle: DerivativeBundle | None = None,
 ) -> tuple[float, float]:
     """First- and second-order coefficients of the risk along ``eta``.
@@ -504,10 +515,10 @@ def expansion_terms(
     t^2*second + o(t^2) for small t > 0. On boundary units the hidden-layer
     slope is resolved by the direction itself (the sign of xbar_i . v_k), so
     both values are positively homogeneous: scaling eta by gamma > 0 scales
-    them by gamma and gamma^2.
+    them by gamma and gamma^2. ``boundary_tol`` is resolved as in
+    :func:`boundary_analysis`.
     """
-    if bundle is None:
-        bundle = per_sample_derivatives(params, data, loss, boundary_tol)
+    bundle = _bundle_of(params, data, loss, boundary_tol, bundle)
     if eta.dims != params.dims:
         raise ShapeMismatchError(f"direction dims {eta.dims} do not match network {params.dims}")
     act = params.activation
@@ -547,7 +558,7 @@ def validate_general_position(
     max_exhaustive: int = 20000,
     n_samples: int = 2000,
     seed: int = 0,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    rank_tol: float = TOLERANCES.rank,
 ) -> GeneralPositionReport:
     """Check that no d_x + 1 inputs lie on a common affine hyperplane.
 

@@ -81,7 +81,7 @@ from .errors import (
     SubsetBudgetExceededError,
 )
 from .linalg import (
-    DEFAULT_RANK_TOL,
+    TOLERANCES,
     EigenDecomposition,
     matrix_rank,
     nullspace_basis,
@@ -101,14 +101,6 @@ from .network import (
     perturbation_layout,
 )
 
-DEFAULT_ZERO_EIG_TOL = 1e-8
-# Pareto spectrum: positivity of unit eigenvectors, then complementarity and
-# the zero test of copositivity relative to max(1, max |S|)
-DEFAULT_POS_TOL = 1e-9
-DEFAULT_COMP_TOL = 1e-10
-DEFAULT_CP_TOL = 1e-9
-WITNESS_FEAS_TOL = 1e-8
-WITNESS_CURV_TOL = 1e-10
 # samples per block when summing the per-sample curvature terms of a cone QP;
 # bounds the working memory of the assembly at O(ASSEMBLY_BLOCK * p)
 ASSEMBLY_BLOCK = 1024
@@ -158,7 +150,7 @@ class ConeQP:
     B: np.ndarray
 
     def __post_init__(self):
-        q_mat = symmetric_part(self.Q, "Q", 1e-9)
+        q_mat = symmetric_part(self.Q, "Q", TOLERANCES.form_symmetry)
         if q_mat.ndim != 2:
             raise NonSymmetricError("Q must be one square symmetric matrix")
         p = q_mat.shape[0]
@@ -202,12 +194,12 @@ def verify_witness(
     fails.
 
     A T3 witness needs curvature eta^T Q eta / ||eta||^2 at most
-    ``-WITNESS_CURV_TOL * ||Q||_2``, a T2 witness at most
-    ``WITNESS_FEAS_TOL * max(||Q||_2, 1)`` in absolute value. A screen
+    ``-witness_curv * ||Q||_2``, a T2 witness at most ``witness_feas *
+    max(||Q||_2, 1)`` in absolute value (fields of ``TOLERANCES``). A screen
     settles most witnesses without ||Q||_2: U = 2 max_i sum_j |Q_ij| bounds
     it from above and L = max_j ||Q e_j|| / 2 from below, so a T3 curvature
-    at most ``-WITNESS_CURV_TOL * U`` and a T2 one within
-    ``WITNESS_FEAS_TOL * max(L, 1)`` pass the exact test too. Only the rest
+    at most ``-witness_curv * U`` and a T2 one within ``witness_feas *
+    max(L, 1)`` pass the exact test too. Only the rest
     pays for the eigenvalues of Q, so the check accepts and rejects exactly
     the witnesses that the exact thresholds do. Returns the record
     ``{"curvature", "threshold", "by"}`` of the test that settled the
@@ -220,9 +212,9 @@ def verify_witness(
     n = float(np.sqrt(eta @ eta))
     if n == 0.0:
         failure = "is the zero vector"
-    elif a_mat.shape[0] and np.linalg.norm(a_mat @ eta) > WITNESS_FEAS_TOL * n:
+    elif a_mat.shape[0] and np.linalg.norm(a_mat @ eta) > TOLERANCES.witness_feas * n:
         failure = "violates equality constraints"
-    elif b_mat.shape[0] and (b_mat @ eta).min() < -WITNESS_FEAS_TOL * n:
+    elif b_mat.shape[0] and (b_mat @ eta).min() < -TOLERANCES.witness_feas * n:
         failure = "violates inequality constraints"
     else:
         quad = float(eta @ q_mat @ eta)
@@ -243,7 +235,9 @@ def verify_witness(
 def _curvature_limit(verdict: str, norm: float) -> float:
     """The curvature eta^T Q eta / ||eta||^2 allowed to a witness of a form
     of 2-norm ``norm``: an upper bound for T3, a bound on its size for T2."""
-    return -WITNESS_CURV_TOL * norm if verdict == "T3" else WITNESS_FEAS_TOL * max(norm, 1.0)
+    if verdict == "T3":
+        return -TOLERANCES.witness_curv * norm
+    return TOLERANCES.witness_feas * max(norm, 1.0)
 
 
 def _passes(verdict: str, quad: float, n: float, norm: float) -> bool:
@@ -510,7 +504,7 @@ def solve_ecqp_pgd(q_mat: np.ndarray, a_mat: np.ndarray, seed: int = 0) -> QPCla
         if diverged:
             u = eta / n0
             quad = float(u @ q_mat @ u)
-            if quad < -max(WITNESS_CURV_TOL * qnorm, 1e-300):
+            if quad < -max(TOLERANCES.witness_curv * qnorm, 1e-300):
                 diag.update(iterations=it, norms=norms)
                 return QPClassification("T3", u, diag)
         prev = eta
@@ -527,7 +521,7 @@ class SpectrumOracle:
     decomposition: EigenDecomposition
     basis: np.ndarray  # orthonormal basis of null(A)
     scale: float  # ||Q||_2
-    tol: float  # zero_tol * scale: eigenvalues within it count as zero
+    tol: float  # TOLERANCES.eig * scale: eigenvalues within it count as zero
 
     @property
     def lam_min(self) -> float | None:
@@ -536,16 +530,12 @@ class SpectrumOracle:
         return float(values[0]) if values.size else None
 
 
-def projected_spectrum_oracle(
-    q_mat: np.ndarray,
-    a_mat: np.ndarray,
-    zero_tol: float = DEFAULT_ZERO_EIG_TOL,
-) -> SpectrumOracle:
+def projected_spectrum_oracle(q_mat: np.ndarray, a_mat: np.ndarray) -> SpectrumOracle:
     """Classify Q on {A eta = 0} from the spectrum of the projected form.
 
     With W an orthonormal basis of null(A), the verdict follows from the
     eigenvalue signs of C = W^T Q W, with |lambda| below
-    ``zero_tol * ||Q||`` counted as zero. The witness is the unit
+    ``TOLERANCES.eig * ||Q||`` counted as zero. The witness is the unit
     eigenvector of the smallest (T3) or first zero (T2) eigenvalue, mapped
     back by W. The top eigenvalue of C never exceeds that of Q
     (interlacing); this is asserted.
@@ -556,13 +546,13 @@ def projected_spectrum_oracle(
     basis = nullspace_basis(a_mat) if a_mat.shape[0] else np.eye(p)
     eig_q = np.linalg.eigvalsh(q_mat)
     scale = float(np.abs(eig_q).max(initial=0.0))
-    tol = zero_tol * scale
+    tol = TOLERANCES.eig * scale
     if basis.shape[1] == 0:
         empty = EigenDecomposition(np.zeros(0), np.zeros((0, 0)))
         return SpectrumOracle("T1", None, empty, basis, scale, tol)
     c_mat = basis.T @ q_mat @ basis
     dec = sym_eig(0.5 * (c_mat + c_mat.T))
-    if dec.eigenvalues[-1] > eig_q[-1] + 1e-9 * max(1.0, scale):
+    if dec.eigenvalues[-1] > eig_q[-1] + TOLERANCES.interlacing * max(1.0, scale):
         raise InternalInconsistencyError("projected top eigenvalue exceeds the unprojected one")
     if dec.eigenvalues[0] < -tol:
         return SpectrumOracle("T3", basis @ dec.eigenvectors[:, 0], dec, basis, scale, tol)
@@ -600,7 +590,7 @@ class IcqpFrame:
 
 
 def _frame(
-    a: np.ndarray, b0: np.ndarray, face: SpectrumOracle, rank_tol: float = DEFAULT_RANK_TOL
+    a: np.ndarray, b0: np.ndarray, face: SpectrumOracle, rank_tol: float = TOLERANCES.rank
 ) -> IcqpFrame:
     """The :class:`IcqpFrame` of the rows ``a`` and ``b0``; see
     :func:`icqp_frame`."""
@@ -624,7 +614,7 @@ def _frame(
 
 
 def icqp_frame(
-    qp: ConeQP, rank_tol: float = DEFAULT_RANK_TOL, face: SpectrumOracle | None = None
+    qp: ConeQP, rank_tol: float = TOLERANCES.rank, face: SpectrumOracle | None = None
 ) -> IcqpFrame:
     """Eliminate the equality constraints once for every cone that shares
     ``qp``'s rows up to the signs of B, and check their ranks.
@@ -830,7 +820,7 @@ class ParetoEigenpair:
 def _require_symmetric_pairs(s_mat: np.ndarray) -> None:
     """Reject S, a public input of :func:`pareto_spectrum` or
     :func:`copositivity_classify`, unless every principal submatrix S^J is
-    symmetric within 1e-10 * max(1, max |S^J|).
+    symmetric within ``TOLERANCES.symmetry`` * max(1, max |S^J|).
 
     Both decide on principal submatrices of S, so a large entry elsewhere
     in S must not excuse the asymmetry of a small block. The asymmetry of
@@ -844,7 +834,7 @@ def _require_symmetric_pairs(s_mat: np.ndarray) -> None:
     mag = np.abs(s_mat)
     diag = np.diag(mag)
     pair_scale = np.maximum(np.maximum(mag, mag.T), np.maximum.outer(diag, diag))
-    bad = np.abs(s_mat - s_mat.T) > 1e-10 * np.maximum(pair_scale, 1.0)
+    bad = np.abs(s_mat - s_mat.T) > TOLERANCES.symmetry * np.maximum(pair_scale, 1.0)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise NonSymmetricError(f"S is not symmetric at entry ({i}, {j})")
@@ -913,7 +903,7 @@ def _keep_pareto(
     """Append the candidates of ``parts`` that are Pareto eigenpairs to ``pairs``.
 
     A candidate is kept when, signed so that its largest entry is positive,
-    it is above ``DEFAULT_POS_TOL`` on its subset J (zero off J) and
+    it is above ``TOLERANCES.pareto_pos`` on its subset J (zero off J) and
     ``S x >= -comp_tol`` on the rows outside J. Pairs are appended by
     subset, eigenvectors before the vectors of repeated eigenvalues.
     """
@@ -922,7 +912,7 @@ def _keep_pareto(
     sub = np.concatenate([part[2] for part in parts])
     top = vec[np.arange(len(vec)), np.abs(vec).argmax(axis=1)]
     vec *= np.where(top < 0.0, -1.0, 1.0)[:, None]
-    positive = vec > DEFAULT_POS_TOL
+    positive = vec > TOLERANCES.pareto_pos
     sizes = np.array([len(subset) for subset in subsets])
     keep = np.flatnonzero(positive.sum(axis=1) == sizes[sub])
     comp = vec[keep] @ s_mat.T
@@ -938,7 +928,7 @@ def pareto_spectrum(s_mat: np.ndarray, r_max: int = 20) -> tuple[list[ParetoEige
 
     Every nonempty principal submatrix S^J is eigendecomposed; eigenpairs
     whose eigenvector can be signed strictly positive (componentwise above
-    ``DEFAULT_POS_TOL`` after unit normalization) and whose excluded rows
+    ``TOLERANCES.pareto_pos`` after unit normalization) and whose excluded rows
     satisfy the complementarity inequalities are kept. For each run of
     numerically repeated eigenvalues the candidate set additionally holds a
     positive vector of the span of their eigenvectors, found by an exact
@@ -960,8 +950,8 @@ def pareto_spectrum(s_mat: np.ndarray, r_max: int = 20) -> tuple[list[ParetoEige
     _require_symmetric_pairs(s_mat)
     sym = 0.5 * (s_mat + s_mat.T)
     scale = max(1.0, float(np.abs(s_mat).max(initial=0.0)))
-    comp_tol = DEFAULT_COMP_TOL * scale
-    degen_tol = 1e-9 * scale
+    comp_tol = TOLERANCES.pareto_comp * scale
+    degen_tol = TOLERANCES.pareto_repeat * scale
     pairs: list[ParetoEigenpair] = []
     degenerate = False
     parts, subsets = [], []
@@ -1119,7 +1109,7 @@ def copositivity_classify(s_mat: np.ndarray, r_max: int = 20) -> CopositivityRes
     """Decide (strict) copositivity from the sign of the minimal Pareto eigenvalue.
 
     The minimal Pareto eigenvalue is the minimum of x^T S x over unit x >= 0,
-    and it is compared with the zero threshold ``tol = DEFAULT_CP_TOL *
+    and it is compared with the zero threshold ``tol = TOLERANCES.cp *
     max(1, max|S|)``: CP1 above it, CP3 below -tol, CP2 within. Every Pareto
     eigenvalue is an eigenvalue of a principal submatrix, so by interlacing
     it is at least lambda_min(S). The rules, in order, each exact in exact
@@ -1147,7 +1137,7 @@ def copositivity_classify(s_mat: np.ndarray, r_max: int = 20) -> CopositivityRes
     if r > r_max:
         raise SubsetBudgetExceededError(f"r={r} exceeds the subset budget r_max={r_max}")
     _require_symmetric_pairs(s_mat)
-    tol = DEFAULT_CP_TOL * max(1.0, float(np.abs(s_mat).max(initial=0.0)))
+    tol = TOLERANCES.cp * max(1.0, float(np.abs(s_mat).max(initial=0.0)))
     lam_min_s = float(np.linalg.eigvalsh(0.5 * (s_mat + s_mat.T))[0]) if r else float("nan")
     columns = _copositivities(
         s_mat[None], np.array([lam_min_s]), np.array([tol]), r_max, np.ones(1, dtype=bool)
@@ -1201,7 +1191,7 @@ def _pd3_ray(q_mat: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _decide_icqps(
-    calc: PatternCalculus, signs: np.ndarray, forms_of, r_max: int, zero_tol: float
+    calc: PatternCalculus, signs: np.ndarray, forms_of, r_max: int
 ) -> Iterator[IcqpBatch]:
     """Decide n cones of ``calc``'s frame in order, and yield them as
     :class:`IcqpBatch` es: B of cone j is diag(signs[j]) b0, and
@@ -1226,10 +1216,10 @@ def _decide_icqps(
         np.maximum(np.abs(r11).max(axis=(1, 2)), np.abs(r12).max(axis=(1, 2), initial=0.0)),
         np.abs(face.decomposition.eigenvalues).max(initial=0.0),
     )
-    psd, psd_col = _psd_blocks(face, r12, zero_tol * scale)
+    psd, psd_col = _psd_blocks(face, r12, TOLERANCES.eig * scale)
     # S decides only where R22 is PD1 or PD2
     lam_min = np.linalg.eigvalsh(schur)[:, 0]
-    cp_tol = DEFAULT_CP_TOL * np.maximum(1.0, np.abs(schur).max(axis=(1, 2)))
+    cp_tol = TOLERANCES.cp * np.maximum(1.0, np.abs(schur).max(axis=(1, 2)))
     tested = psd < _PD3
     ends = sorted({*(np.flatnonzero(~tested | (lam_min < -cp_tol)) + 1).tolist(), len(signs)})
     form_step = max(1, PATTERN_CHUNK // (p * p))
@@ -1277,17 +1267,15 @@ def _decide_icqps(
         start, at = ends[at], at + 1
 
 
-def solve_icqp(
-    qp: ConeQP, r_max: int = 20, zero_tol: float = DEFAULT_ZERO_EIG_TOL
-) -> QPClassification:
+def solve_icqp(qp: ConeQP, r_max: int = 20) -> QPClassification:
     """Classify an inequality-constrained cone QP.
 
     Reduces to ``min nu^T Rbar nu, nu_1 >= 0`` in the cone's own
-    :func:`icqp_frame`. The block R22 is decided as the frame's ``face``, at
-    ``zero_tol``. A negative eigenvalue of it (PD4) settles T3.
+    :func:`icqp_frame`. The block R22 is decided as the frame's ``face``. A
+    negative eigenvalue of it (PD4) settles T3.
     So does a null vector z of R22 that R12 sees (PD3), with the least
     curvature on the span of t e_j and W z, j = argmax |R12 z|. PD3 means
-    ``||R12 z|| > zero_tol * scale``, scale the largest of max |R11|,
+    ``||R12 z|| > TOLERANCES.eig * scale``, scale the largest of max |R11|,
     max |R12| and max |lambda(R22)|. Otherwise copositivity of the Schur
     complement R11 - R12 R22^+ R12^T (:func:`copositivity_classify`'s rules)
     decides between T1 (strict, with R22 positive definite), T3 (CP3) and
@@ -1299,9 +1287,9 @@ def solve_icqp(
     r = qp.shape[2]
     if r == 0:
         raise ValueError("no inequality rows; use the equality-constrained path")
-    face = projected_spectrum_oracle(qp.Q, np.vstack([qp.A, qp.B]), zero_tol)
+    face = projected_spectrum_oracle(qp.Q, np.vstack([qp.A, qp.B]))
     calc = _calculus(icqp_frame(qp, face=face), qp.Q)
-    batch = next(_decide_icqps(calc, np.ones((1, r)), lambda idx: qp.Q[None], r_max, zero_tol))
+    batch = next(_decide_icqps(calc, np.ones((1, r)), lambda idx: qp.Q[None], r_max))
     diag = {"psd": DECISIONS["psd"][batch.codes[0, 1]], "reduction": batch.reduction}
     if batch.codes[0, 2] >= 0:
         cp = batch.copositivity.result(0)
@@ -1330,7 +1318,6 @@ def icqp_sweep(
     pinned: np.ndarray,
     free: np.ndarray,
     r_max: int = 20,
-    zero_tol: float = DEFAULT_ZERO_EIG_TOL,
 ) -> Iterator[IcqpBatch]:
     """Decide the inequality-constrained QP of every sign pattern of a point,
     in the order of :func:`sign_rows`; yield the decisions of consecutive
@@ -1362,6 +1349,6 @@ def icqp_sweep(
         rows = sign_rows(pinned, free, start, min(start + step, n_patterns))
 
         def forms_of(idx, rows=rows):
-            return symmetric_part(base.forms(rows[idx]), "Q", 1e-9)
+            return symmetric_part(base.forms(rows[idx]), "Q", TOLERANCES.form_symmetry)
 
-        yield from _decide_icqps(calc, rows[:, signed], forms_of, r_max, zero_tol)
+        yield from _decide_icqps(calc, rows[:, signed], forms_of, r_max)

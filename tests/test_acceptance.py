@@ -5,6 +5,7 @@ lines. Every tolerance is pinned here; nothing is deferred to calibration.
 """
 
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from sospcheck.harness import (
     init_params,
     run_boundary_trend,
 )
+from sospcheck.linalg import TOLERANCES
 from sospcheck.network import (
     NetworkParams,
     Perturbation,
@@ -437,3 +439,31 @@ def test_criterion_9_known_verdicts():
     ok = sosp_ok == 20 and outer_ok == 20 and second_ok == 20
     report(9, "known-verdicts", ok,
            f"sosp {sosp_ok}/20, outer descent {outer_ok}/20, second-order descent {second_ok}/20")
+
+
+def test_criterion_10_pinned_tolerances():
+    """Every threshold of a check, at the value each verdict is judged by."""
+    pinned = {
+        "zero": 1e-8,
+        "factor_rounding": 1e-12,
+        "gram": 1e-12,
+        "ray_cross": 1e-9,
+        "ray_inner": 1e-12,
+        "loss_convexity": 1e-10,
+        "rank": 1e-10,
+        "symmetry": 1e-10,
+        "form_symmetry": 1e-9,
+        "eig": 1e-8,
+        "interlacing": 1e-9,
+        "cp": 1e-9,
+        "pareto_pos": 1e-9,
+        "pareto_comp": 1e-10,
+        "pareto_repeat": 1e-9,
+        "witness_feas": 1e-8,
+        "witness_curv": 1e-10,
+        "descent_margin": 1e-14,
+    }
+    got = asdict(TOLERANCES)
+    changed = [f"{name} {got.get(name)}, pinned {value}"
+               for name, value in pinned.items() if got.get(name) != value]
+    report(10, "pinned-tolerances", got == pinned, "; ".join(changed))

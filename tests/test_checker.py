@@ -74,10 +74,6 @@ class TestCheckConfig:
             ("boundary_tol", -1.0),
             ("boundary_tol", float("nan")),
             ("boundary_tol", float("inf")),
-            ("tol_zero", 0.0),
-            ("tol_zero", -1.0),
-            ("zero_eig_tol", 0.0),
-            ("zero_eig_tol", float("nan")),
             ("gamma0", 0.0),
             ("gamma0", float("inf")),
             ("k_max", -1),
@@ -544,19 +540,6 @@ class TestEcqpDecision:
                 pgd_compared += 1
         assert seen == {"T1", "T2", "T3"}
         assert pgd_compared >= 3
-
-    def test_zero_eig_tol_reaches_the_decision(self):
-        point = construct_boundary_fosp(3, 2, 1, seed=1, mode="edge")
-        loose = ecqp_entry(sosp_check(point.params, point.data))
-        tight = ecqp_entry(
-            sosp_check(point.params, point.data, config=CheckConfig(zero_eig_tol=1e-12))
-        )
-        assert loose["scale"] == tight["scale"] > 0
-        assert loose["tol"] == pytest.approx(1e-8 * loose["scale"], rel=1e-15)
-        assert tight["tol"] == pytest.approx(1e-12 * tight["scale"], rel=1e-15)
-        # the flat direction's eigenvalue is rounding error, far inside both
-        assert abs(tight["lam_min"]) < tight["tol"]
-        assert loose["verdict"] == tight["verdict"] == "T2"
 
     def test_flat_witness_is_reverified(self, monkeypatch):
         import sospcheck.checker as checker_module

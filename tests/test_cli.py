@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from sospcheck.checker import CheckConfig, sosp_check
 from sospcheck.cli import main
 from sospcheck.harness import dataset_from_dict, load_json, params_from_dict
+from sospcheck.linalg import TOLERANCES
 from sospcheck.second_order import sign_rows
 
 
@@ -50,6 +52,7 @@ class TestCheck:
         report = load_json(out)
         config = report["diagnostics"]["config"]
         assert config["boundary_tol"] == 1e-6
+        assert report["diagnostics"]["tolerances"] == asdict(TOLERANCES)
         verdict = sosp_check(
             params_from_dict(load_json(params)),
             dataset_from_dict(load_json(data)),

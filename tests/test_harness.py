@@ -33,6 +33,7 @@ from sospcheck.network import (
     SquaredLoss,
     boundary_analysis,
     empirical_risk,
+    forward_slopes,
     per_sample_derivatives,
     validate_general_position,
 )
@@ -381,7 +382,8 @@ class TestConstructors:
         assert _verify_construction(params, data, loss, pairs, s_presc, "interior")
         # shift the labels inside the null space of every stationarity row but unit 1's
         d_x, d_h, d_y = params.dims
-        phi = _fosp_constraint_matrix(params, data.inputs, pairs, s_presc, [])
+        _, _, hidden, slopes = forward_slopes(params, data.inputs)
+        phi = _fosp_constraint_matrix(params, data.inputs, hidden, slopes, pairs, s_presc, [])
         start = d_y * (d_h + 1) + (d_x + 1)
         keep = np.ones(len(phi), dtype=bool)
         keep[start : start + d_x + 1] = False

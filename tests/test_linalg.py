@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sospcheck
 from sospcheck.errors import NonFiniteError, NonSymmetricError
 from sospcheck.linalg import matrix_rank, nullspace_basis, sym_eig
 
@@ -128,3 +132,27 @@ class TestPseudoinverse:
 def test_matrix_rank_threshold():
     assert matrix_rank(np.diag([1.0, 1e-14])) == 1
     assert matrix_rank(np.zeros((2, 3))) == 0
+
+
+def test_every_small_threshold_lives_in_the_tolerance_table():
+    """A float literal in (0, 1e-4] in a module that decides a check is a
+    threshold, so it belongs in ``Tolerances``; only the PGD cross-check,
+    which decides no verdict, keeps its own budget."""
+    package = Path(sospcheck.__file__).parent
+    found = []
+    for name in ("linalg", "network", "first_order", "second_order", "checker"):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        allowed = [
+            node for node in ast.walk(tree)
+            if (isinstance(node, ast.ClassDef) and node.name == "Tolerances")
+            or (isinstance(node, ast.FunctionDef) and node.name == "solve_ecqp_pgd")
+            or (isinstance(node, ast.Assign)
+                and all(isinstance(t, ast.Name) and t.id.startswith("PGD_") for t in node.targets))
+        ]
+        spans = [(node.lineno, node.end_lineno) for node in allowed]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and type(node.value) is float
+                    and 0.0 < node.value <= 1e-4
+                    and not any(lo <= node.lineno <= hi for lo, hi in spans)):
+                found.append(f"{name}.py:{node.lineno}: {node.value!r}")
+    assert not found, found

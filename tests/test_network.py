@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from sospcheck.network import (
     scaling_direction,
     validate_general_position,
 )
+from sospcheck.second_order import assemble_so_qp
 
 
 def scalar_net(w1=1.0, b1=0.0, w2=1.0, b2=0.0, act=RELU) -> NetworkParams:
@@ -254,6 +257,29 @@ class TestBoundaryAnalysis:
         assert boundary.total == 1
         boundary_exact = boundary_analysis(params, data, SquaredLoss(), boundary_tol=0.0)
         assert boundary_exact.total == 0
+
+    def test_snapping_tolerance_comes_from_the_bundle(self):
+        # a bundle snapped at 1e-5 fixes the tolerance of everything built on it;
+        # a boundary analysis that recorded 0.0 here made assemble_so_qp, which
+        # re-derives the bundle from it, find no boundary sample and crash
+        point = construct_boundary_fosp(4, 2, 1, seed=3, n_boundary=2, units=[0, 1])
+        params = replace(point.params, b1=point.params.b1 + 1e-7)
+        loss = SquaredLoss()
+        bundle = per_sample_derivatives(params, point.data, loss, 1e-5)
+        boundary = boundary_analysis(params, point.data, loss, bundle=bundle)
+        assert boundary.boundary_tol == 1e-5 and boundary.total == 2
+        qp = assemble_so_qp(params, point.data, loss, boundary, np.zeros(2))
+        assert qp.shape[1:] == (4, 0)  # one homogeneity row per unit, two pinned pairs
+        eta = scaling_direction(params, 0)
+        assert expansion_terms(params, point.data, loss, eta, bundle=bundle) == expansion_terms(
+            params, point.data, loss, eta, 1e-5
+        )
+        for call in (
+            lambda: boundary_analysis(params, point.data, loss, 0.0, bundle=bundle),
+            lambda: expansion_terms(params, point.data, loss, eta, 0.0, bundle=bundle),
+        ):
+            with pytest.raises(ValueError, match="contradicts the bundle"):
+                call()
 
 
 class TestExpansionTerms:

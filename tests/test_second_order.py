@@ -16,7 +16,7 @@ from sospcheck.errors import (
     SubsetBudgetExceededError,
 )
 from sospcheck.harness import construct_boundary_fosp
-from sospcheck.linalg import nullspace_basis, require_finite, sym_eig
+from sospcheck.linalg import TOLERANCES, nullspace_basis, require_finite, sym_eig
 from sospcheck.network import (
     RELU,
     ActivationSpec,
@@ -347,13 +347,13 @@ class TestSpectrumOracle:
         assert oracle.decomposition.eigenvalues.shape == (1,)
         assert np.isclose(oracle.decomposition.eigenvalues[0], 5.0)
         assert np.isclose(oracle.lam_min, 5.0) and oracle.scale == 5.0
-        assert oracle.tol == 5.0 * second_order.DEFAULT_ZERO_EIG_TOL
+        assert oracle.tol == 5.0 * TOLERANCES.eig
 
     def test_trivial_subspace_is_strictly_positive(self):
-        oracle = projected_spectrum_oracle(np.diag([-3.0, -5.0]), np.eye(2), zero_tol=1e-6)
+        oracle = projected_spectrum_oracle(np.diag([-3.0, -5.0]), np.eye(2))
         assert oracle.verdict == "T1"  # vacuous: the feasible set is {0}
         assert oracle.lam_min is None
-        assert oracle.scale == 5.0 and oracle.tol == 1e-6 * 5.0
+        assert oracle.scale == 5.0 and oracle.tol == TOLERANCES.eig * 5.0
 
     def test_zero_size_form_is_strictly_positive(self):
         # p = 0: the only direction is the empty one
@@ -393,8 +393,8 @@ def _exact_witness_rule(q_mat, eta, verdict):
     w = np.linalg.eigvalsh(q_mat)
     qnorm = float(max(abs(w[0]), abs(w[-1])))
     if verdict == "T3":
-        return not quad > -second_order.WITNESS_CURV_TOL * qnorm * n * n
-    return not abs(quad) > second_order.WITNESS_FEAS_TOL * max(qnorm, 1.0) * n * n
+        return not quad > -TOLERANCES.witness_curv * qnorm * n * n
+    return not abs(quad) > TOLERANCES.witness_feas * max(qnorm, 1.0) * n * n
 
 
 class TestVerifyWitness:
@@ -426,9 +426,9 @@ class TestVerifyWitness:
             for norm, factor, sign in product(norms, (1 - 1e-3, 1 + 1e-3), (-1.0, 1.0)):
                 for verdict in ("T2", "T3"):
                     if verdict == "T3":
-                        target = -second_order.WITNESS_CURV_TOL * norm * factor
+                        target = -TOLERANCES.witness_curv * norm * factor
                     else:
-                        target = sign * second_order.WITNESS_FEAS_TOL * max(norm, 1.0) * factor
+                        target = sign * TOLERANCES.witness_feas * max(norm, 1.0) * factor
                     if not w[0] < target < w[-1]:
                         continue
                     # a direction with curvature ``target``, of norm 3
@@ -455,7 +455,7 @@ class TestVerifyWitness:
         record = second_order.verify_witness(q_mat, np.zeros((0, 2)), np.zeros((0, 2)),
                                              np.array([2.0, 0.0]), "T3")
         # U = 2 max row-sum |Q| = 4
-        assert record == {"curvature": -2.0, "threshold": -4.0 * second_order.WITNESS_CURV_TOL,
+        assert record == {"curvature": -2.0, "threshold": -4.0 * TOLERANCES.witness_curv,
                           "by": "bound"}
         with pytest.raises(ValueError):
             second_order.verify_witness(q_mat, np.zeros((0, 2)), np.zeros((0, 2)),
@@ -555,7 +555,7 @@ def _matches_reference(qp, frame=None, sigma=None):
     for new, ref in ((new11, r11), (new12, r12), (_face_pinv(frame), r22)):
         assert new.shape == ref.shape
     # the zero threshold of the PD3 test: relative to the largest block entry
-    tol = second_order.DEFAULT_ZERO_EIG_TOL * max(
+    tol = TOLERANCES.eig * max(
         np.abs(b).max(initial=0.0) for b in (r11, r12, r22)
     )
     psd_kind = _reference_psd_kind(r22, r12, tol)
@@ -727,7 +727,7 @@ def _sweep_setup(point, pinned=None, free=None):
     pairs = base.rows[d_h:]
     frame = second_order._frame(
         np.vstack([base.rows[:d_h], pairs[~signed]]), pairs[signed], face,
-        second_order.DEFAULT_RANK_TOL,
+        TOLERANCES.rank,
     )
     rows = second_order.sign_rows(pinned, free, 0, 2 ** int(free.sum()))
     cones = [
@@ -1102,7 +1102,7 @@ def _psd_block(face, r12):
     """classify_psd_block with the PD3 threshold relative to the larger of
     the face's scale and max |R12|."""
     scale = max(face.scale, np.abs(r12).max(initial=0.0))
-    return classify_psd_block(face, r12, second_order.DEFAULT_ZERO_EIG_TOL * scale)
+    return classify_psd_block(face, r12, TOLERANCES.eig * scale)
 
 
 class TestPsdBlock:
@@ -1376,7 +1376,7 @@ class TestCopositivity:
                 assert vals.min() >= -1e-8
 
 
-def _reference_copositivity(s_mat, r_max=20, zero_tol=second_order.DEFAULT_CP_TOL):
+def _reference_copositivity(s_mat, r_max=20, zero_tol=TOLERANCES.cp):
     """Enumeration only, from the sign of the minimal Pareto eigenvalue: the
     oracle for copositivity_classify. Returns (kind, witness, min_pareto); the
     CP3 witness is the pair of the minimal value, the CP2 witness the first
@@ -1480,7 +1480,7 @@ class TestCopositivityCertificate:
         rng = np.random.default_rng(32)
         for r in range(1, 9):
             s0 = _s_with_lam_min(rng, r, 0.0)
-            tol = second_order.DEFAULT_CP_TOL * max(1.0, np.abs(s0).max())
+            tol = TOLERANCES.cp * max(1.0, np.abs(s0).max())
             # r = 1: S is its own diagonal entry
             flat_by = "zero_diagonal" if r == 1 else "simplex_bound"
             for factor, want_kind, want_by in ((1 + 1e-3, "CP1", "pd_certificate"),
@@ -1568,7 +1568,7 @@ class TestCopositivityRules:
                     sign = np.ones(r)
                     sign[0] = -1.0
                     s0 = sign[:, None] * s0 * sign
-                tol = second_order.DEFAULT_CP_TOL * max(1.0, np.abs(s0).max())
+                tol = TOLERANCES.cp * max(1.0, np.abs(s0).max())
                 cases = (
                     (1 + 1e-3, "CP1", "pd_certificate"),
                     (1 - 1e-3, "CP2" if positive else "CP1", "simplex_bound"),
@@ -1623,7 +1623,7 @@ class TestSolveIcqp:
         # R22 = diag(1, 0); no entry of R12 z exceeds tol while
         # ||R12 z|| = 1.04 tol does: PD3, decided along the largest entry
         r = 4
-        tol = second_order.DEFAULT_ZERO_EIG_TOL  # the scale of the blocks is 1
+        tol = TOLERANCES.eig  # the scale of the blocks is 1
         q_mat = np.zeros((r + 2, r + 2))
         q_mat[r, r] = 1.0
         q_mat[:r, r + 1] = q_mat[r + 1, :r] = np.array([0.4, 0.6, 0.5, 0.55]) * tol
@@ -1645,7 +1645,7 @@ class TestSolveIcqp:
         """PD3 cones with a known pair: (Q, A, B, j, w), w the one null vector of
         the form on the face and j the one inequality row whose minimum-norm
         direction it couples to. The coordinates are rotated at random."""
-        r, tol = 4, second_order.DEFAULT_ZERO_EIG_TOL
+        r, tol = 4, TOLERANCES.eig
         q_mat = np.zeros((r + 2, r + 2))
         q_mat[r, r] = 1.0
         q_mat[:r, r + 1] = q_mat[r + 1, :r] = np.array([0.4, 0.6, 0.5, 0.55]) * tol
