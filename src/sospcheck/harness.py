@@ -26,7 +26,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionFailedError, GeneralPositionViolationError, NonFiniteError
+from .errors import (
+    ConstructionFailedError,
+    GeneralPositionViolationError,
+    NonFiniteError,
+    ShapeMismatchError,
+)
 from .first_order import outer_layer_fosp, solve_subdiff_qp, unit_tests
 from .linalg import nullspace_basis, require_in_range
 from .network import (
@@ -101,15 +106,33 @@ def risk_gradient(params: NetworkParams, data: Dataset, loss: LossModel):
     At an exactly-zero preactivation the hidden-layer slope is taken as the
     positive-side slope, a subgradient choice that matters only on a
     measure-zero set of parameters.
+
+    The pass is unit-major: every per-sample temporary is a contiguous
+    (d_h, m) or (d_y, m) array, updated in place where it can be, so each
+    elementwise op and each sum over the samples runs along one row of
+    length m instead of m rows of d_h entries. It is deliberately not
+    ``forward_slopes``: the check's forward pass keeps its sample-major
+    rounding, on which exact-zero preactivations, fixtures and verdicts
+    depend, and computing that pass unit-major moves its outputs by ulps at
+    most shapes with d_h >= 3. Training only needs a correct gradient. At
+    d_h = d_y = 1 every result is bit-identical to the sample-major formula;
+    otherwise the sums are reassociated and agree with it to rounding.
     """
-    outputs, _, hidden, slopes = forward_slopes(params, data.inputs)
-    grads = loss.gradient(outputs, data.labels)
-    g_w2 = grads.T @ hidden
-    g_b2 = grads.sum(axis=0)
-    back = (grads @ params.W2) * slopes
-    g_w1 = back.T @ data.inputs
-    g_b1 = back.sum(axis=0)
-    return g_w1, g_b1, g_w2, g_b2
+    X = data.inputs
+    if X.shape[1] != params.W1.shape[1]:
+        raise ShapeMismatchError(
+            f"input dimension {X.shape[1]} does not match network d_x={params.W1.shape[1]}"
+        )
+    hidden = params.W1 @ X.T  # (d_h, m); X.T is a view of the inputs, not a copy
+    hidden += params.b1[:, None]
+    slopes = params.activation.hprime(hidden)
+    hidden *= slopes  # preactivation -> hidden output, as slope times preactivation
+    out = params.W2 @ hidden  # (d_y, m)
+    out += params.b2[:, None]
+    grads = loss.gradient(out.T, data.labels).T
+    back = params.W2.T @ grads
+    back *= slopes
+    return back @ X, back.sum(axis=1), grads @ hidden.T, grads.sum(axis=1)
 
 
 def adam_train(
@@ -125,8 +148,12 @@ def adam_train(
     at iteration t (1-based) is lr * decay_factor ** ((t - 1) // decay_every).
     The parameters and both moments are one flat vector each, raveled as
     W1, b1, W2, b2, so every step is a few whole-vector operations; each
-    entry sees the same float64 operations as a blockwise update. The
-    returned parameters own their arrays, and ``params0`` is not modified.
+    entry sees the same float64 operations as a blockwise update, so the
+    update is bit-identical to it given the same gradient. The gradient is
+    ``risk_gradient``'s unit-major one, called once per iteration; at
+    d_h = d_y = 1 it is bit-identical to the sample-major formula, so whole
+    iterates are too. The returned parameters own their arrays, and
+    ``params0`` is not modified.
     """
     loss = loss if loss is not None else SquaredLoss()
     cfg = config if config is not None else AdamConfig()

@@ -304,6 +304,7 @@ def forward_slopes(params: NetworkParams, inputs: np.ndarray, boundary_tol: floa
     Preactivations within ``boundary_tol`` of zero are snapped to exactly
     zero. The hidden output is formed as slope times preactivation, which
     equals ``activation.h`` entry for entry, signed zeros included.
+    The check's pass: its rounding decides exact zeros, so training has its own (risk_gradient).
     """
     if inputs.shape[1] != params.dims[0]:
         raise ShapeMismatchError(

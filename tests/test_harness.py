@@ -69,8 +69,26 @@ def _reference_forward(blocks, activation, inputs):
     return hidden @ w2.T + b2, preact, hidden
 
 
-def _reference_adam(params, data, loss, cfg):
-    """Blockwise Adam with the gradient written out; (blocks, risk trace)."""
+def _sample_major_gradient(blocks, activation, data, loss):
+    """The risk gradient written out sample-major, on (m, ·) arrays."""
+    outputs, preact, hidden = _reference_forward(blocks, activation, data.inputs)
+    out_grads = loss.gradient(outputs, data.labels)
+    back = (out_grads @ blocks[2]) * activation.hprime(preact)
+    return (
+        back.T @ data.inputs,
+        back.sum(axis=0),
+        out_grads.T @ hidden,
+        out_grads.sum(axis=0),
+    )
+
+
+def _reference_adam(params, data, loss, cfg, gradient=None):
+    """Blockwise Adam; (blocks, risk trace).
+
+    The gradient is the written-out sample-major one unless ``gradient``
+    (called like ``risk_gradient``) is given, which isolates the update
+    from the summation order of the gradient.
+    """
     from sospcheck.errors import NonFiniteError
 
     act = params.activation
@@ -80,15 +98,10 @@ def _reference_adam(params, data, loss, cfg):
     trace = []
     for t in range(1, cfg.iters + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            outputs, preact, hidden = _reference_forward(blocks, act, data.inputs)
-            out_grads = loss.gradient(outputs, data.labels)
-            back = (out_grads @ blocks[2]) * act.hprime(preact)
-            grads = (
-                back.T @ data.inputs,
-                back.sum(axis=0),
-                out_grads.T @ hidden,
-                out_grads.sum(axis=0),
-            )
+            if gradient is None:
+                grads = _sample_major_gradient(blocks, act, data, loss)
+            else:
+                grads = gradient(NetworkParams(*blocks, act), data, loss)
             lr = cfg.lr * cfg.decay_factor ** ((t - 1) // cfg.decay_every)
             for j, g in enumerate(grads):
                 mom[j] = cfg.beta1 * mom[j] + (1 - cfg.beta1) * g
@@ -104,10 +117,65 @@ def _reference_adam(params, data, loss, cfg):
     return blocks, trace
 
 
-def _assert_matches_reference(params, data, loss, cfg):
+ADAM_CASES = ["decay_and_partial_record", "leaky_relu", "cosh_loss_two_outputs"]
+
+
+def _gradient_case(case):
+    """(params, data, loss) of a named training case."""
+    from test_network import CoshLoss
+
+    if case == "large_m":
+        return init_params(6, 2, 1, seed=21), generate_dataset(6, 1, 5000, seed=22), SquaredLoss()
+    loss, activation, d_y = SquaredLoss(), RELU, 1
+    if case == "leaky_relu":
+        activation = ActivationSpec(1.0, 0.1)
+    elif case == "cosh_loss_two_outputs":
+        loss, d_y = CoshLoss(), 2
+    params = init_params(3, 4, d_y, seed=11, activation=activation)
+    return params, generate_dataset(3, d_y, 25, seed=12), loss
+
+
+def _gradient_test_point(case):
+    """A named training case with nonzero biases, so that the bias terms
+    of the gradient are exercised too."""
+    params, data, loss = _gradient_case(case)
+    rng = np.random.default_rng(23)
+    b1, b2 = (0.5 * rng.standard_normal(b.shape) for b in (params.b1, params.b2))
+    return NetworkParams(params.W1, b1, params.W2, b2, params.activation), data, loss
+
+
+def _gradient_error_bound(params, data, loss):
+    """Bound on the distance of two evaluations of the risk gradient that
+    differ only in summation order, entry by entry.
+
+    Each evaluation differs from the exact gradient by at most
+    gamma_n = n u / (1 - n u) times the same formula evaluated on magnitudes
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3), where
+    n counts the roundings along the longest chain and the loss Hessian
+    carries the output's error through the loss gradient, to first order; two
+    evaluations differ by at most twice that. Preactivations must be far
+    enough from zero that both evaluations take the same slopes.
+    """
+    act = params.activation
+    w1, b1, w2, b2 = (np.abs(b) for b in _blocks(params))
+    outputs, preact, _ = _reference_forward(_blocks(params), act, data.inputs)
+    x, y = np.abs(data.inputs), np.abs(data.labels)
+    slopes = np.abs(act.hprime(preact))
+    hidden = slopes * (x @ w1.T + b1)
+    out = hidden @ w2.T + b2
+    hess = np.abs(loss.hessian(outputs, data.labels))
+    grads = np.abs(loss.gradient(outputs, data.labels)) + np.einsum("iab,ib->ia", hess, out + y)
+    back = (grads @ w2) * slopes
+    magnitudes = (back.T @ x, back.sum(axis=0), grads.T @ hidden, grads.sum(axis=0))
+    n = data.m + sum(params.dims) + 4
+    u = np.finfo(float).eps / 2
+    return [2 * n * u / (1 - n * u) * t for t in magnitudes]
+
+
+def _assert_matches_reference(params, data, loss, cfg, gradient=None):
     """The flat-vector loop reproduces the blockwise one bit for bit."""
     trained, trace = adam_train(params, data, loss, cfg)
-    blocks, want = _reference_adam(params, data, loss, cfg)
+    blocks, want = _reference_adam(params, data, loss, cfg, gradient)
     for got, ref in zip(_blocks(trained), blocks):
         assert got.shape == ref.shape
         assert np.array_equal(got, ref)
@@ -137,24 +205,24 @@ class TestAdam:
         cfg = AdamConfig(iters=5, record_every=5)
         _assert_matches_reference(params, data, SquaredLoss(), cfg)
 
-    @pytest.mark.parametrize(
-        "case",
-        ["decay_and_partial_record", "leaky_relu", "cosh_loss_two_outputs"],
-    )
+    @pytest.mark.parametrize("case", ADAM_CASES)
     def test_matches_reference_exactly(self, case):
-        from test_network import CoshLoss
-
         cfg = AdamConfig(iters=300, decay_every=100, record_every=70)
-        loss, activation, d_y = SquaredLoss(), RELU, 1
-        if case == "leaky_relu":
-            activation = ActivationSpec(1.0, 0.1)
-        elif case == "cosh_loss_two_outputs":
-            loss, d_y = CoshLoss(), 2
-        params = init_params(3, 4, d_y, seed=11, activation=activation)
-        data = generate_dataset(3, d_y, 25, seed=12)
-        trace = _assert_matches_reference(params, data, loss, cfg)
+        params, data, loss = _gradient_case(case)
+        # at d_h = 4 the unit-major gradient sums in another order than the
+        # written-out one, so the update is compared given the same gradient
+        trace = _assert_matches_reference(params, data, loss, cfg, gradient=risk_gradient)
         # records every 70 steps, then the final partial segment
         assert [t for t, _ in trace] == [70, 140, 210, 280, 300]
+
+    def test_desk_shape_iterates_match_sample_major_reference(self):
+        # at d_h = d_y = 1 the unit-major gradient is bit-identical to the
+        # written-out one, so whole trained points of the desk experiment's
+        # shape are too
+        params = init_params(10, 1, 1, seed=10_000)
+        data = generate_dataset(10, 1, 1000, seed=0)
+        cfg = AdamConfig(iters=300, decay_every=100, record_every=100)
+        _assert_matches_reference(params, data, SquaredLoss(), cfg)
 
     def test_start_is_not_modified_and_results_own_their_arrays(self):
         params = init_params(3, 2, 1, seed=13)
@@ -223,6 +291,78 @@ class TestAdam:
                 adam_train(params, data, config=cfg)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("training diverged at iteration ")
+
+
+class TestRiskGradient:
+    @pytest.mark.parametrize("case", ADAM_CASES + ["large_m"])
+    def test_agrees_with_sample_major_formula_to_rounding(self, case):
+        params, data, loss = _gradient_test_point(case)
+        got = risk_gradient(params, data, loss)
+        want = _sample_major_gradient(_blocks(params), params.activation, data, loss)
+        for g, w, bound in zip(got, want, _gradient_error_bound(params, data, loss)):
+            assert g.shape == w.shape
+            assert (np.abs(g - w) <= bound).all()
+
+    @pytest.mark.parametrize("case", ADAM_CASES + ["large_m"])
+    def test_matches_central_differences(self, case):
+        params, data, loss = _gradient_test_point(case)
+        got = np.concatenate([g.ravel() for g in risk_gradient(params, data, loss)])
+        theta = np.concatenate([b.ravel() for b in _blocks(params)])
+        ends = np.cumsum([b.size for b in _blocks(params)])
+
+        def risk(vec):
+            blocks = [vec[e - b.size : e].reshape(b.shape) for b, e in zip(_blocks(params), ends)]
+            return empirical_risk(NetworkParams(*blocks, params.activation), data, loss)
+
+        h = 1e-6
+        # no step crosses a kink of the activation
+        preact = _reference_forward(_blocks(params), params.activation, data.inputs)[1]
+        assert np.abs(preact).min() > h * (1.0 + np.abs(data.inputs).max())
+        fd = np.empty_like(theta)
+        for j in range(theta.size):
+            step = np.zeros_like(theta)
+            step[j] = h
+            fd[j] = (risk(theta + step) - risk(theta - step)) / (2 * h)
+        # off by O(h^2) plus the risk's rounding error divided by h; the
+        # cases reach 3.5e-10 of the scale
+        scale = 1.0 + np.abs(got).max()
+        assert np.abs(fd - got).max() <= 1e-8 * scale
+
+    def test_exact_zero_preactivation_takes_s_plus(self):
+        # small integer weights and inputs, dyadic slopes and output weights:
+        # every value below is exact in any summation order
+        act = ActivationSpec(1.0, 0.25)
+        params = NetworkParams(
+            np.array([[1.0, -2.0, 3.0], [2.0, 1.0, -1.0]]),
+            np.array([-2.0, 1.0]),
+            np.array([[1.5, -0.5]]),
+            np.array([0.25]),
+            act,
+        )
+        inputs = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        data = Dataset(inputs, np.array([[1.0], [-2.0], [0.0], [3.0]]))
+        preact = inputs @ params.W1.T + params.b1
+        assert preact[0, 0] == 0.0 and preact[3, 1] == 0.0
+
+        def written_out(slope_at_zero):
+            slopes = np.where(preact > 0.0, act.s_plus, act.s_minus)
+            slopes[preact == 0.0] = slope_at_zero
+            hidden = slopes * preact
+            grads = hidden @ params.W2.T + params.b2 - data.labels
+            back = (grads @ params.W2) * slopes
+            return back.T @ inputs, back.sum(axis=0), grads.T @ hidden, grads.sum(axis=0)
+
+        got = risk_gradient(params, data, SquaredLoss())
+        for g, want in zip(got, written_out(act.s_plus)):
+            assert np.array_equal(g, want)
+        assert not np.array_equal(got[1], written_out(act.s_minus)[1])
+
+    def test_input_width_mismatch_raises(self):
+        from sospcheck.errors import ShapeMismatchError
+
+        params = init_params(3, 2, 1, seed=1)
+        with pytest.raises(ShapeMismatchError, match="does not match network d_x=3"):
+            risk_gradient(params, generate_dataset(4, 1, 5, seed=2), SquaredLoss())
 
 
 class TestConfigValidation:
