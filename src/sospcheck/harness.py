@@ -45,6 +45,7 @@ from .network import (
     empirical_risk,
     forward_slopes,
     per_sample_derivatives,
+    require_label_width,
 )
 
 # ---------------------------------------------------------------------------
@@ -123,6 +124,7 @@ def risk_gradient(params: NetworkParams, data: Dataset, loss: LossModel):
         raise ShapeMismatchError(
             f"input dimension {X.shape[1]} does not match network d_x={params.W1.shape[1]}"
         )
+    require_label_width(params, data)
     hidden = params.W1 @ X.T  # (d_h, m); X.T is a view of the inputs, not a copy
     hidden += params.b1[:, None]
     slopes = params.activation.hprime(hidden)
@@ -385,20 +387,34 @@ def _pin_sample_to_hyperplane(inputs: np.ndarray, params: NetworkParams, i: int,
 
     The batched forward pass is the arbiter of "exactly zero" (a row-wise dot
     product may round differently than the gemm the pipeline uses). Newton
-    steps land within an ulp or two; a scan over neighboring representable
-    values closes the gap, and other coordinates are tried if rounding makes
-    exact zero unreachable through the first one.
+    steps land within an ulp or two; a scan over the 64 representable values
+    on either side closes the gap, and other coordinates are tried if
+    rounding makes exact zero unreachable through the first one.
+
+    Each scan is one stacked product: 128 full copies of ``inputs``, one per
+    candidate (lower_1, upper_1, lower_2, ...), differing only at [i, j].
+    matmul makes the same BLAS call for every slice, with the shape and
+    strides of the unstacked product, so each candidate is rounded exactly as
+    the pipeline's own gemm rounds it (a tier-1 test checks this premise).
+    The first candidate that gives zero is the one a one-at-a-time scan
+    would stop at, and a failed scan leaves the last candidate (upper_64) in
+    place, which the next phase starts from. The arbiter is unchanged: the
+    constructor still rejects any attempt whose ``forward_slopes`` pass is
+    not exactly zero on a boundary sample, and ``_verify_construction`` runs
+    the certifier's own tests.
     """
+    # the stack's slices are C-contiguous, so the unstacked operand must be too
+    assert inputs.flags.c_contiguous
     w = params.W1[k]
 
-    def preact() -> float:
-        return (inputs @ params.W1.T + params.b1)[i, k]
+    def preact(x: np.ndarray) -> np.ndarray:
+        return (x @ params.W1.T + params.b1)[..., i, k]
 
     def newton_and_scan(j: int) -> bool:
         rest = w @ inputs[i] - w[j] * inputs[i, j] + params.b1[k]
         inputs[i, j] = -rest / w[j]
         for _ in range(6):
-            val = preact()
+            val = preact(inputs)
             if val == 0.0:
                 return True
             step = val / w[j]
@@ -406,15 +422,14 @@ def _pin_sample_to_hyperplane(inputs: np.ndarray, params: NetworkParams, i: int,
                 break
             inputs[i, j] -= step
         # rounding plateaus can skip zero on this coordinate's ulp grid
-        lower = upper = inputs[i, j]
-        for _ in range(64):
-            lower = np.nextafter(lower, -np.inf)
-            upper = np.nextafter(upper, np.inf)
-            for cand in (lower, upper):
-                inputs[i, j] = cand
-                if preact() == 0.0:
-                    return True
-        return False
+        walk = np.full((65, 2), [-np.inf, np.inf])
+        walk[0] = inputs[i, j]
+        cands = np.nextafter.accumulate(walk)[1:].ravel()
+        stack = np.repeat(inputs[None], cands.size, axis=0)
+        stack[:, i, j] = cands
+        hits = np.flatnonzero(preact(stack) == 0.0)
+        inputs[i, j] = cands[hits[0] if hits.size else -1]
+        return hits.size > 0
 
     order = [int(j) for j in np.argsort(-np.abs(w)) if w[j] != 0.0]
     for j in order:

@@ -297,6 +297,16 @@ def scaling_direction(params: NetworkParams, k: int) -> Perturbation:
 # ---------------------------------------------------------------------------
 
 
+def require_label_width(params: NetworkParams, data: Dataset) -> None:
+    """Raise ShapeMismatchError unless the labels have the network's d_y
+    columns; the losses would otherwise broadcast a mismatched width.
+    Training calls it every iteration, so it reads the shapes directly."""
+    if data.labels.shape[1] != params.W2.shape[0]:
+        raise ShapeMismatchError(
+            f"dataset d_y={data.d_y} does not match network d_y={params.dims[2]}"
+        )
+
+
 def forward_slopes(params: NetworkParams, inputs: np.ndarray, boundary_tol: float = 0.0):
     """Network outputs for (m, d_x) inputs: returns (outputs, preactivation,
     hidden output, activation slopes ``hprime(preactivation)``).
@@ -330,6 +340,7 @@ def forward(params: NetworkParams, x: np.ndarray):
 
 def empirical_risk(params: NetworkParams, data: Dataset, loss: LossModel) -> float:
     """Sum of per-sample losses at the current parameters."""
+    require_label_width(params, data)
     total = float(loss.value(forward_slopes(params, data.inputs)[0], data.labels))
     if not np.isfinite(total):
         raise NonFiniteError("empirical risk is not finite")
@@ -370,10 +381,7 @@ def per_sample_derivatives(
     Raises NonPSDHessianError if any per-sample Hessian has an eigenvalue
     below ``-TOLERANCES.loss_convexity`` (relative): the tests assume a convex loss.
     """
-    if data.d_y != params.dims[2]:
-        raise ShapeMismatchError(
-            f"dataset d_y={data.d_y} does not match network d_y={params.dims[2]}"
-        )
+    require_label_width(params, data)
     outputs, preact, hidden, _ = forward_slopes(params, data.inputs, boundary_tol)
     grads = require_finite(loss.gradient(outputs, data.labels), "loss gradients")
     hessians = np.asarray(loss.hessian(outputs, data.labels), dtype=float)

@@ -25,6 +25,7 @@ from sospcheck.harness import (
     params_to_dict,
     risk_gradient,
 )
+from sospcheck.harness import _pin_sample_to_hyperplane
 from sospcheck.network import (
     RELU,
     ActivationSpec,
@@ -364,6 +365,23 @@ class TestRiskGradient:
         with pytest.raises(ShapeMismatchError, match="does not match network d_x=3"):
             risk_gradient(params, generate_dataset(4, 1, 5, seed=2), SquaredLoss())
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda p, d: risk_gradient(p, d, SquaredLoss()),
+            lambda p, d: adam_train(p, d, config=AdamConfig(iters=10, record_every=5)),
+            lambda p, d: empirical_risk(p, d, SquaredLoss()),
+        ],
+        ids=["risk_gradient", "adam_train", "empirical_risk"],
+    )
+    def test_label_width_mismatch_raises(self, entry):
+        # one label column would otherwise broadcast to both outputs
+        from sospcheck.errors import ShapeMismatchError
+
+        params = init_params(3, 2, 2, seed=0)
+        with pytest.raises(ShapeMismatchError, match="dataset d_y=1 does not match network d_y=2"):
+            entry(params, generate_dataset(3, 1, 50, seed=1))
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
@@ -573,6 +591,99 @@ class TestConstructors:
         with pytest.raises(ConstructionFailedError):
             # d_x = 1 cannot host two independent boundary samples on one unit
             construct_boundary_fosp(1, 1, 1, seed=0, n_boundary=2, max_attempts=3)
+
+
+def _sequential_pin(inputs, params, i, k):
+    """The pin with a one-candidate-at-a-time ulp scan, each candidate
+    judged by its own full batched product: the oracle of the stacked scan."""
+    w = params.W1[k]
+
+    def preact():
+        return (inputs @ params.W1.T + params.b1)[i, k]
+
+    def newton_and_scan(j):
+        rest = w @ inputs[i] - w[j] * inputs[i, j] + params.b1[k]
+        inputs[i, j] = -rest / w[j]
+        for _ in range(6):
+            val = preact()
+            if val == 0.0:
+                return True
+            step = val / w[j]
+            if inputs[i, j] - step == inputs[i, j]:
+                break
+            inputs[i, j] -= step
+        lower = upper = inputs[i, j]
+        for _ in range(64):
+            lower = np.nextafter(lower, -np.inf)
+            upper = np.nextafter(upper, np.inf)
+            for cand in (lower, upper):
+                inputs[i, j] = cand
+                if preact() == 0.0:
+                    return True
+        return False
+
+    order = [int(j) for j in np.argsort(-np.abs(w)) if w[j] != 0.0]
+    for j in order:
+        original_row = inputs[i].copy()
+        secondary = [j2 for j2 in order if j2 != j]
+        for phase in range(4):
+            if phase > 0:
+                if not secondary:
+                    break
+                j2 = secondary[(phase - 1) % len(secondary)]
+                inputs[i, j2] = np.nextafter(inputs[i, j2], np.inf)
+            if newton_and_scan(j):
+                return True
+        inputs[i] = original_row
+    return False
+
+
+def _pin_case(seed):
+    """A random point and sample as the constructor draws them, at shapes
+    from d_x = 1 (often unpinnable) to 30."""
+    rng = np.random.default_rng(seed)
+    d_x = int(rng.choice([1, 2, 3, 5, 10, 20, 30]))
+    d_h = int(rng.choice([1, 2, 3, 4, 8]))
+    m = int(rng.integers(1, 45))
+    w1 = rng.standard_normal((d_h, d_x)) / np.sqrt(d_x)
+    w1[rng.random(w1.shape) < 0.05] = 0.0  # zero weights are skipped
+    params = NetworkParams(w1, 0.3 * rng.standard_normal(d_h), rng.standard_normal((1, d_h)),
+                           np.zeros(1))
+    inputs = rng.standard_normal((m, d_x))
+    return params, inputs, int(rng.integers(m)), int(rng.integers(d_h))
+
+
+class TestPinSample:
+    def test_stacked_scan_matches_sequential_scan(self):
+        outcomes = []
+        # the last four scans meet zeros on both sides at the same distance,
+        # where only the lower-before-upper order decides the pinned value
+        for seed in [*range(200), 439, 487, 506, 769]:
+            params, inputs, i, k = _pin_case(seed)
+            want_inputs = inputs.copy()
+            want = _sequential_pin(want_inputs, params, i, k)
+            got = _pin_sample_to_hyperplane(inputs, params, i, k)
+            assert got is want, seed
+            assert inputs.tobytes() == want_inputs.tobytes(), seed
+            if got:
+                assert (inputs @ params.W1.T + params.b1)[i, k] == 0.0
+            outcomes.append((got, params.dims[1]))
+        assert sum(not ok for ok, _ in outcomes) >= 30  # failed pins, rows restored
+        assert sum(ok for ok, d_h in outcomes if d_h == 1) >= 15
+
+    @pytest.mark.parametrize("d_h", [1, 2, 4])
+    @pytest.mark.parametrize("m", [1, 7, 12, 42, 203])
+    def test_stacked_product_rounds_like_each_unstacked_product(self, d_h, m):
+        # the premise of the stacked scan, on this machine's BLAS
+        rng = np.random.default_rng(100 * m + d_h)
+        params = NetworkParams(rng.standard_normal((d_h, 10)) / np.sqrt(10),
+                               0.3 * rng.standard_normal(d_h), np.ones((1, d_h)), np.zeros(1))
+        stack = np.repeat(rng.standard_normal((1, m, 10)), 128, axis=0)
+        stack[:, rng.integers(m), rng.integers(10)] = rng.standard_normal(128)
+        stacked = stack @ params.W1.T + params.b1
+        for s in range(stack.shape[0]):
+            single = stack[s].copy() @ params.W1.T + params.b1
+            assert stacked[s].tobytes() == single.tobytes()
 
 
 class TestJsonRoundTrip:
