@@ -101,8 +101,14 @@ class AdamConfig:
         require_in_range(self, "beta1 beta2", 0, 1)
 
 
-def risk_gradient(params: NetworkParams, data: Dataset, loss: LossModel):
+def risk_gradient(params: NetworkParams, data: Dataset, loss: LossModel, out=None):
     """Exact full-batch gradient of the risk with respect to all parameters.
+
+    Returns (gW1, gb1, gW2, gb2). Given ``out``, four float64 C-contiguous
+    arrays shaped like W1, b1, W2 and b2 (numpy's convention for several
+    outputs), it writes the blocks there and returns ``out`` itself, with the
+    same bits as ``out=None``; an ``out`` of the wrong shape raises
+    ValueError before anything is written.
 
     At an exactly-zero preactivation the hidden-layer slope is taken as the
     positive-side slope, a subgradient choice that matters only on a
@@ -118,6 +124,11 @@ def risk_gradient(params: NetworkParams, data: Dataset, loss: LossModel):
     most shapes with d_h >= 3. Training only needs a correct gradient. At
     d_h = d_y = 1 every result is bit-identical to the sample-major formula;
     otherwise the sums are reassociated and agree with it to rounding.
+
+    The five products are ``np.dot``, which gives the same bits as ``@`` on
+    these operands at a smaller per-call cost at small shapes. ``X.T`` stays
+    a strided view of the inputs: a contiguous copy sends the first product
+    to another BLAS kernel, whose rounding differs at d_h = 1.
     """
     X = data.inputs
     if X.shape[1] != params.W1.shape[1]:
@@ -125,16 +136,27 @@ def risk_gradient(params: NetworkParams, data: Dataset, loss: LossModel):
             f"input dimension {X.shape[1]} does not match network d_x={params.W1.shape[1]}"
         )
     require_label_width(params, data)
-    hidden = params.W1 @ X.T  # (d_h, m); X.T is a view of the inputs, not a copy
-    hidden += params.b1[:, None]
+    W1, b1, W2, b2 = params.W1, params.b1, params.W2, params.b2
+    if out is None:
+        out = tuple(np.empty_like(b) for b in (W1, b1, W2, b2))
+    g_w1, g_b1, g_w2, g_b2 = out
+    shapes = g_w1.shape, g_b1.shape, g_w2.shape, g_b2.shape
+    if shapes != (W1.shape, b1.shape, W2.shape, b2.shape):
+        raise ValueError(f"out shapes {shapes} do not match the parameter blocks")
+    hidden = np.dot(W1, X.T)  # (d_h, m); X.T is a view of the inputs, not a copy
+    hidden += b1[:, None]
     slopes = params.activation.hprime(hidden)
     hidden *= slopes  # preactivation -> hidden output, as slope times preactivation
-    out = params.W2 @ hidden  # (d_y, m)
-    out += params.b2[:, None]
-    grads = loss.gradient(out.T, data.labels).T
-    back = params.W2.T @ grads
+    outputs = np.dot(W2, hidden)  # (d_y, m)
+    outputs += b2[:, None]
+    grads = loss.gradient(outputs.T, data.labels).T
+    back = np.dot(W2.T, grads)
     back *= slopes
-    return back @ X, back.sum(axis=1), grads @ hidden.T, grads.sum(axis=1)
+    np.dot(back, X, out=g_w1)
+    back.sum(axis=1, out=g_b1)
+    np.dot(grads, hidden.T, out=g_w2)
+    grads.sum(axis=1, out=g_b2)
+    return out
 
 
 def adam_train(
@@ -148,27 +170,37 @@ def adam_train(
     The trace records (iteration, risk) every ``record_every`` steps plus
     the final point. Standard bias-corrected moment updates; the step size
     at iteration t (1-based) is lr * decay_factor ** ((t - 1) // decay_every).
-    The parameters and both moments are one flat vector each, raveled as
-    W1, b1, W2, b2, so every step is a few whole-vector operations; each
-    entry sees the same float64 operations as a blockwise update, so the
-    update is bit-identical to it given the same gradient. The gradient is
-    ``risk_gradient``'s unit-major one, called once per iteration; at
-    d_h = d_y = 1 it is bit-identical to the sample-major formula, so whole
-    iterates are too. The returned parameters own their arrays, and
-    ``params0`` is not modified.
+    The parameters, the gradient and both moments are one flat vector each,
+    raveled as W1, b1, W2, b2. Every step runs in place: ``risk_gradient``
+    writes into the four block views of the flat gradient, called once per
+    iteration, and the update goes through two scratch vectors, so an
+    iteration allocates only the gradient pass's own temporaries. Each
+    entry sees the same float64 operations in the same order as the
+    blockwise expression lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t))
+    + eps), so the update is bit-identical to it given the same gradient.
+    The gradient is the unit-major one; at d_h = d_y = 1 it is bit-identical
+    to the sample-major formula, so whole iterates are too. The returned
+    parameters own their arrays, and ``params0`` is not modified.
     """
     loss = loss if loss is not None else SquaredLoss()
     cfg = config if config is not None else AdamConfig()
     blocks = (params0.W1, params0.b1, params0.W2, params0.b2)
     theta = np.concatenate([b.ravel() for b in blocks])
+    grad = np.empty_like(theta)
     ends = np.cumsum([b.size for b in blocks])
-    views = [theta[e - b.size : e].reshape(b.shape) for b, e in zip(blocks, ends)]
+
+    def views_of(flat):
+        return tuple(flat[e - b.size : e].reshape(b.shape) for b, e in zip(blocks, ends))
+
+    views = views_of(theta)
+    grad_blocks = views_of(grad)
     # built once: require_finite hands a float64 array back as itself, so
     # these views follow every in-place update of theta
     current = NetworkParams(*views, params0.activation)
-    grad = np.empty_like(theta)
     mom = np.zeros_like(theta)
     vel = np.zeros_like(theta)
+    step = np.empty_like(theta)
+    denom = np.empty_like(theta)
     beta1, beta2, eps = cfg.beta1, cfg.beta2, cfg.eps
     trace = []
     for start in range(0, cfg.iters, cfg.record_every):
@@ -176,13 +208,22 @@ def adam_train(
         # divergence is detected explicitly, so transient overflow is expected
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(start + 1, end + 1):
-                np.concatenate([g.ravel() for g in risk_gradient(current, data, loss)], out=grad)
+                risk_gradient(current, data, loss, out=grad_blocks)
                 lr = cfg.lr * cfg.decay_factor ** ((t - 1) // cfg.decay_every)
                 mom *= beta1
-                mom += (1.0 - beta1) * grad
+                np.multiply(grad, 1.0 - beta1, out=step)
+                mom += step
                 vel *= beta2
-                vel += (1.0 - beta2) * grad * grad
-                theta -= lr * (mom / (1.0 - beta1**t)) / (np.sqrt(vel / (1.0 - beta2**t)) + eps)
+                np.multiply(grad, 1.0 - beta2, out=step)
+                step *= grad
+                vel += step
+                np.divide(mom, 1.0 - beta1**t, out=step)
+                step *= lr
+                np.divide(vel, 1.0 - beta2**t, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += eps
+                step /= denom
+                theta -= step
                 if not np.isfinite(theta).all():
                     raise NonFiniteError(f"training diverged at iteration {t}")
         trace.append((end, empirical_risk(current, data, loss)))

@@ -101,10 +101,12 @@ def test_one_risk_gradient_call_per_adam_iteration(monkeypatch):
     from sospcheck import harness
 
     calls = []
+    outs = []
     original = harness.risk_gradient
 
     def counting(*args, **kwargs):
         calls.append(None)
+        outs.append(kwargs.get("out"))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(harness, "risk_gradient", counting)
@@ -112,9 +114,16 @@ def test_one_risk_gradient_call_per_adam_iteration(monkeypatch):
     data = harness.generate_dataset(3, 1, 20, seed=1)
     for iters, record_every in [(1, 1), (37, 10), (50, 200)]:
         calls.clear()
+        outs.clear()
         config = harness.AdamConfig(iters=iters, record_every=record_every)
         harness.adam_train(params, data, config=config)
         assert len(calls) == iters
+        # every call writes into the same four views of one flat gradient,
+        # so no iteration allocates its gradient blocks
+        first = outs[0]
+        assert first is not None and len(first) == 4
+        assert all(a.base is not None and a.base is first[0].base for a in first)
+        assert all(all(a is b for a, b in zip(out, first)) for out in outs)
 
 
 # the trace keys ``workloads.work_counts`` and ``workloads.guard_certify``

@@ -382,6 +382,64 @@ class TestRiskGradient:
         with pytest.raises(ShapeMismatchError, match="dataset d_y=1 does not match network d_y=2"):
             entry(params, generate_dataset(3, 1, 50, seed=1))
 
+    @pytest.mark.parametrize("d_x", [6, 10])
+    @pytest.mark.parametrize("d_y", [1, 2])
+    @pytest.mark.parametrize("d_h", [1, 2, 4])
+    def test_dot_rounds_like_matmul_on_the_gradient_products(self, d_h, d_y, d_x):
+        # the premise of the np.dot products, on this machine's BLAS, with
+        # the operand layouts of risk_gradient: X.T and W2.T are strided
+        # views, and grads is the transpose of the loss's (m, d_y) gradient
+        rng = np.random.default_rng(100 * d_h + 10 * d_y + d_x)
+        w1, w2 = rng.standard_normal((d_h, d_x)), rng.standard_normal((d_y, d_h))
+        for m in [1, 42, 1000, 11_002]:
+            x = rng.standard_normal((m, d_x))
+            hidden = rng.standard_normal((d_h, m))
+            grads = rng.standard_normal((m, d_y)).T
+            back = rng.standard_normal((d_h, m))
+            for a, b in [(w1, x.T), (w2, hidden), (w2.T, grads), (back, x), (grads, hidden.T)]:
+                want = (a @ b).tobytes()
+                assert np.dot(a, b).tobytes() == want
+                o = np.empty((a.shape[0], b.shape[1]))
+                assert np.dot(a, b, out=o) is o and o.tobytes() == want
+
+    def test_inputs_are_read_through_a_transposed_view(self, monkeypatch):
+        # a contiguous copy of X.T sends the forward product to another
+        # BLAS kernel, which rounds differently at d_h = 1
+        params, data, loss = _gradient_case("large_m")
+        operands, dot = [], np.dot
+
+        def spy(a, b, *args, **kwargs):
+            operands.extend((a, b))
+            return dot(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "dot", spy)
+        risk_gradient(params, data, loss)
+        monkeypatch.undo()
+        reads = [o for o in operands if np.shares_memory(o, data.inputs)]
+        assert [o.strides for o in reads] == [data.inputs.T.strides, data.inputs.strides]
+        assert not any(o.shape == data.inputs.T.shape and o.flags.c_contiguous for o in operands)
+
+    @pytest.mark.parametrize("case", ADAM_CASES + ["large_m"])
+    def test_out_is_written_and_returned_with_the_same_bits(self, case):
+        params, data, loss = _gradient_test_point(case)
+        want = risk_gradient(params, data, loss)
+        blocks = tuple(np.full_like(b, np.nan) for b in _blocks(params))
+        got = risk_gradient(params, data, loss, out=blocks)
+        assert got is blocks
+        for g, b, w in zip(got, blocks, want):
+            assert g is b and g.tobytes() == w.tobytes()
+
+    def test_out_of_the_wrong_shape_raises_before_writing(self):
+        params, data, loss = _gradient_test_point("cosh_loss_two_outputs")
+        before = [b.copy() for b in _blocks(params)]
+        blocks = [np.full_like(b, np.nan) for b in _blocks(params)]
+        blocks[2] = np.full(params.W2.T.shape, np.nan)  # gW1 and gb1 come first
+        with pytest.raises(ValueError, match="out shapes"):
+            risk_gradient(params, data, loss, out=tuple(blocks))
+        assert all(np.isnan(b).all() for b in blocks)
+        for block, start in zip(_blocks(params), before):
+            assert np.array_equal(block, start)
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
